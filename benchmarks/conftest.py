@@ -9,7 +9,7 @@ deterministic, so a single round suffices.
 import pytest
 
 from repro.core.config import SimulationConfig
-from repro.experiments.runner import RunCache
+from repro.runner import SweepRunner
 
 #: Reduced fidelity: one warm-up, two measured iterations.
 BENCH_SIM = SimulationConfig(warmup_iterations=1, measure_iterations=2)
@@ -28,4 +28,4 @@ def run_once(benchmark):
 
 @pytest.fixture()
 def cache():
-    return RunCache(sim=BENCH_SIM)
+    return SweepRunner(sim=BENCH_SIM)

@@ -11,7 +11,7 @@ Run:  python examples/parallelism_strategies.py
 
 from repro import CommMethodName, TrainingConfig
 from repro.experiments.tables import render_table
-from repro.train import train, train_async, train_model_parallel
+from repro.train import AsyncTrainer, ModelParallelEstimator, train
 
 NETWORKS = ("alexnet", "resnet")
 GPUS = 4
@@ -24,9 +24,9 @@ def main() -> None:
         config = TrainingConfig(network, BATCH, GPUS, comm_method=CommMethodName.P2P)
 
         sync = train(config)
-        asyn = train_async(config)
-        mp = train_model_parallel(config)
-        mp_piped = train_model_parallel(config, pipeline_microbatches=4)
+        asyn = AsyncTrainer(config).run()
+        mp = ModelParallelEstimator(config).run()
+        mp_piped = ModelParallelEstimator(config, pipeline_microbatches=4).run()
 
         rows.extend(
             [

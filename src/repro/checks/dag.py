@@ -43,9 +43,10 @@ segment; the payload contract is documented in docs/INVARIANTS.md.
 
 from __future__ import annotations
 
-from typing import Any, Mapping
+from typing import Any, Dict, Mapping
 
 from repro.checks.checkers import _lt
+from repro.checks.expect import expected_sync_bytes
 from repro.checks.registry import invariant
 
 Payload = Mapping[str, Any]
@@ -76,6 +77,43 @@ def aggregate_peak_bandwidth(topology) -> float:
     peak bandwidths.
     """
     return 2.0 * sum(link.peak_bandwidth() for link in topology.links)
+
+
+def system_floors(trainer, fabric, devices, comm) -> Dict[str, float]:
+    """The ``compute``/``input``/``wire``/``host`` floors of one built system.
+
+    ``trainer`` is a compiled :class:`~repro.train.trainer.Trainer` and
+    the rest is what its ``_build_system()`` returned (the fabric's
+    topology may be fault-degraded).  Nothing here reads simulated
+    events, so the trainer's ``trainer.dag`` checkpoint and the
+    service's analytic fast path share the exact same numbers.
+    """
+    constants = trainer.constants
+    compute = trainer._kernel_seconds * max(
+        (device_factor_floor(dev) for dev in devices), default=1.0
+    )
+    wire = 0.0
+    expected = expected_sync_bytes(
+        comm.name, trainer._sync_arrays(), len(devices),
+        gradient_bytes_scale=comm.gradient_bytes_scale,
+    )
+    if expected:
+        agg = aggregate_peak_bandwidth(fabric.topology)
+        if agg > 0.0:
+            wire = expected / agg
+    return {
+        "compute": compute,
+        "input": (
+            constants.input_pipeline_residual
+            + constants.input_cost_per_image * trainer.config.batch_size
+        ),
+        "wire": wire,
+        "host": (
+            constants.framework_iteration_overhead
+            + len(devices) * constants.stream_sync_overhead
+            + comm.per_iteration_overhead()
+        ),
+    }
 
 
 def critical_path_floor(compute_floor: float, input_floor: float,

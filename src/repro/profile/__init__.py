@@ -11,23 +11,18 @@ busy time); :mod:`repro.profile.timeline` exports Chrome traces; and
 from repro.profile.ascii_timeline import render_ascii_timeline
 from repro.profile.layerwise import LayerProfile, LayerwiseSummary, render_layerwise, summarize_layers
 from repro.profile.profiler import Profiler
-from repro.profile.records import ApiRecord, KernelRecord, SpanRecord, TransferRecord
 from repro.profile.smi import MemoryMonitor, MemoryReading
 from repro.profile.summary import ApiSummary, StageBreakdown, summarize_apis, summarize_stages
 from repro.profile.timeline import export_chrome_trace
 
 __all__ = [
-    "ApiRecord",
     "ApiSummary",
-    "KernelRecord",
     "LayerProfile",
     "LayerwiseSummary",
     "MemoryMonitor",
     "MemoryReading",
     "Profiler",
-    "SpanRecord",
     "StageBreakdown",
-    "TransferRecord",
     "export_chrome_trace",
     "render_ascii_timeline",
     "render_layerwise",

@@ -3,11 +3,10 @@
 Since the observability refactor the profiler is a thin gate in front of a
 :class:`~repro.obs.bus.EventBus`: every ``record_*`` call constructs a
 typed event (:class:`~repro.obs.events.KernelEvent`, ...) and publishes it
-when measurement is enabled.  The familiar record lists (``.kernels``,
-``.transfers``, ``.apis``, ``.spans``) are maintained by a built-in bus
-subscriber, so existing aggregation code keeps working unchanged, while
-any number of additional subscribers (metrics bridge, JSONL recorder) can
-ride the same stream.
+when measurement is enabled.  The record lists (``.kernels``,
+``.transfers``, ``.apis``, ``.spans``) are themselves bus subscribers that
+keep the published event objects, while any number of additional
+subscribers (metrics bridge, JSONL recorder) can ride the same stream.
 
 Measurement can be gated (``profiler.enabled``) so warm-up iterations do
 not pollute the statistics, mirroring how nvprof sessions are windowed.
@@ -27,7 +26,6 @@ from repro.obs.events import (
     SpanEvent,
     TransferEvent,
 )
-from repro.profile.records import ApiRecord, KernelRecord, SpanRecord, TransferRecord
 
 #: A clock is anything with a ``now`` attribute (a simulation
 #: :class:`~repro.sim.engine.Environment`) or a zero-argument callable.
@@ -35,7 +33,7 @@ Clock = Union[Callable[[], float], object]
 
 
 class Profiler:
-    """Collects kernel/transfer/API/span records and feeds the event bus."""
+    """Collects kernel/transfer/API/span events and feeds the event bus."""
 
     def __init__(
         self,
@@ -46,15 +44,15 @@ class Profiler:
         self.enabled = enabled
         self.bus = bus if bus is not None else EventBus()
         self.clock = clock
-        self.kernels: List[KernelRecord] = []
-        self.transfers: List[TransferRecord] = []
-        self.apis: List[ApiRecord] = []
-        self.spans: List[SpanRecord] = []
+        self.kernels: List[KernelEvent] = []
+        self.transfers: List[TransferEvent] = []
+        self.apis: List[ApiEvent] = []
+        self.spans: List[SpanEvent] = []
         # List accumulation is itself just one subscriber of the bus.
-        self.bus.subscribe(KernelEvent, self._on_kernel)
-        self.bus.subscribe(TransferEvent, self._on_transfer)
-        self.bus.subscribe(ApiEvent, self._on_api)
-        self.bus.subscribe(SpanEvent, self._on_span)
+        self.bus.subscribe(KernelEvent, self.kernels.append)
+        self.bus.subscribe(TransferEvent, self.transfers.append)
+        self.bus.subscribe(ApiEvent, self.apis.append)
+        self.bus.subscribe(SpanEvent, self.spans.append)
 
     # ------------------------------------------------------------------
     # Bus plumbing
@@ -78,27 +76,6 @@ class Profiler:
         if now is not None:
             return float(now)
         return float(self.clock())
-
-    def _on_kernel(self, e: KernelEvent) -> None:
-        self.kernels.append(
-            KernelRecord(gpu=e.gpu, name=e.name, layer=e.layer, stage=e.stage,
-                         start=e.start, end=e.end)
-        )
-
-    def _on_transfer(self, e: TransferEvent) -> None:
-        self.transfers.append(
-            TransferRecord(kind=e.kind, src=e.src, dst=e.dst, nbytes=e.nbytes,
-                           start=e.start, end=e.end)
-        )
-
-    def _on_api(self, e: ApiEvent) -> None:
-        self.apis.append(ApiRecord(name=e.name, gpu=e.gpu, start=e.start, end=e.end))
-
-    def _on_span(self, e: SpanEvent) -> None:
-        self.spans.append(
-            SpanRecord(name=e.name, gpu=e.gpu, iteration=e.iteration,
-                       start=e.start, end=e.end)
-        )
 
     # ------------------------------------------------------------------
     # Recording hooks (called by devices, communicators, trainer)

@@ -3,7 +3,7 @@
 :class:`SweepRunner` is the single execution path for every experiment
 sweep in the library.  It layers three result sources, checked in order:
 
-1. an in-process memo (what the old ``RunCache`` provided),
+1. an in-process memo,
 2. an optional persistent :class:`~repro.runner.store.ResultStore`
    keyed by content fingerprint,
 3. actual simulation -- serially by default, or on a
@@ -29,7 +29,6 @@ from __future__ import annotations
 import concurrent.futures
 import contextlib
 import dataclasses
-import random
 import signal
 import sys
 import threading
@@ -64,6 +63,7 @@ from repro.runner.spec import (
     SweepSpec,
 )
 from repro.perf.spans import PERF
+from repro.runner.pool import PoolDriver, backoff_delay
 from repro.runner.store import CacheEntry, ResultStore, fault_breakdown
 
 #: What one executed/cached point yields: a result object, an OOM record,
@@ -296,7 +296,7 @@ class RunnerStats:
 class SweepRunner:
     """Executes :class:`SweepSpec` points with memoization and caching.
 
-    Also provides the legacy ``RunCache`` interface (:meth:`get` /
+    Also provides a single-configuration interface (:meth:`get` /
     :meth:`try_get` / ``len``), so anchor validation and ad-hoc callers
     can fetch single configurations through the same memo the sweeps
     fill.
@@ -312,21 +312,13 @@ class SweepRunner:
         bus: Optional[EventBus] = None,
         retries: int = 1,
         retry_backoff: float = 0.05,
-        retry_jitter: float = 0.0,
-        retry_seed: Optional[int] = None,
         point_timeout: Optional[float] = None,
         invariants: str = "off",
     ) -> None:
         """``retries`` is the number of *re*-executions granted to a
         crashing point (so a point runs at most ``retries + 1`` times);
         ``retry_backoff`` is the base of the exponential wall-clock
-        backoff slept between attempts.  ``retry_jitter`` widens each
-        backoff by a random factor in ``[1, 1 + retry_jitter)`` so N
-        clients retrying the same failed point do not thundering-herd a
-        shared pool; the default ``0.0`` keeps the historical
-        deterministic schedule.  ``retry_seed`` seeds the jitter RNG so
-        tests (and the service's reproducibility guarantees) can pin the
-        exact sleep sequence.  ``point_timeout`` bounds one
+        backoff slept between attempts.  ``point_timeout`` bounds one
         point's wall-clock execution in seconds; a point that exceeds it
         is recorded as a timed-out failure (not retried -- the simulator
         is deterministic, so a hang would simply hang again) while the
@@ -349,8 +341,6 @@ class SweepRunner:
             raise ValueError(f"retries must be >= 0, got {retries}")
         if retry_backoff < 0:
             raise ValueError(f"retry_backoff must be >= 0, got {retry_backoff}")
-        if retry_jitter < 0:
-            raise ValueError(f"retry_jitter must be >= 0, got {retry_jitter}")
         if point_timeout is not None and point_timeout <= 0:
             raise ValueError(f"point_timeout must be positive, got {point_timeout}")
         self.sim = sim
@@ -361,8 +351,6 @@ class SweepRunner:
         self.bus = bus
         self.retries = retries
         self.retry_backoff = retry_backoff
-        self.retry_jitter = retry_jitter
-        self._retry_rng = random.Random(retry_seed)
         self.point_timeout = point_timeout
         self.invariants = CheckMode.parse(invariants).value
         self.stats = RunnerStats()
@@ -478,7 +466,7 @@ class SweepRunner:
         return values
 
     # ------------------------------------------------------------------
-    # Single-point interface (RunCache compatibility)
+    # Single-point interface
     # ------------------------------------------------------------------
     def run_point(self, point: SweepPoint) -> Any:
         """Execute one point (memo/disk-cached); raises on OOM."""
@@ -602,17 +590,8 @@ class SweepRunner:
             self.stats.fault_overhead += breakdown.get("overhead", 0.0)
 
     def _backoff(self, attempt: int) -> float:
-        """Exponential backoff slept before re-attempt ``attempt + 1``.
-
-        With ``retry_jitter > 0`` the exponential base is widened by a
-        seeded random factor in ``[1, 1 + retry_jitter)``; drawing from
-        the runner's own RNG keeps concurrent runners decorrelated while
-        a fixed ``retry_seed`` keeps any single runner reproducible.
-        """
-        backoff = self.retry_backoff * (2 ** (attempt - 1))
-        if self.retry_jitter:
-            backoff *= 1.0 + self._retry_rng.random() * self.retry_jitter
-        return backoff
+        """Exponential backoff slept before re-attempt ``attempt + 1``."""
+        return backoff_delay(self.retry_backoff, attempt)
 
     def _note_retry(
         self, spec: SweepSpec, total: int, index: int, point: SweepPoint,
@@ -673,16 +652,17 @@ class SweepRunner:
     ) -> None:
         """Pool execution with per-point retry and wall-clock timeout.
 
-        A timed-out future cannot be interrupted (ProcessPoolExecutor has
-        no kill primitive), so it is abandoned: its outcome is recorded
-        as a timeout failure, the wait loop stops tracking it, and the
-        final ``shutdown(wait=False, cancel_futures=True)`` leaves the
-        stuck worker to die with the process.
+        A worker that dies fails every in-flight future with
+        ``BrokenProcessPool``; those points are retried like any other
+        failure, and the :class:`~repro.runner.pool.PoolDriver` runs the
+        retries on a fresh pool.  A timed-out future cannot be
+        interrupted (ProcessPoolExecutor has no kill primitive), so it is
+        abandoned: its outcome is recorded as a timeout failure, the wait
+        loop stops tracking it, and the final shutdown terminates the
+        stuck worker.
         """
         deadline = self.point_timeout
-        pool = concurrent.futures.ProcessPoolExecutor(
-            max_workers=min(self.jobs, len(pending))
-        )
+        driver = PoolDriver(min(self.jobs, len(pending)))
         state: Dict[concurrent.futures.Future, Tuple[int, Optional[str], SweepPoint, int]] = {}
         running_since: Dict[concurrent.futures.Future, float] = {}
         abandoned = False
@@ -690,7 +670,7 @@ class SweepRunner:
 
         def submit(index: int, key: Optional[str], point: SweepPoint,
                    attempt: int) -> None:
-            future = pool.submit(
+            future = driver.submit(
                 _execute_point, point, self.sim, self.constants,
                 self.trainer_kwargs, self.invariants,
             )
@@ -763,17 +743,10 @@ class SweepRunner:
             interrupted = True
             raise
         finally:
-            # Snapshot before shutdown(): the executor nulls _processes out.
-            workers = list((getattr(pool, "_processes", None) or {}).values())
-            pool.shutdown(wait=False, cancel_futures=True)
-            if abandoned or interrupted:
-                # After an abandon every tracked future has completed, so
-                # the only busy workers are the stuck ones; after an
-                # interrupt the in-flight points are abandoned by design.
-                # Kill them, or the interpreter's process-pool atexit
-                # join would hang on them forever.
-                for proc in workers:
-                    proc.terminate()
+            # After an abandon every tracked future has completed, so the
+            # only busy workers are the stuck ones; after an interrupt the
+            # in-flight points are abandoned by design.
+            driver.shutdown(wait=False, kill_workers=abandoned or interrupted)
 
     def _publish(self, event: Any) -> None:
         if self.bus is not None:

@@ -25,12 +25,7 @@ from __future__ import annotations
 import functools
 from typing import Any, Dict
 
-from repro.checks.dag import (
-    aggregate_peak_bandwidth,
-    critical_path_floor,
-    device_factor_floor,
-)
-from repro.checks.expect import expected_sync_bytes
+from repro.checks.dag import critical_path_floor, system_floors
 from repro.core.config import TrainingConfig
 from repro.core.constants import CALIBRATION, CalibrationConstants
 from repro.runner.spec import SweepPoint
@@ -55,33 +50,7 @@ def _estimate(
 
     trainer = Trainer(config, constants=constants, check_memory=False)
     _env, _profiler, fabric, _router, devices, comm = trainer._build_system()
-    compute = trainer._kernel_seconds * max(
-        (device_factor_floor(dev) for dev in devices), default=1.0
-    )
-    input_floor = (
-        constants.input_pipeline_residual
-        + constants.input_cost_per_image * config.batch_size
-    )
-    host = (
-        constants.framework_iteration_overhead
-        + len(devices) * constants.stream_sync_overhead
-        + comm.per_iteration_overhead()
-    )
-    wire = 0.0
-    expected = expected_sync_bytes(
-        comm.name,
-        trainer._sync_arrays(),
-        len(devices),
-        gradient_bytes_scale=comm.gradient_bytes_scale,
-    )
-    if expected:
-        agg = aggregate_peak_bandwidth(fabric.topology)
-        if agg > 0.0:
-            wire = expected / agg
-    return {
-        "compute": compute, "input": input_floor,
-        "wire": wire, "host": host,
-    }
+    return system_floors(trainer, fabric, devices, comm)
 
 
 def analytic_estimate(

@@ -9,11 +9,13 @@ accepting connections while simulations run.
 
 Worker death (SIGKILL, segfault) surfaces as
 :class:`~concurrent.futures.process.BrokenProcessPool` on *every*
-in-flight future.  Recovery is single-flight: the first coroutine to
-observe the break swaps in a fresh pool (every other one re-checks and
-reuses it), reports the crash to the circuit breaker, sleeps a jittered
-backoff -- the satellite jitter knob, seeded for determinism -- and
-retries its point up to ``retries`` times.
+in-flight future.  Every coroutine that observes the break reports the
+crash to the circuit breaker, asks the
+:class:`~repro.runner.pool.PoolDriver` to replace that pool, sleeps a
+seeded, jittered backoff and retries its point up to ``retries`` times.
+The pool is replaced once: the replacement never awaits, so it runs to
+completion on the event loop before any other coroutine resumes, and
+the later callers find a pool that is no longer the broken one.
 """
 
 from __future__ import annotations
@@ -27,9 +29,19 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.core.config import SimulationConfig
 from repro.core.constants import CALIBRATION, CalibrationConstants
+from repro.runner.pool import PoolDriver, backoff_delay
 from repro.runner.runner import _execute_point
 from repro.runner.spec import SweepPoint
 from repro.service.admission import CircuitBreaker
+
+#: Base of the exponential backoff between crash retries (seconds).
+RETRY_BACKOFF = 0.05
+#: Each backoff is widened by a random factor in ``[1, 1 + RETRY_JITTER)``
+#: so clients retrying the same crashed point do not hit the fresh pool
+#: in lockstep; the RNG is seeded, so one executor's sleeps are
+#: reproducible.
+RETRY_JITTER = 0.5
+RETRY_SEED = 0
 
 
 class PoolExecutor:
@@ -43,64 +55,40 @@ class PoolExecutor:
         trainer_kwargs: Optional[Mapping[str, Any]] = None,
         invariants: str = "off",
         retries: int = 1,
-        retry_backoff: float = 0.05,
-        retry_jitter: float = 0.5,
-        retry_seed: Optional[int] = 0,
         breaker: Optional[CircuitBreaker] = None,
     ) -> None:
-        if jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
-        self.jobs = jobs
+        self._driver = PoolDriver(jobs)
         self.sim = sim
         self.constants = constants
         self.trainer_kwargs: Dict[str, Any] = dict(trainer_kwargs or {})
         self.invariants = invariants
         self.retries = retries
-        self.retry_backoff = retry_backoff
-        self.retry_jitter = retry_jitter
-        self._rng = random.Random(retry_seed)
+        self._rng = random.Random(RETRY_SEED)
         self.breaker = breaker if breaker is not None else CircuitBreaker()
-        self._pool: Optional[ProcessPoolExecutor] = None
-        self._rebuild_lock: Optional[asyncio.Lock] = None
         #: Points submitted but not yet finished -- the queue-depth gauge.
         self.inflight = 0
-        #: Pools this executor had to rebuild after a worker crash.
-        self.rebuilds = 0
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.jobs)
-        return self._pool
+        """The live pool, built on first use."""
+        return self._driver.current()
+
+    @property
+    def rebuilds(self) -> int:
+        """Pools this executor had to rebuild after a worker crash."""
+        return self._driver.rebuilds
 
     def worker_pids(self) -> List[int]:
         """Pids of the live pool workers (spawned lazily on first use)."""
-        pool = self._pool
-        if pool is None or pool._processes is None:
-            return []
-        return [p.pid for p in pool._processes.values() if p.pid is not None]
+        return self._driver.worker_pids()
 
     def prestart(self) -> None:
         """Spawn the pool eagerly so ``stats`` can report worker pids."""
-        pool = self._ensure_pool()
         # Submitting a trivial task forces worker creation on all
         # Python versions (3.8's pool spawns lazily per task).
-        pool.submit(int, 0).result()
-
-    async def _rebuild(self, broken: ProcessPoolExecutor) -> None:
-        """Replace a broken pool exactly once (single-flight)."""
-        if self._rebuild_lock is None:
-            self._rebuild_lock = asyncio.Lock()
-        async with self._rebuild_lock:
-            if self._pool is broken:
-                broken.shutdown(wait=False, cancel_futures=True)
-                self._pool = ProcessPoolExecutor(max_workers=self.jobs)
-                self.rebuilds += 1
+        self._driver.submit(int, 0).result()
 
     def _backoff(self, attempt: int) -> float:
-        backoff = self.retry_backoff * (2 ** (attempt - 1))
-        if self.retry_jitter:
-            backoff *= 1.0 + self._rng.random() * self.retry_jitter
-        return backoff
+        return backoff_delay(RETRY_BACKOFF, attempt, RETRY_JITTER, self._rng)
 
     async def execute(
         self, point: SweepPoint,
@@ -127,7 +115,7 @@ class PoolExecutor:
                     result = await loop.run_in_executor(pool, task)
                 except BrokenProcessPool:
                     self.breaker.record_failure()
-                    await self._rebuild(pool)
+                    self._driver.replace(pool)
                     if attempt > self.retries:
                         raise
                     await asyncio.sleep(self._backoff(attempt))
@@ -144,11 +132,4 @@ class PoolExecutor:
         the drain path's last resort for a hung simulation, mirroring
         the runner's timeout-abandonment semantics.
         """
-        pool = self._pool
-        self._pool = None
-        if pool is None:
-            return
-        if kill_workers and pool._processes:
-            for proc in list(pool._processes.values()):
-                proc.terminate()
-        pool.shutdown(wait=not kill_workers, cancel_futures=True)
+        self._driver.shutdown(kill_workers=kill_workers)

@@ -68,9 +68,6 @@ class ServiceConfig:
     breaker_threshold: int = 3
     breaker_cooldown: float = 5.0
     retries: int = 1
-    retry_backoff: float = 0.05
-    retry_jitter: float = 0.5
-    retry_seed: Optional[int] = 0
     drain_timeout: float = 10.0
 
 
@@ -164,9 +161,6 @@ class SweepService:
             constants=config.constants,
             invariants=config.invariants,
             retries=config.retries,
-            retry_backoff=config.retry_backoff,
-            retry_jitter=config.retry_jitter,
-            retry_seed=config.retry_seed,
             breaker=self.breaker,
         )
         self.dedup = InflightRegistry()

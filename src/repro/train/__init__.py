@@ -9,15 +9,7 @@ updated weights is pluggable: the strategy registry
 ``TrainingConfig.strategy``) covers the synchronous P2P/NCCL/parameter-
 server reductions, asynchronous parameter-server SGD and the
 model-parallel placement estimator behind one result schema.
-
-The direct ``train_async`` / ``train_model_parallel`` entry points are
-deprecated (they bypass the registry, the runner cache and the invariant
-checks); importing them from this package warns once and keeps working.
-Use ``train(TrainingConfig(..., strategy="async-update"))`` /
-``strategy="model-parallel"`` instead -- see docs/TRAINING.md.
 """
-
-import warnings
 
 from repro.train.async_trainer import AsyncResult, AsyncTrainer
 from repro.train.dataset import SyntheticImageDataset, imagenet_subset
@@ -67,34 +59,4 @@ __all__ = [
     "register_strategy",
     "strategy_for",
     "train",
-    "train_async",
-    "train_model_parallel",
 ]
-
-#: Deprecated entry points kept importable through a warn-once shim.
-_DEPRECATED = ("train_async", "train_model_parallel")
-_warned = set()
-
-
-def __getattr__(name):
-    """PEP 562 shim: deprecated entry points warn once, then resolve."""
-    if name in _DEPRECATED:
-        if name not in _warned:
-            _warned.add(name)
-            replacement = (
-                'strategy="async-update"' if name == "train_async"
-                else 'strategy="model-parallel"'
-            )
-            warnings.warn(
-                f"repro.train.{name} is deprecated: run "
-                f"train(TrainingConfig(..., {replacement})) through the "
-                "strategy registry instead (see docs/TRAINING.md)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        if name == "train_async":
-            from repro.train.async_trainer import train_async
-            return train_async
-        from repro.train.model_parallel import train_model_parallel
-        return train_model_parallel
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

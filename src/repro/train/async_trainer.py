@@ -126,13 +126,3 @@ class AsyncTrainer:
             staleness_samples=measured.stats.staleness_samples,
             server_updates=measured.stats.server_updates,
         )
-
-
-def train_async(
-    config: TrainingConfig,
-    sim: SimulationConfig = SimulationConfig(),
-    constants: CalibrationConstants = CALIBRATION,
-    **kwargs,
-) -> AsyncResult:
-    """Convenience wrapper mirroring :func:`repro.train.train`."""
-    return AsyncTrainer(config, sim=sim, constants=constants, **kwargs).run()

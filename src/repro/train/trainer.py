@@ -370,13 +370,12 @@ class Trainer:
 
     def _post_measure_checks_inner(self, env, profiler, fabric, devices,
                                    comm, iterations: int) -> None:
+        from repro.checks.dag import system_floors
+        from repro.checks.expect import expected_sync_bytes
+
         checks = self.checks
         spans = list(profiler.spans)
-        host_overhead = (
-            self.constants.framework_iteration_overhead
-            + len(devices) * self.constants.stream_sync_overhead
-            + comm.per_iteration_overhead()
-        )
+        floors = system_floors(self, fabric, devices, comm)
         busy: Dict[int, float] = {}
         for kernel in profiler.kernels:
             busy[kernel.gpu] = busy.get(kernel.gpu, 0.0) + (kernel.end - kernel.start)
@@ -388,7 +387,7 @@ class Trainer:
         checks.check(
             "trainer.stages",
             spans=spans,
-            host_overhead=host_overhead,
+            host_overhead=floors["host"],
             busy=busy,
             elapsed=elapsed,
             now=env.now,
@@ -397,8 +396,6 @@ class Trainer:
         for t in profiler.transfers:
             if t.kind in ("p2p", "nccl"):
                 measured[t.kind] = measured.get(t.kind, 0) + t.nbytes
-        from repro.checks.expect import expected_sync_bytes
-
         expected = expected_sync_bytes(
             comm.name,
             self._sync_arrays(),
@@ -425,26 +422,13 @@ class Trainer:
         # synchronous SGD): the measured mean iteration must dominate the
         # closed-form critical-path floor computed from quantities the
         # event simulation never touches.
-        from repro.checks.dag import aggregate_peak_bandwidth, device_factor_floor
-
-        compute_floor = self._kernel_seconds * max(
-            (device_factor_floor(dev) for dev in devices), default=1.0
-        )
-        wire_floor = 0.0
-        if expected:
-            agg = aggregate_peak_bandwidth(fabric.topology)
-            if agg > 0.0:
-                wire_floor = expected / agg
         checks.check(
             "trainer.dag",
             mean_iteration=elapsed / iterations if iterations else 0.0,
-            compute_floor=compute_floor,
-            input_floor=(
-                self.constants.input_pipeline_residual
-                + self.constants.input_cost_per_image * self.config.batch_size
-            ),
-            wire_floor=wire_floor,
-            host_floor=host_overhead,
+            compute_floor=floors["compute"],
+            input_floor=floors["input"],
+            wire_floor=floors["wire"],
+            host_floor=floors["host"],
             iterations=iterations,
             now=env.now,
         )

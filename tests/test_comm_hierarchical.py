@@ -3,8 +3,8 @@
 Covers the phase-wire algebra, the communicator's validation, the
 event-vs-analytic fast-path cross-validation on 1/2/4-node topologies
 under strict invariants, the cluster-tier config knobs (validation,
-describe tags, schema-v6 serialization), the deprecated aggregated
-multinode path, and the ``cluster`` scaling experiment.  See
+describe tags, schema-v6 serialization), the multinode study's routing
+through the cluster tier, and the ``cluster`` scaling experiment.  See
 docs/SCALING.md for the model.
 """
 
@@ -186,24 +186,8 @@ def test_schema_v7_roundtrips_cluster_fields():
 
 
 # ----------------------------------------------------------------------
-# The deprecated aggregated multinode path
+# The multinode study routes through the cluster tier
 # ----------------------------------------------------------------------
-def test_multinode_aggregated_fabric_warns_once():
-    from repro.experiments import multinode_study
-
-    multinode_study._warned_aggregated = False
-    with pytest.warns(DeprecationWarning, match="aggregated"):
-        spec = multinode_study.sweep_spec(
-            networks=("lenet",), node_counts=(2,), fabric="aggregated")
-    assert spec.points[0].config.cluster_collective == "compat"
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # second call must stay silent
-        multinode_study.sweep_spec(
-            networks=("lenet",), node_counts=(2,), fabric="aggregated")
-
-
 def test_multinode_default_routes_through_cluster_tier():
     from repro.experiments import multinode_study
 

@@ -2,6 +2,7 @@
 and cache-corruption recovery."""
 
 import json
+import os
 import time
 
 import pytest
@@ -11,6 +12,7 @@ from repro.core.constants import CALIBRATION
 from repro.core.errors import SweepPointError
 from repro.obs.bus import EventBus
 from repro.obs.events import SweepPointFailed, SweepPointRetry
+from repro.runner import runner as runner_module
 from repro.runner import (
     CacheCorruptionWarning,
     FailurePolicy,
@@ -33,6 +35,19 @@ def _crashing_builder():
 def _hanging_builder():
     """A topology builder that never returns (module-level: pool-picklable)."""
     time.sleep(3600)
+
+
+_real_execute_point = runner_module._execute_point
+#: Flag file whose absence makes the batch-32 point kill its worker.
+_DIE_FLAG = None
+
+
+def _exit_once_execute_point(point, *args):
+    """Pool worker stand-in: the first batch-32 attempt kills its process."""
+    if point.config.batch_size == 32 and not os.path.exists(_DIE_FLAG):
+        open(_DIE_FLAG, "w").close()
+        os._exit(1)
+    return _real_execute_point(point, *args)
 
 
 def _good_point(**kwargs):
@@ -111,6 +126,24 @@ def test_pool_execution_records_failures_too():
     assert not results.outcomes[1].ok
     assert results.outcomes[1].failure.attempts == 2
     assert runner.stats.retried == 1 and runner.stats.failed == 1
+
+
+def test_dead_worker_is_retried_on_a_fresh_pool(tmp_path, monkeypatch):
+    # The pool forks lazily inside run(), so its workers inherit both
+    # patches; the worker that runs the batch-32 point dies outright,
+    # which breaks the pool for every in-flight point.
+    monkeypatch.setattr(runner_module, "_execute_point",
+                        _exit_once_execute_point)
+    monkeypatch.setitem(globals(), "_DIE_FLAG", str(tmp_path / "died"))
+    points = [SweepPoint.make(TrainingConfig("lenet", batch, 1))
+              for batch in (16, 32, 64)]
+    runner = SweepRunner(sim=FAST, jobs=2, retries=1, retry_backoff=0.001)
+    results = runner.run(SweepSpec.explicit(
+        "dead-worker", points, failure_policy=FailurePolicy.RECORD))
+    assert (tmp_path / "died").exists()
+    assert [o.ok for o in results.outcomes] == [True, True, True]
+    assert runner.stats.retried >= 1
+    assert runner.stats.failed == 0
 
 
 def test_runner_validates_resilience_knobs():

@@ -363,32 +363,30 @@ def test_atomic_temp_names_embed_pid_and_monotonic_counter(tmp_path, monkeypatch
 
 
 # ----------------------------------------------------------------------
-# Seeded retry jitter (runner satellite)
+# Seeded retry jitter (service backoff)
 # ----------------------------------------------------------------------
 def test_retry_jitter_is_seeded_and_bounded():
-    kwargs = dict(retry_backoff=0.01, retry_jitter=0.5, retry_seed=42)
-    first = [SweepRunner(**kwargs)._backoff(a) for a in range(1, 5)]
-    second = [SweepRunner(**kwargs)._backoff(a) for a in range(1, 5)]
-    assert first == second                            # seeded: reproducible
-    other = SweepRunner(retry_backoff=0.01, retry_jitter=0.5, retry_seed=7)
-    assert [other._backoff(a) for a in range(1, 5)] != first
+    from repro.service.executor import RETRY_BACKOFF, RETRY_JITTER, PoolExecutor
+
+    def sleeps():
+        executor = PoolExecutor(jobs=1)
+        return [executor._backoff(a) for a in range(1, 5)]
+
+    first = sleeps()
+    assert sleeps() == first                          # seeded: reproducible
     for attempt, backoff in enumerate(first, start=1):
-        base = 0.01 * 2 ** (attempt - 1)
-        assert base <= backoff <= base * 1.5          # bounded jitter
-    # Distinct runners de-correlate even with the default seed source.
-    assert any(a != b for a, b in zip(
-        [SweepRunner(retry_backoff=0.01, retry_jitter=0.5,
-                     retry_seed=1)._backoff(a) for a in range(1, 5)],
-        [SweepRunner(retry_backoff=0.01, retry_jitter=0.5,
-                     retry_seed=2)._backoff(a) for a in range(1, 5)],
-    ))
+        base = RETRY_BACKOFF * 2 ** (attempt - 1)
+        assert base <= backoff < base * (1 + RETRY_JITTER)   # bounded jitter
+    # Jitter is on, and one executor's successive factors differ.
+    factors = [b / (RETRY_BACKOFF * 2 ** a) for a, b in enumerate(first)]
+    assert len(set(factors)) > 1
 
 
 def test_retry_jitter_defaults_off_and_validates():
     runner = SweepRunner(retry_backoff=0.01)
     assert [runner._backoff(a) for a in range(1, 4)] == [0.01, 0.02, 0.04]
     with pytest.raises(ValueError):
-        SweepRunner(retry_jitter=-0.1)
+        SweepRunner(retry_backoff=-0.1)
 
 
 # ----------------------------------------------------------------------

@@ -3,13 +3,13 @@
 import pytest
 
 from repro import CommMethodName, OutOfMemoryError, SimulationConfig, TrainingConfig
-from repro.train import train, train_async
+from repro.train import AsyncTrainer, train
 
 FAST = SimulationConfig(warmup_iterations=1, measure_iterations=2)
 
 
 def _async(net="lenet", batch=16, gpus=4, **kwargs):
-    return train_async(TrainingConfig(net, batch, gpus), sim=FAST, **kwargs)
+    return AsyncTrainer(TrainingConfig(net, batch, gpus), sim=FAST, **kwargs).run()
 
 
 def test_basic_invariants():

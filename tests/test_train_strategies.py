@@ -1,7 +1,6 @@
 """Tests for the training-strategy registry (repro.train.strategies)."""
 
 import dataclasses
-import warnings
 
 import pytest
 
@@ -191,30 +190,6 @@ def test_model_parallel_strategy_matches_the_estimator():
     direct = ModelParallelEstimator(config).run()
     assert via_registry.iteration_time == direct.iteration_time
     assert via_registry.epoch_time == direct.epoch_time
-
-
-# ----------------------------------------------------------------------
-# Deprecated entry points warn once, then keep working
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("name", ["train_async", "train_model_parallel"])
-def test_deprecated_imports_warn_once(name):
-    # repro.train the *module*: ``import repro.train`` resolves to the
-    # ``train`` function re-exported at the top level.
-    import sys
-
-    pkg = sys.modules["repro.train"]
-    saved = set(pkg._warned)
-    pkg._warned.discard(name)
-    try:
-        with pytest.warns(DeprecationWarning, match="strategy registry"):
-            fn = getattr(pkg, name)
-        assert callable(fn)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert getattr(pkg, name) is fn
-    finally:
-        pkg._warned.clear()
-        pkg._warned.update(saved)
 
 
 def test_unknown_attribute_still_raises():
