@@ -63,7 +63,7 @@ def _ne(a: float, b: float) -> bool:
 
 
 # ----------------------------------------------------------------------
-# sim.event — fired by Environment.step() for every popped event
+# sim.event — fired by the Environment's event loop for every popped event
 # ----------------------------------------------------------------------
 @invariant("sim.event", name="event-monotone", category="temporal",
            description="sim-event timestamps never run backwards")

@@ -92,6 +92,8 @@ class P2PCommunicator(Communicator):
             for stage in self._reduce_stages:
                 for src, dst in stage:
                     self._children[self._gpu_at(dst)].append(self._gpu_at(src))
+        # Per-chunk barrier on a receiving GPU: children still to arrive.
+        self._pending_children: Dict[Event, int] = {}
         self._check("comm.p2p.plan", stages=self._reduce_stages, num_gpus=n)
 
     def _plan_stages(self, num_gpus: int) -> List[List[Tuple[int, int]]]:
@@ -226,7 +228,7 @@ class P2PCommunicator(Communicator):
                 if n_children == 0:
                     ev.succeed()  # leaf: own gradient is already there
                 else:
-                    ev._pending_children = n_children  # type: ignore[attr-defined]
+                    self._pending_children[ev] = n_children
                 events.append(ev)
             ready[dev.index] = events
 
@@ -273,15 +275,14 @@ class P2PCommunicator(Communicator):
             dst_device.run_kernel(self._add_kernel(array, f"g{src}->g{dst}"))
         )
 
-    @staticmethod
-    def _chunk_arrived(event: Event) -> None:
+    def _chunk_arrived(self, event: Event) -> None:
         """Count down the per-chunk barrier on the receiving GPU."""
-        pending = getattr(event, "_pending_children", 0)
+        pending = self._pending_children.pop(event, 0)
         if pending <= 1:
             if not event.triggered:
                 event.succeed()
         else:
-            event._pending_children = pending - 1  # type: ignore[attr-defined]
+            self._pending_children[event] = pending - 1
 
     # ------------------------------------------------------------------
     # Broadcast

@@ -51,6 +51,9 @@ class GpuDevice:
         self.node = node
         self.spec = spec
         self.profiler = profiler
+        # Queueing delay behind earlier kernels goes to the metrics bridge
+        # (profilers without a bus simply lack ``publish``).
+        self._publish = getattr(profiler, "publish", None)
         self.speed_factor = speed_factor
         self.ecc = ecc
         self.engine = Resource(env, capacity=1)
@@ -63,8 +66,11 @@ class GpuDevice:
     def run_kernel(self, kernel: KernelSpec) -> Generator[Event, None, None]:
         """Process: execute one kernel on this GPU's SM array."""
         issued = self.env.now
-        req = self.engine.request()
-        yield req
+        # An idle engine is held at once; a busy one queues FIFO.
+        req = self.engine.request_now()
+        if req is None:
+            req = self.engine.request()
+            yield req
         start = self.env.now
         if self.slowdown is not None:
             duration = kernel.duration * self.slowdown.at(start)
@@ -80,11 +86,8 @@ class GpuDevice:
             self.engine.release(req)
             if self.profiler is not None:
                 self.profiler.record_kernel(self.index, kernel, start, end)
-                # Queueing delay behind earlier kernels, for the metrics
-                # bridge (profilers without a bus simply lack ``publish``).
-                publish = getattr(self.profiler, "publish", None)
-                if publish is not None and start > issued:
-                    publish(EngineWaitEvent(
+                if self._publish is not None and start > issued:
+                    self._publish(EngineWaitEvent(
                         gpu=self.index, kernel=kernel.name,
                         wait=start - issued, at=start,
                     ))
@@ -92,4 +95,4 @@ class GpuDevice:
     def run_kernels(self, kernels) -> Generator[Event, None, None]:
         """Process: execute a list of kernels back to back."""
         for kernel in kernels:
-            yield self.env.process(self.run_kernel(kernel))
+            yield from self.run_kernel(kernel)

@@ -29,7 +29,7 @@ class Environment:
     def set_checks(self, checks) -> None:
         """Attach a :class:`~repro.checks.CheckEngine` (or ``None``).
 
-        When attached and enabled, every :meth:`step` fires the
+        When attached and enabled, every dispatched event fires the
         ``sim.event`` checkpoint (``temporal.event-monotone``) before the
         clock advances.
         """
@@ -38,7 +38,7 @@ class Environment:
     def set_observer(self, observer, every: int = 1) -> None:
         """Attach an ``observer(now, queue_depth)`` callback.
 
-        Called after every ``every``-th :meth:`step` with the current
+        Called after every ``every``-th dispatched event with the current
         simulated time and event-heap depth; used by the observability
         layer to sample ``sim_event_queue_depth``.  Pass ``None`` to
         detach.
@@ -98,21 +98,7 @@ class Environment:
         """Process the single next event."""
         if not self._queue:
             raise SimulationError("step() on an empty event queue")
-        when, _, event = heapq.heappop(self._queue)
-        if when < self._now:
-            raise SimulationError("event scheduled in the past")
-        if self._checks is not None:
-            self._checks.check("sim.event", when=when, now=self._now)
-        self._now = when
-        self._dispatched += 1
-        callbacks, event.callbacks = event.callbacks, []
-        event._processed = True
-        for callback in callbacks:
-            callback(event)
-        if self._observer is not None:
-            self._steps += 1
-            if self._steps % self._observer_every == 0:
-                self._observer(self._now, len(self._queue))
+        self._dispatch(None, float("inf"), 1)
 
     def run(self, until: Optional[float | Event] = None) -> Any:
         """Run until the queue drains, a deadline passes, or an event fires.
@@ -125,8 +111,7 @@ class Environment:
         deadline = float("inf") if until is None else float(until)
         if deadline < self._now:
             raise SimulationError(f"deadline {deadline} is in the past (now={self._now})")
-        while self._queue and self._queue[0][0] <= deadline:
-            self.step()
+        self._dispatch(None, deadline, -1)
         if deadline != float("inf"):
             self._now = deadline
         return None
@@ -134,13 +119,51 @@ class Environment:
     def _run_until_event(self, until: Event) -> Any:
         if until.env is not self:
             raise SimulationError("run(until=...) got an event from another environment")
-        while not (until.triggered and until._processed):
-            if not self._queue:
-                raise SimulationError("event queue drained before target event fired")
-            self.step()
+        self._dispatch(until, float("inf"), -1)
         if not until.ok:
             raise until.value
         return until.value
+
+    def _dispatch(self, until: Optional[Event], deadline: float, limit: int) -> None:
+        """The event loop behind :meth:`step` and :meth:`run`.
+
+        Pops and processes events in ``(time, insertion)`` order until
+        ``until`` has been processed, the next event lies beyond
+        ``deadline``, or ``limit`` events ran (``-1``: no limit).  Running
+        out of events before ``until`` fires is an error.  Each event
+        fires the ``sim.event`` checkpoint (when a check engine is
+        attached) before the clock advances, counts once towards
+        :attr:`dispatched`, and every ``observer_every``-th one is
+        reported to the observer.
+        """
+        queue = self._queue
+        pop = heapq.heappop
+        checks = self._checks
+        observer = self._observer
+        now = self._now
+        while until is None or not until._processed:
+            if not queue:
+                if until is None:
+                    return
+                raise SimulationError("event queue drained before target event fired")
+            if queue[0][0] > deadline or limit == 0:
+                return
+            limit -= 1
+            when, _, event = pop(queue)
+            if when < now:
+                raise SimulationError("event scheduled in the past")
+            if checks is not None:
+                checks.check("sim.event", when=when, now=now)
+            self._now = now = when
+            self._dispatched += 1
+            callbacks, event.callbacks = event.callbacks, []
+            event._processed = True
+            for callback in callbacks:
+                callback(event)
+            if observer is not None:
+                self._steps += 1
+                if self._steps % self._observer_every == 0:
+                    observer(now, len(queue))
 
     def peek(self) -> float:
         """Timestamp of the next scheduled event, or ``inf`` if none."""

@@ -4,10 +4,30 @@ Events move through three states: *pending* (created), *triggered*
 (scheduled on the environment's heap with a value) and *processed*
 (callbacks ran).  Processes are events too, so a process can ``yield``
 another process to join on its completion.
+
+Every event class declares ``__slots__``: events are the engine's most
+allocated objects, and a slotted event is smaller and faster to touch.
+Code that needs per-event bookkeeping keeps it beside the event (a dict
+keyed by the event), not on it.
+
+Two ways to run sub-work from a process generator:
+
+* ``yield from sub(...)`` runs ``sub`` inline on the caller's own
+  stream -- no extra :class:`Process`, no start or join event.  Use it
+  for sequential work that only the caller waits on, such as one GPU's
+  FP/BP kernel chain.
+* ``yield env.process(sub(...))`` starts a process and joins it.  Its
+  start and completion events take heap positions among other events
+  at the same simulated time, so keep it wherever the tie order among
+  same-time grants matters.  The communicators keep it: their
+  collective and accumulate kernels contend for GPU engines with BP
+  kernels, and inlining their joins reorders those same-time grants
+  and moves simulated answers.
 """
 
 from __future__ import annotations
 
+import heapq
 from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable, List, Optional
 
 from repro.core.errors import SimulationError
@@ -25,6 +45,8 @@ class Event:
     Callbacks receive the event itself once it is processed.  ``succeed``
     and ``fail`` trigger the event; triggering twice is an error.
     """
+
+    __slots__ = ("env", "callbacks", "_value", "_ok", "_processed")
 
     def __init__(self, env: "Environment") -> None:
         self.env = env
@@ -56,7 +78,9 @@ class Event:
             raise SimulationError(f"{self!r} already triggered")
         self._ok = True
         self._value = value
-        self.env.schedule(self)
+        env = self.env
+        env._eid += 1
+        heapq.heappush(env._queue, (env._now, env._eid, self))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -78,6 +102,8 @@ class Event:
 class Timeout(Event):
     """An event that fires ``delay`` time units after creation."""
 
+    __slots__ = ("delay",)
+
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
         if delay < 0:
             raise SimulationError(f"negative timeout delay: {delay}")
@@ -85,7 +111,8 @@ class Timeout(Event):
         self.delay = delay
         self._ok = True
         self._value = value
-        env.schedule(self, delay=delay)
+        env._eid += 1
+        heapq.heappush(env._queue, (env._now + delay, env._eid, self))
 
 
 class Interrupt(Exception):
@@ -104,6 +131,8 @@ class Process(Event):
     generator, letting simulation code use ordinary ``try``/``except``.
     """
 
+    __slots__ = ("_generator", "_target")
+
     def __init__(self, env: "Environment", generator: Generator[Event, Any, Any]) -> None:
         super().__init__(env)
         if not hasattr(generator, "send"):
@@ -112,10 +141,8 @@ class Process(Event):
         self._target: Optional[Event] = None
         # Kick the process off at the current simulation time.
         init = Event(env)
-        init._ok = True
-        init._value = None
         init.callbacks.append(self._resume)
-        env.schedule(init)
+        init.succeed()
 
     @property
     def is_alive(self) -> bool:
@@ -138,10 +165,12 @@ class Process(Event):
     def _resume(self, trigger: Event) -> None:
         self._target = None
         try:
-            if trigger.ok:
-                next_event = self._generator.send(trigger.value)
+            # A dispatched trigger always carries its outcome, so read the
+            # fields directly rather than through the checking properties.
+            if trigger._ok:
+                next_event = self._generator.send(trigger._value)
             else:
-                next_event = self._generator.throw(trigger.value)
+                next_event = self._generator.throw(trigger._value)
         except StopIteration as stop:
             self.succeed(stop.value)
             return
@@ -173,6 +202,8 @@ class AllOf(Event):
     Already-processed constituents count immediately; a failed constituent
     fails the combinator with the same exception.
     """
+
+    __slots__ = ("_events", "_pending")
 
     def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
         super().__init__(env)
@@ -207,6 +238,8 @@ class AnyOf(Event):
 
     An empty event list succeeds immediately with ``None``.
     """
+
+    __slots__ = ("_events",)
 
     def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
         super().__init__(env)

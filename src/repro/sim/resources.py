@@ -9,7 +9,7 @@ for CUDA stream work queues).
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, List, TYPE_CHECKING
+from typing import Any, Deque, List, Optional, TYPE_CHECKING
 
 from repro.core.errors import SimulationError
 from repro.sim.events import Event
@@ -20,6 +20,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 class Request(Event):
     """A pending claim on a :class:`Resource` slot."""
+
+    __slots__ = ("resource",)
 
     def __init__(self, env: "Environment", resource: "Resource") -> None:
         super().__init__(env)
@@ -65,6 +67,23 @@ class Resource:
             req.succeed()
         else:
             self._waiting.append(req)
+        return req
+
+    def request_now(self) -> Optional[Request]:
+        """Claim a free slot at once, or return ``None`` if all are held.
+
+        The returned request is already granted and processed, so the
+        caller holds the slot without a grant event and need not yield
+        it.  A free slot means nobody waits, so this keeps FIFO order;
+        when the resource is full, fall back to :meth:`request`.
+        """
+        if len(self._users) >= self.capacity:
+            return None
+        req = Request(self.env, self)
+        req._ok = True
+        req._value = None
+        req._processed = True
+        self._users.append(req)
         return req
 
     def release(self, request: Request) -> None:

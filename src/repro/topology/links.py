@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.core.constants import CalibrationConstants
 from repro.core.units import gbps
@@ -63,7 +64,7 @@ class Link:
         if self.latency_override is not None and self.latency_override < 0:
             raise ValueError("latency_override must be >= 0")
 
-    @property
+    @cached_property
     def name(self) -> str:
         return f"{self.a.name}<->{self.b.name}:{self.link_type.value}x{self.width}"
 

@@ -939,13 +939,15 @@ class Trainer:
             self.constants.input_pipeline_residual
             + self.constants.input_cost_per_image * self.config.batch_size
         )
+        # One GPU's FP/BP kernels are a sequential chain on this process's
+        # own stream, so they run inline rather than one process each.
         with profiler.span("fp", dev.index, iteration):
             for kernel in self._fwd:
-                yield env.process(dev.run_kernel(kernel))
+                yield from dev.run_kernel(kernel)
         with profiler.span("bp", dev.index, iteration):
             for layer, kernels in self._bwd:
                 for kernel in kernels:
-                    yield env.process(dev.run_kernel(kernel))
+                    yield from dev.run_kernel(kernel)
                 if layer.is_weighted:
                     grad_ready[layer.name][pos].succeed()
         bp_end_times[pos] = env.now

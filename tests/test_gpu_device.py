@@ -4,8 +4,9 @@ import pytest
 
 from repro.gpu import GpuDevice
 from repro.gpu.kernel import KernelSpec
+from repro.obs.events import EngineWaitEvent
 from repro.profile import Profiler
-from repro.sim import Environment
+from repro.sim import Environment, Resource
 from repro.topology.nodes import GpuNode
 
 
@@ -69,3 +70,52 @@ def test_device_without_profiler_is_fine(env):
     env.process(device.run_kernel(_kernel("k", 1.0)))
     env.run()
     assert device.index == 3
+
+
+def test_idle_engine_kernel_starts_now_and_skips_the_grant_event(env, device):
+    def queued_kernel(env, engine, duration):
+        # The grant path a busy engine takes: request, then wait for it.
+        req = engine.request()
+        yield req
+        yield env.timeout(duration)
+        engine.release(req)
+
+    reference = Environment()
+    reference.timeout(0.25)
+    reference.run()
+    reference.process(queued_kernel(reference, Resource(reference), 1.0))
+    reference.run()
+
+    env.timeout(0.25)
+    env.run()
+    env.process(device.run_kernel(_kernel("k", 1.0)))
+    env.run()
+    (record,) = device.profiler.kernels
+    assert record.start == 0.25 and record.end == 1.25
+    assert env.dispatched == reference.dispatched - 1
+    assert device.engine.count == 0
+
+
+def test_busy_engine_grants_fifo_and_publishes_waits(env, device):
+    waits = []
+    device.profiler.bus.subscribe(EngineWaitEvent, waits.append)
+    for i in range(3):
+        env.process(device.run_kernel(_kernel(f"k{i}", 1.0)))
+    env.run()
+    starts = [(r.name, r.start) for r in device.profiler.kernels]
+    assert starts == [("k0", 0.0), ("k1", 1.0), ("k2", 2.0)]
+    assert [(w.kernel, w.wait, w.at) for w in waits] == [
+        ("k1", 1.0, 1.0), ("k2", 2.0, 2.0)]
+    assert device.engine.count == 0 and device.engine.queue_length == 0
+
+
+def test_inline_kernels_run_back_to_back_on_one_stream(env, device):
+    def stream(env):
+        for i in range(3):
+            yield from device.run_kernel(_kernel(f"k{i}", 0.5))
+
+    env.run(until=env.process(stream(env)))
+    assert [r.start for r in device.profiler.kernels] == [0.0, 0.5, 1.0]
+    # Start, three timeouts, completion: no per-kernel process or grant.
+    assert env.dispatched == 5
+    assert device.engine.count == 0

@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.checks import CheckEngine
 from repro.core.errors import SimulationError
-from repro.sim import AllOf, AnyOf, Environment, Event, Interrupt
+from repro.sim import AllOf, AnyOf, Environment, Event, Interrupt, Resource
 
 
 # ----------------------------------------------------------------------
@@ -39,6 +40,25 @@ def test_event_fail_requires_exception():
     env = Environment()
     with pytest.raises(SimulationError):
         env.event().fail("not an exception")  # type: ignore[arg-type]
+
+
+def _idle(env):
+    yield env.timeout(0.0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda env: env.event(),
+    lambda env: env.timeout(1.0),
+    lambda env: env.process(_idle(env)),
+    lambda env: env.all_of([]),
+    lambda env: env.any_of([]),
+    lambda env: Resource(env).request(),
+], ids=["event", "timeout", "process", "all_of", "any_of", "request"])
+def test_events_reject_unknown_attributes(make):
+    """Events are slotted: per-event bookkeeping cannot ride on them."""
+    event = make(Environment())
+    with pytest.raises(AttributeError):
+        event.bookkeeping = 1
 
 
 # ----------------------------------------------------------------------
@@ -237,3 +257,63 @@ def test_condition_rejects_foreign_environment():
         AllOf(env1, [foreign])
     with pytest.raises(SimulationError):
         AnyOf(env1, [foreign])
+
+
+# ----------------------------------------------------------------------
+# The dispatch loop
+# ----------------------------------------------------------------------
+def _chain(env, hops):
+    for _ in range(hops):
+        yield env.timeout(1.0)
+    return "done"
+
+
+def test_run_until_event_counts_every_dispatched_event():
+    env = Environment()
+    # One start event, then one per timeout; the process's own completion
+    # is the last event dispatched.
+    done = env.process(_chain(env, 5))
+    env.timeout(100.0)  # never reached: run stops once ``done`` fires
+    assert env.run(until=done) == "done"
+    assert env.dispatched == 1 + 5 + 1
+    assert env.now == 5.0
+    assert env.peek() == 100.0
+
+
+def test_run_until_event_counts_events_before_a_drained_queue():
+    env = Environment()
+    env.process(_chain(env, 2))
+    with pytest.raises(SimulationError, match="drained"):
+        env.run(until=env.event())
+    assert env.dispatched == 1 + 2 + 1
+
+
+def test_step_dispatches_exactly_one_event():
+    env = Environment()
+    env.timeout(1.0)
+    env.timeout(1.0)
+    env.step()
+    assert env.dispatched == 1 and env.now == 1.0
+    env.step()
+    assert env.dispatched == 2
+
+
+def test_strict_checks_see_one_sim_event_per_dispatched_event():
+    env = Environment()
+    engine = CheckEngine("strict")
+    env.set_checks(engine)
+    env.run(until=env.process(_chain(env, 4)))
+    env.timeout(2.0)
+    env.run()
+    checked, violated = engine.stats_dict()["temporal.event-monotone"]
+    assert checked == env.dispatched == 1 + 4 + 1 + 1
+    assert violated == 0
+
+
+def test_observer_sees_every_nth_dispatched_event():
+    env = Environment()
+    seen = []
+    env.set_observer(lambda now, depth: seen.append(now), every=2)
+    env.run(until=env.process(_chain(env, 5)))
+    assert env.dispatched == 7
+    assert seen == [1.0, 3.0, 5.0]

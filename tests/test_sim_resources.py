@@ -81,6 +81,42 @@ def test_count_and_queue_length():
     assert r.queue_length == 2
 
 
+def test_request_now_grants_an_idle_slot_without_an_event():
+    env = Environment()
+    r = Resource(env)
+    req = r.request_now()
+    assert req is not None and req.triggered and req.ok
+    assert r.count == 1
+    assert env.peek() == float("inf")  # nothing went onto the heap
+    r.release(req)
+    assert r.count == 0
+
+
+def test_request_now_declines_a_full_resource():
+    env = Environment()
+    r = Resource(env, capacity=2)
+    held = [r.request_now(), r.request()]
+    assert r.request_now() is None
+    assert r.count == 2 and r.queue_length == 0
+    for req in held:
+        r.release(req)
+    assert r.count == 0
+
+
+def test_yielding_a_request_now_grant_resumes_at_once():
+    env = Environment()
+    r = Resource(env)
+
+    def user(env):
+        req = r.request_now()
+        yield req
+        r.release(req)
+        return env.now
+
+    assert env.run(until=env.process(user(env))) == 0.0
+    assert r.count == 0
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     holds=st.lists(st.floats(min_value=0.01, max_value=5.0), min_size=1, max_size=12),
