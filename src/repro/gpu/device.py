@@ -86,7 +86,8 @@ class GpuDevice:
             self.engine.release(req)
             if self.profiler is not None:
                 self.profiler.record_kernel(self.index, kernel, start, end)
-                if self._publish is not None and start > issued:
+                if (self._publish is not None and start > issued
+                        and getattr(self.profiler, "enabled", True)):
                     self._publish(EngineWaitEvent(
                         gpu=self.index, kernel=kernel.name,
                         wait=start - issued, at=start,

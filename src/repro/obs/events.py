@@ -43,7 +43,12 @@ while on GPU-level events they are GPU indices (``-1`` = host/all).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+#: Field metadata of a field added to an event after its JSONL shape was
+#: published: :func:`~repro.obs.export.event_to_dict` leaves the field
+#: out while it holds its default, so existing event logs keep their shape.
+ADDITIVE = {"additive": True}
 
 
 @dataclass(frozen=True)
@@ -248,8 +253,8 @@ class SweepPointDone(ObsEvent):
     index: int
     total: int
     label: str
-    source: str      # "executed" | "memory" | "disk"
-    elapsed: float   # wall seconds (0.0 for cache hits)
+    source: str      # "executed" | "memory" | "disk" | "derived"
+    elapsed: float   # wall seconds (0.0 for cache hits and derived points)
 
 
 @dataclass(frozen=True)
@@ -357,7 +362,8 @@ class ServiceRequestEvent(ObsEvent):
     is written, so the JSONL event log doubles as a request log: how many
     points each client asked for, how the service sourced them
     (simulated / disk hits / deduped onto another client's in-flight
-    execution / degraded to the analytic fast path), and why over-limit
+    execution / degraded to the analytic fast path / derived from a
+    steady-state twin), and why over-limit
     requests were shed.  ``shed_reason`` is ``""`` for admitted requests;
     otherwise one of ``"quota"``, ``"budget"``, ``"backpressure"``,
     ``"draining"`` (see docs/SERVICE.md).
@@ -372,3 +378,5 @@ class ServiceRequestEvent(ObsEvent):
     degraded: int    # points answered by the analytic fast path
     shed_reason: str # "" | "quota" | "budget" | "backpressure" | "draining"
     elapsed: float   # wall-clock request latency (s)
+    #: Points answered from their steady-state twin's result.
+    derived: int = field(default=0, metadata=ADDITIVE)

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import json
 import math
-from typing import IO, Iterable, List, Optional
+from typing import IO, Iterable, List, Optional, Tuple
 
 from repro.obs.bus import EventBus
 from repro.obs.events import ObsEvent
@@ -93,10 +94,23 @@ def write_prometheus(registry: MetricsRegistry, fp: IO[str]) -> None:
 # ----------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
+def _additive_defaults(cls: type) -> Tuple[Tuple[str, object], ...]:
+    return tuple((f.name, f.default) for f in dataclasses.fields(cls)
+                 if f.metadata.get("additive"))
+
+
 def event_to_dict(event: ObsEvent) -> dict:
-    """A JSON-serializable view of one event (``type`` + its fields)."""
+    """A JSON-serializable view of one event (``type`` + its fields).
+
+    Fields marked :data:`~repro.obs.events.ADDITIVE` are left out while
+    they hold their default.
+    """
     payload = {"type": type(event).__name__}
     payload.update(dataclasses.asdict(event))
+    for name, default in _additive_defaults(type(event)):
+        if payload[name] == default:
+            del payload[name]
     return payload
 
 

@@ -80,30 +80,36 @@ class Profiler:
     # ------------------------------------------------------------------
     # Recording hooks (called by devices, communicators, trainer)
     # ------------------------------------------------------------------
+    # Each hook returns before building its event outside the window, so
+    # warm-up iterations construct no event objects at all.
     def record_kernel(self, gpu: int, kernel: KernelSpec, start: float, end: float) -> None:
-        self.publish(
-            KernelEvent(gpu=gpu, name=kernel.name, layer=kernel.layer,
-                        stage=kernel.stage, start=start, end=end)
-        )
+        if self.enabled:
+            self.bus.publish(
+                KernelEvent(gpu=gpu, name=kernel.name, layer=kernel.layer,
+                            stage=kernel.stage, start=start, end=end)
+            )
 
     def record_transfer(
         self, kind: str, src: int, dst: int, nbytes: int, start: float, end: float
     ) -> None:
-        self.publish(
-            TransferEvent(kind=kind, src=src, dst=dst, nbytes=nbytes,
-                          start=start, end=end)
-        )
+        if self.enabled:
+            self.bus.publish(
+                TransferEvent(kind=kind, src=src, dst=dst, nbytes=nbytes,
+                              start=start, end=end)
+            )
 
     def record_api(self, name: str, gpu: int, start: float, end: float) -> None:
-        self.publish(ApiEvent(name=name, gpu=gpu, start=start, end=end))
+        if self.enabled:
+            self.bus.publish(ApiEvent(name=name, gpu=gpu, start=start, end=end))
 
     def record_span(
         self, name: str, gpu: int, iteration: int, start: float, end: float
     ) -> None:
-        self.publish(
-            SpanEvent(name=name, gpu=gpu, iteration=iteration,
-                      start=start, end=end)
-        )
+        if self.enabled:
+            self.bus.publish(
+                SpanEvent(name=name, gpu=gpu, iteration=iteration,
+                          start=start, end=end)
+            )
 
     @contextlib.contextmanager
     def span(self, name: str, gpu: int = -1, iteration: int = 0) -> Iterator[None]:

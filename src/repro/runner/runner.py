@@ -9,6 +9,12 @@ sweep in the library.  It layers three result sources, checked in order:
 3. actual simulation -- serially by default, or on a
    ``concurrent.futures`` process pool when ``jobs > 1``.
 
+A miss whose point differs from its steady-state twin only in epoch size
+(scaling mode, dataset size; see :mod:`repro.train.steady`) is *derived*
+from the twin instead: the twin is looked up in the same two sources,
+executed at most once per batch if absent, and the point's result is the
+twin's rebased onto the point's configuration.
+
 The simulator is deterministic, so parallel execution returns results
 identical to serial execution; outcomes are always assembled in spec
 order regardless of completion order.  Progress is published as
@@ -147,13 +153,49 @@ def _execute_point(
     return value, time.perf_counter() - start, engine.stats_dict()
 
 
+def steady_twin_point(
+    point: SweepPoint,
+    trainer_kwargs: Mapping[str, Any],
+    invariants: str,
+) -> Optional[SweepPoint]:
+    """The point ``point`` can be derived from, or ``None``.
+
+    Only synchronous points executed with invariant checks off qualify;
+    the rest of the rule is :func:`~repro.train.steady.steady_twin` over
+    the trainer keyword arguments the point would run with.
+    """
+    from repro.train.steady import steady_twin
+
+    if point.mode != "sync" or invariants != "off":
+        return None
+    kwargs = dict(trainer_kwargs)
+    kwargs.update(point.overrides)
+    twin = steady_twin(point.config, kwargs)
+    if twin is None:
+        return None
+    return dataclasses.replace(point, config=twin)
+
+
+def derive_value(twin_value: PointValue, config: TrainingConfig) -> PointValue:
+    """A point's value from its twin's: a rebased result, or the same OOM.
+
+    OOM depends only on the network, batch and GPU count, and its record
+    carries no epoch field, so the twin's record is the point's.
+    """
+    from repro.train.steady import rebase
+
+    if isinstance(twin_value, OomInfo):
+        return twin_value
+    return rebase(twin_value, config)
+
+
 @dataclass(frozen=True)
 class PointOutcome:
     """One sweep point's result plus how it was obtained."""
 
     point: SweepPoint
     result: Optional[Any]        # TrainingResult | AsyncResult | None on OOM
-    source: str                  # "executed" | "memory" | "disk"
+    source: str                  # "executed" | "memory" | "disk" | "derived"
     oom: Optional[OomInfo] = None
     elapsed: float = 0.0
     failure: Optional[FailureInfo] = None
@@ -238,14 +280,17 @@ class RunnerStats:
     executed: int = 0
     memory_hits: int = 0
     disk_hits: int = 0
+    #: Points answered from their steady-state twin's result.
+    derived: int = 0
     oom: int = 0
     retried: int = 0
     failed: int = 0
     #: Wall-clock seconds spent actually simulating points this run.
     sim_seconds: float = 0.0
-    #: Wall-clock seconds cache hits would have cost to re-simulate
-    #: (summed from the ``perf`` metadata of the entries they were
-    #: answered from; entries without metadata contribute 0).
+    #: Wall-clock seconds cache hits and derived points would have cost
+    #: to simulate (summed from the ``perf`` metadata of the entries they
+    #: were answered from -- a derived point's is its twin's; entries
+    #: without metadata contribute 0).
     saved_seconds: float = 0.0
     #: Fault-injected points seen this run (executed or cache hits with
     #: a recorded ``faults`` breakdown).
@@ -256,13 +301,15 @@ class RunnerStats:
 
     @property
     def total(self) -> int:
-        return self.executed + self.memory_hits + self.disk_hits
+        return self.executed + self.memory_hits + self.disk_hits + self.derived
 
     def describe(self) -> str:
         base = (
             f"{self.executed} simulated, {self.disk_hits} from disk cache, "
             f"{self.memory_hits} memoized, {self.oom} OOM"
         )
+        if self.derived:
+            base += f", {self.derived} derived"
         if self.retried or self.failed:
             base += f", {self.retried} retried, {self.failed} failed"
         return base
@@ -276,10 +323,14 @@ class RunnerStats:
         """
         if self.sim_seconds <= 0.0 and self.saved_seconds <= 0.0:
             return None
+        derived = (
+            f" and {self.derived} derived point(s)" if self.derived else ""
+        )
         return (
             f"timing: {self.sim_seconds:.2f}s simulating "
             f"({self.executed} point(s)), ~{self.saved_seconds:.2f}s "
             f"avoided by {self.memory_hits + self.disk_hits} cache hit(s)"
+            f"{derived}"
         )
 
     def describe_faults(self) -> Optional[str]:
@@ -378,6 +429,8 @@ class SweepRunner:
         total = len(spec.points)
         outcomes: List[Optional[PointOutcome]] = [None] * total
         pending: List[Tuple[int, Optional[str], SweepPoint]] = []
+        # Misses waiting on a twin that is not cached yet, with its key.
+        waiting: List[Tuple[int, str, SweepPoint, str, SweepPoint]] = []
 
         for index, point in enumerate(spec.points):
             self._publish(SweepPointStart(
@@ -387,13 +440,23 @@ class SweepRunner:
             key = self._key(point)
             entry = self._lookup(key)
             if entry is None:
-                pending.append((index, key, point))
+                twin = self._twin(point, key)
+                if twin is None:
+                    pending.append((index, key, point))
+                    continue
+                twin_key = self._key(twin)
+                twin_entry = self._lookup(twin_key)
+                if twin_entry is None:
+                    waiting.append((index, key, point, twin_key, twin))
+                    continue
+                if twin_key not in self._memo:
+                    self._promote(twin_key, twin_entry)
+                outcomes[index] = self._derive(
+                    spec, index, total, point, key, twin_entry)
             else:
                 source = "memory" if key in self._memo else "disk"
                 if source == "disk":
-                    self._memo[key] = entry.value  # promote for later lookups
-                    self._memo_cost[key] = entry.elapsed
-                    self._memo_faults[key] = entry.faults
+                    self._promote(key, entry)  # for later lookups
                     self.stats.disk_hits += 1
                 else:
                     self.stats.memory_hits += 1
@@ -403,10 +466,11 @@ class SweepRunner:
                     spec, index, total, point, entry.value, source, 0.0
                 )
 
-        if pending:
+        if pending or waiting:
             try:
                 with _sigterm_as_interrupt():
-                    self._execute_pending(spec, total, pending, outcomes)
+                    self._execute_misses(spec, total, pending, waiting,
+                                         outcomes)
             except KeyboardInterrupt:
                 completed = sum(1 for o in outcomes if o is not None)
                 print(
@@ -512,6 +576,13 @@ class SweepRunner:
             point, self.sim, self.constants, self.trainer_kwargs
         )
 
+    def _twin(self, point: SweepPoint,
+              key: Optional[str]) -> Optional[SweepPoint]:
+        """The steady-state twin a cacheable miss derives from, if any."""
+        if key is None:
+            return None
+        return steady_twin_point(point, self.trainer_kwargs, self.invariants)
+
     def _lookup(self, key: Optional[str]) -> Optional[CacheEntry]:
         if key is None:
             return None
@@ -524,6 +595,28 @@ class SweepRunner:
         if self.store is not None:
             return self.store.load_entry(key)
         return None
+
+    def _promote(self, key: str, entry: CacheEntry) -> None:
+        """Memoize an entry loaded from the store."""
+        self._memo[key] = entry.value
+        self._memo_cost[key] = entry.elapsed
+        self._memo_faults[key] = entry.faults
+
+    def _derive(
+        self,
+        spec: SweepSpec,
+        index: int,
+        total: int,
+        point: SweepPoint,
+        key: str,
+        twin: CacheEntry,
+    ) -> PointOutcome:
+        """Answer ``point`` from its twin's entry and record it."""
+        value = derive_value(twin.value, point.config)
+        self.stats.derived += 1
+        self.stats.saved_seconds += twin.elapsed
+        self._record(key, value, twin.elapsed)
+        return self._finish(spec, index, total, point, value, "derived", 0.0)
 
     def _record(
         self,
@@ -607,13 +700,52 @@ class SweepRunner:
         ))
         return backoff
 
-    def _execute_pending(
+    def _execute_misses(
         self,
         spec: SweepSpec,
         total: int,
         pending: List[Tuple[int, Optional[str], SweepPoint]],
+        waiting: List[Tuple[int, str, SweepPoint, str, SweepPoint]],
         outcomes: List[Optional[PointOutcome]],
     ) -> None:
+        """Execute the misses, each missing twin once, then derive.
+
+        A twin that is itself a pending point runs as that point;
+        the others run alongside as twin jobs (index ``None``).  A point
+        whose twin failed or timed out runs itself afterwards.
+        """
+        queued = {key for _, key, _ in pending}
+        twins: Dict[str, SweepPoint] = {}
+        for _, _, _, twin_key, twin in waiting:
+            if twin_key not in queued:
+                twins.setdefault(twin_key, twin)
+        jobs: List[Tuple[Optional[int], Optional[str], SweepPoint]] = [
+            (None, twin_key, twin) for twin_key, twin in twins.items()]
+        self._execute_pending(spec, total, jobs + pending, outcomes)
+        fallback: List[Tuple[Optional[int], Optional[str], SweepPoint]] = []
+        for index, key, point, twin_key, _ in waiting:
+            entry = self._lookup(twin_key)
+            if entry is None:
+                fallback.append((index, key, point))
+            else:
+                outcomes[index] = self._derive(
+                    spec, index, total, point, key, entry)
+        if fallback:
+            self._execute_pending(spec, total, fallback, outcomes)
+
+    def _execute_pending(
+        self,
+        spec: SweepSpec,
+        total: int,
+        pending: List[Tuple[Optional[int], Optional[str], SweepPoint]],
+        outcomes: List[Optional[PointOutcome]],
+    ) -> None:
+        """Execute points in spec position ``index``, and twin jobs.
+
+        A twin job (``index`` ``None``) makes one attempt and only
+        records its value: it has no outcome, publishes no events, and
+        its failure is left to the points waiting on it.
+        """
         # Timeouts need an interruptible boundary around the simulation,
         # which only a separate worker process provides -- so a timeout
         # routes even a serial sweep through a 1-worker pool.
@@ -621,6 +753,7 @@ class SweepRunner:
             self._execute_pool(spec, total, pending, outcomes)
             return
         for index, key, point in pending:
+            retries = self.retries if index is not None else 0
             attempt = 1
             while True:
                 with PERF.span("runner.point"):
@@ -629,16 +762,34 @@ class SweepRunner:
                         self.invariants,
                     )
                 merge_stats(self.check_stats, cstats)
-                if not isinstance(value, FailureInfo) or attempt > self.retries:
+                if not isinstance(value, FailureInfo) or attempt > retries:
                     break
                 time.sleep(self._note_retry(
                     spec, total, index, point, attempt, value))
                 attempt += 1
-            if isinstance(value, FailureInfo):
-                value = dataclasses.replace(value, attempts=attempt)
-            self.stats.executed += 1
-            self.stats.sim_seconds += elapsed
-            self._record(key, value, elapsed, cstats)
+            self._executed(spec, total, outcomes, index, key, point, value,
+                           attempt, elapsed, cstats)
+
+    def _executed(
+        self,
+        spec: SweepSpec,
+        total: int,
+        outcomes: List[Optional[PointOutcome]],
+        index: Optional[int],
+        key: Optional[str],
+        point: SweepPoint,
+        value: PointValue,
+        attempt: int,
+        elapsed: float,
+        cstats: Dict[str, Tuple[int, int]],
+    ) -> None:
+        """Account, record and (for a spec point) finish one execution."""
+        if isinstance(value, FailureInfo):
+            value = dataclasses.replace(value, attempts=attempt)
+        self.stats.executed += 1
+        self.stats.sim_seconds += elapsed
+        self._record(key, value, elapsed, cstats)
+        if index is not None:
             outcomes[index] = self._finish(
                 spec, index, total, point, value, "executed", elapsed
             )
@@ -663,13 +814,14 @@ class SweepRunner:
         """
         deadline = self.point_timeout
         driver = PoolDriver(min(self.jobs, len(pending)))
-        state: Dict[concurrent.futures.Future, Tuple[int, Optional[str], SweepPoint, int]] = {}
+        state: Dict[concurrent.futures.Future,
+                    Tuple[Optional[int], Optional[str], SweepPoint, int]] = {}
         running_since: Dict[concurrent.futures.Future, float] = {}
         abandoned = False
         interrupted = False
 
-        def submit(index: int, key: Optional[str], point: SweepPoint,
-                   attempt: int) -> None:
+        def submit(index: Optional[int], key: Optional[str],
+                   point: SweepPoint, attempt: int) -> None:
             future = driver.submit(
                 _execute_point, point, self.sim, self.constants,
                 self.trainer_kwargs, self.invariants,
@@ -699,19 +851,14 @@ class SweepRunner:
                         )
                         elapsed = 0.0
                         cstats = {}
-                    if isinstance(value, FailureInfo) and attempt <= self.retries:
+                    if (isinstance(value, FailureInfo) and index is not None
+                            and attempt <= self.retries):
                         time.sleep(self._note_retry(
                             spec, total, index, point, attempt, value))
                         submit(index, key, point, attempt + 1)
                         continue
-                    if isinstance(value, FailureInfo):
-                        value = dataclasses.replace(value, attempts=attempt)
-                    self.stats.executed += 1
-                    self.stats.sim_seconds += elapsed
-                    self._record(key, value, elapsed, cstats)
-                    outcomes[index] = self._finish(
-                        spec, index, total, point, value, "executed", elapsed
-                    )
+                    self._executed(spec, total, outcomes, index, key, point,
+                                   value, attempt, elapsed, cstats)
                 if deadline is None:
                     continue
                 for future in [f for f in state if f.running()]:
@@ -732,10 +879,11 @@ class SweepRunner:
                     )
                     self.stats.executed += 1
                     self.stats.sim_seconds += now - started
-                    outcomes[index] = self._finish(
-                        spec, index, total, point, value, "executed",
-                        now - started,
-                    )
+                    if index is not None:
+                        outcomes[index] = self._finish(
+                            spec, index, total, point, value, "executed",
+                            now - started,
+                        )
         except KeyboardInterrupt:
             # Graceful shutdown: pending futures are cancelled and busy
             # workers terminated by the cleanup below; completed points

@@ -104,11 +104,13 @@ def render_result(result: Dict[str, Any]) -> str:
 
 def render_sourcing(sourcing: Dict[str, Any]) -> str:
     """The stderr sourcing summary (reports the seconds avoided)."""
+    derived = sourcing.get("derived", 0)
     return (f"sourcing: {sourcing.get('executed', 0)} executed, "
             f"{sourcing.get('disk_hits', 0)} disk hit(s), "
             f"{sourcing.get('deduped', 0)} deduped, "
             f"{sourcing.get('degraded', 0)} degraded, "
-            f"~{sourcing.get('saved_seconds', 0.0):.2f}s avoided")
+            + (f"{derived} derived, " if derived else "")
+            + f"~{sourcing.get('saved_seconds', 0.0):.2f}s avoided")
 
 
 def _parse_int_list(text: str) -> List[int]:

@@ -238,7 +238,7 @@ def results_response(
 
     ``results`` is deterministic (see :func:`value_payload`);
     ``sourcing`` carries the per-request service stats (executed /
-    disk hits / deduped / degraded / seconds avoided) that legitimately
+    disk hits / deduped / degraded / derived / seconds) that legitimately
     differ between a cold and a warm run.
     """
     return {"status": "ok", "results": results, "sourcing": sourcing}

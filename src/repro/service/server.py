@@ -6,7 +6,10 @@ order: the sharded crash-safe store
 (:class:`~repro.runner.ShardedResultStore`), the in-flight registry
 (:class:`~repro.service.dedup.InflightRegistry` -- concurrent identical
 points simulate once), or the process pool
-(:class:`~repro.service.executor.PoolExecutor`).  Around that sit the
+(:class:`~repro.service.executor.PoolExecutor`).  A miss that differs
+from its steady-state twin only in epoch size is derived from the twin
+(:mod:`repro.train.steady`), which goes through the same store, dedup
+and pool path under its own key.  Around that sit the
 admission controller (quotas + queue watermarks -> ``busy``), the
 circuit breaker (crash loops -> analytic answers while OPEN), budget
 and deadline load-shedding (over-limit points degrade to
@@ -40,6 +43,7 @@ from repro.obs.events import ServiceRequestEvent
 from repro.obs.export import JsonlRecorder, render_prometheus
 from repro.obs.metrics import MetricsRegistry
 from repro.runner.fingerprint import point_fingerprint
+from repro.runner.runner import derive_value, steady_twin_point
 from repro.runner.spec import FailureInfo, SweepPoint
 from repro.runner.store import ResultStore, ShardedResultStore
 from repro.service import protocol
@@ -112,6 +116,7 @@ class _Tally:
     disk_hits: int = 0
     deduped: int = 0
     degraded: int = 0
+    derived: int = 0
     sim_seconds: float = 0.0
     saved_seconds: float = 0.0
 
@@ -121,6 +126,7 @@ class _Tally:
             "disk_hits": self.disk_hits,
             "deduped": self.deduped,
             "degraded": self.degraded,
+            "derived": self.derived,
             "sim_seconds": round(self.sim_seconds, 6),
             "saved_seconds": round(self.saved_seconds, 6),
         }
@@ -314,6 +320,8 @@ class SweepService:
                 "service_points_total", source="dedup"),
             "points_degraded": reg.counter_value(
                 "service_points_total", source="degraded"),
+            "points_derived": reg.counter_value(
+                "service_points_total", source="derived"),
             "saved_seconds": self.metrics["saved_seconds"].value,
             "queue_depth": self.executor.inflight,
             "inflight_keys": len(self.dedup),
@@ -424,7 +432,7 @@ class SweepService:
             client=request.client, status="ok", points=len(request.points),
             executed=tally.executed, disk_hits=tally.disk_hits,
             deduped=tally.deduped, degraded=tally.degraded,
-            shed_reason="", elapsed=elapsed,
+            shed_reason="", elapsed=elapsed, derived=tally.derived,
         ))
         return protocol.results_response(
             [r for r in results if r is not None], tally.sourcing())
@@ -432,7 +440,8 @@ class SweepService:
     async def _simulate_point(
         self, point: SweepPoint, key: Optional[str], tally: _Tally,
     ) -> Dict[str, Any]:
-        """Serve one cache miss: dedup onto in-flight work, else execute."""
+        """Serve one cache miss: derive it from its steady-state twin,
+        else dedup onto in-flight work, else execute."""
         label = point.describe()
         if key is None:
             value, elapsed, _stats = await self._execute(point)
@@ -440,19 +449,39 @@ class SweepService:
             tally.sim_seconds += elapsed
             self.metrics["points"].labels(source="executed").inc()
             return protocol.value_payload(label, value)
-        leader, future = self.dedup.claim(key)
-        if not leader:
-            try:
-                value, elapsed = await asyncio.shield(future)
-            except (ConnectionResetError, BrokenProcessPool) as exc:
-                return protocol.value_payload(label, FailureInfo(
-                    error_type=type(exc).__name__, message=str(exc),
-                    attempts=1,
-                ))
+        value = await self._derive_point(point, key, tally)
+        if value is not None:
+            return protocol.value_payload(label, value)
+        try:
+            value, elapsed, executed = await self._run_once(point, key)
+        except (ConnectionResetError, BrokenProcessPool) as exc:
+            return protocol.value_payload(label, FailureInfo(
+                error_type=type(exc).__name__, message=str(exc),
+                attempts=1,
+            ))
+        if executed:
+            tally.executed += 1
+            tally.sim_seconds += elapsed
+            self.metrics["points"].labels(source="executed").inc()
+        else:
             tally.deduped += 1
             tally.saved_seconds += elapsed
             self.metrics["points"].labels(source="dedup").inc()
-            return protocol.value_payload(label, value)
+        return protocol.value_payload(label, value)
+
+    async def _run_once(
+        self, point: SweepPoint, key: str,
+    ) -> Tuple[Any, float, bool]:
+        """``(value, elapsed, executed_here)`` of ``point``, simulated once
+        across concurrent requests and stored under ``key``.
+
+        A follower re-raises the leader's ``ConnectionResetError`` or
+        ``BrokenProcessPool``.
+        """
+        leader, future = self.dedup.claim(key)
+        if not leader:
+            value, elapsed = await asyncio.shield(future)
+            return value, elapsed, False
         try:
             value, elapsed, stats = await self._execute(point)
         except BaseException as exc:
@@ -462,10 +491,46 @@ class SweepService:
             self.store.store(key, value, elapsed=elapsed,
                              check_stats=stats or None)
         self.dedup.resolve(key, (value, elapsed))
-        tally.executed += 1
-        tally.sim_seconds += elapsed
-        self.metrics["points"].labels(source="executed").inc()
-        return protocol.value_payload(label, value)
+        return value, elapsed, True
+
+    async def _derive_point(
+        self, point: SweepPoint, key: str, tally: _Tally,
+    ) -> Optional[Any]:
+        """The point's value from its twin, or ``None`` to run it itself.
+
+        The twin comes from the store, from another request's in-flight
+        execution of the same key, or from executing it here; a twin
+        that fails leaves the point to the normal path.
+        """
+        cfg = self.config
+        twin = steady_twin_point(point, self.executor.trainer_kwargs,
+                                 cfg.invariants)
+        if twin is None:
+            return None
+        twin_key = point_fingerprint(twin, cfg.sim, cfg.constants)
+        entry = (self.store.load_entry(twin_key)
+                 if self.store is not None else None)
+        if entry is not None:
+            value, elapsed = entry.value, entry.elapsed
+            tally.saved_seconds += elapsed
+        else:
+            try:
+                value, elapsed, executed = await self._run_once(
+                    twin, twin_key)
+            except (ConnectionResetError, BrokenProcessPool):
+                return None
+            if executed:
+                tally.sim_seconds += elapsed
+            else:
+                tally.saved_seconds += elapsed
+        if isinstance(value, FailureInfo):
+            return None
+        value = derive_value(value, point.config)
+        if self.store is not None:
+            self.store.store(key, value, elapsed=elapsed)
+        tally.derived += 1
+        self.metrics["points"].labels(source="derived").inc()
+        return value
 
     async def _execute(
         self, point: SweepPoint,

@@ -66,6 +66,7 @@ from repro.sim.events import Event
 from repro.topology import Fabric, Router, build_dgx1v
 from repro.train.optimizers import get_optimizer
 from repro.train.results import TrainingResult
+from repro.train.steady import extrapolate_epoch
 from repro.train.strategies import strategy_for
 
 
@@ -515,7 +516,7 @@ class Trainer:
                                   len(iteration_times))
         mean_iteration = sum(iteration_times) / len(iteration_times)
         fixed = comm.epoch_fixed_overhead() + self.constants.run_startup_overhead
-        epoch_time = self.config.iterations_per_epoch * mean_iteration + fixed
+        epoch_time = extrapolate_epoch(self.config, mean_iteration, fixed)
         monitor = MemoryMonitor(self.spec, self.constants, optimizer=self.optimizer)
         memory = tuple(
             monitor.sample(self.stats, self.config.batch_size, self.config.num_gpus)

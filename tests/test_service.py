@@ -7,6 +7,7 @@ in ``tests/test_service_chaos.py``; everything here runs in-process.
 """
 
 import asyncio
+import dataclasses
 import io
 import json
 import os
@@ -30,6 +31,7 @@ from repro.service import (
 )
 from repro.service import protocol
 from repro.service.analytic import AnalyticUnsupported
+from repro.train.trainer import Trainer
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -484,6 +486,83 @@ def test_service_budget_degrades_overflow_to_analytic():
                for r in degraded)
 
 
+def _weak_wire_point(batch=16, gpus=2):
+    return dict(_wire_point(batch, gpus), scaling="weak")
+
+
+def _count_executions(service):
+    """Record every point the service hands to its worker pool."""
+    calls = []
+    real = service.executor.execute
+
+    async def counting(point):
+        calls.append(point)
+        return await real(point)
+
+    service.executor.execute = counting
+    return calls
+
+
+def _served_twin_then_weak(cache_dir, invariants):
+    async def go():
+        service = SweepService(_config(cache_dir=cache_dir,
+                                       invariants=invariants))
+        await service.start()
+        await _request(service.port, {
+            "op": "sweep", "client": "t", "points": [_wire_point(16, 2)]})
+        calls = _count_executions(service)
+        weak = await _request(service.port, {
+            "op": "sweep", "client": "t", "points": [_weak_wire_point()]})
+        stats = await _request(service.port, {"op": "stats"})
+        await _drained(service)
+        return weak, stats["stats"], calls
+
+    return asyncio.run(go())
+
+
+def test_service_derives_a_point_from_its_stored_twin(tmp_path):
+    weak, stats, calls = _served_twin_then_weak(tmp_path / "cache", "off")
+    assert weak["status"] == "ok"
+    assert weak["sourcing"]["derived"] == 1
+    assert weak["sourcing"]["executed"] == 0
+    assert weak["sourcing"]["saved_seconds"] > 0
+    assert calls == []                                  # pool stayed idle
+    assert stats["points_derived"] == 1 and stats["store_entries"] == 2
+    point = protocol.point_from_dict(_weak_wire_point())
+    own = Trainer(point.config, sim=TINY).run()
+    assert weak["results"] == json.loads(json.dumps(
+        [protocol.value_payload(point.describe(), own)]))
+
+
+def test_service_strict_invariants_execute_the_point(tmp_path):
+    weak, stats, calls = _served_twin_then_weak(tmp_path / "cache", "strict")
+    assert weak["sourcing"]["derived"] == 0
+    assert weak["sourcing"]["executed"] == 1
+    assert len(calls) == 1 and stats["points_derived"] == 0
+
+
+def test_service_simulates_a_missing_twin_under_its_own_key(tmp_path):
+    async def go():
+        service = SweepService(_config(cache_dir=tmp_path / "cache"))
+        await service.start()
+        calls = _count_executions(service)
+        weak = await _request(service.port, {
+            "op": "sweep", "client": "t",
+            "points": [_weak_wire_point(), dict(_weak_wire_point(),
+                                                dataset_images=100_000)]})
+        strong = await _request(service.port, {
+            "op": "sweep", "client": "t", "points": [_wire_point(16, 2)]})
+        await _drained(service)
+        return weak, strong, calls
+
+    weak, strong, calls = asyncio.run(go())
+    assert len(calls) == 1 and calls[0].config.scaling.value == "strong"
+    assert weak["sourcing"]["derived"] == 2
+    assert weak["sourcing"]["executed"] == 0
+    assert weak["sourcing"]["sim_seconds"] > 0
+    assert strong["sourcing"]["disk_hits"] == 1
+
+
 def test_service_rejects_over_budget_when_degradation_forbidden():
     async def go():
         service = SweepService(_config())
@@ -578,6 +657,13 @@ def test_service_request_events_are_json_clean():
         payload = event_to_dict(event)
         assert payload["type"] == "ServiceRequestEvent"
         json.dumps(payload)
+
+
+def test_service_request_event_reports_derived_points_when_nonzero():
+    base = SERVICE_GOLDEN_EVENTS[0]
+    assert base.derived == 0 and "derived" not in event_to_dict(base)
+    derived = dataclasses.replace(base, derived=3)
+    assert event_to_dict(derived)["derived"] == 3
 
 
 def test_service_publishes_request_events_on_its_bus():
