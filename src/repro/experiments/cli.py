@@ -34,12 +34,9 @@ a per-invariant pass/violation report::
 
     repro-experiments selfcheck --fast
 
-The ``bench`` subcommand times the simulator itself (:mod:`repro.perf`)
-and writes the ``BENCH_*.json`` performance-trajectory document, while
-``--self-profile TRACE`` profiles any experiment run and exports a
-Chrome trace of simulator self-time::
+``--self-profile TRACE`` profiles the simulator itself (:mod:`repro.perf`)
+during any experiment run and exports a Chrome trace of its self-time::
 
-    repro-experiments bench --profile all -o BENCH_6.json
     repro-experiments fig3 --fast --self-profile self.trace.json
 """
 
@@ -173,7 +170,7 @@ def all_subcommands() -> tuple:
     The docs gate (``tools/check_docs.py``) compares this list against the
     CLI reference in ``docs/API.md``, so the two cannot drift apart.
     """
-    return EXPERIMENTS + ("all", "obs", "trace", "selfcheck", "bench", "serve")
+    return EXPERIMENTS + ("all", "obs", "trace", "selfcheck", "serve")
 
 
 def obs_main(argv: Optional[list] = None) -> int:
@@ -291,10 +288,6 @@ def main(argv: Optional[list] = None) -> int:
         from repro.experiments import selfcheck
 
         return selfcheck.main(list(argv[1:]))
-    if argv and argv[0] == "bench":
-        from repro.experiments import bench
-
-        return bench.main(list(argv[1:]))
     if argv and argv[0] == "serve":
         from repro.service import server
 
@@ -312,7 +305,6 @@ def main(argv: Optional[list] = None) -> int:
         help=f"any of {', '.join(EXPERIMENTS)}, or 'all' "
              "(or: obs/trace [--help] for the observability exporter, "
              "selfcheck [--help] for strict invariant verification, "
-             "bench [--help] for the simulator bench harness, "
              "serve [--help] for the resilient sweep service)",
     )
     parser.add_argument("--fast", action="store_true",
@@ -357,13 +349,25 @@ def main(argv: Optional[list] = None) -> int:
         if name not in EXPERIMENTS:
             parser.error(f"unknown experiment {name!r}; choose from {EXPERIMENTS}")
 
-    from repro.core.errors import ReproError, SweepInterrupted
+    from repro.perf.spans import PERF
 
     if args.self_profile is not None:
-        from repro.perf.spans import PERF
-
         PERF.reset()
         PERF.enable()
+    try:
+        return _render_experiments(args, names, invariants)
+    finally:
+        # On every exit, an interrupt or error included, so no later
+        # in-process caller keeps paying for spans.
+        if args.self_profile is not None:
+            PERF.disable()
+
+
+def _render_experiments(args: argparse.Namespace, names: list,
+                        invariants: str) -> int:
+    """Render each named experiment through one shared runner."""
+    from repro.core.errors import ReproError, SweepInterrupted
+
     cache = _build_runner(args.jobs, args.cache_dir, args.no_cache,
                           args.progress, invariants)
     try:
@@ -418,7 +422,6 @@ def _write_self_profile(path: pathlib.Path) -> None:
     print(render_perf_report(PERF, top=15), file=sys.stderr)
     print(f"self-profile trace: {path} (open in ui.perfetto.dev)",
           file=sys.stderr)
-    PERF.disable()
 
 
 def _build_runner(jobs: int, cache_dir: pathlib.Path, no_cache: bool,

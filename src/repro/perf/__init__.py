@@ -3,84 +3,24 @@
 The paper's method is attributing time on real hardware; :mod:`repro.profile`
 applies that idea to the simulated DGX-1.  This package closes the loop and
 applies it to the simulator itself: hierarchical wall-clock spans and event
-counters (:mod:`repro.perf.spans`), a benchmark harness that times the
-canonical workloads with warmup/repeat/min-of-N discipline and writes a
-schema-versioned ``BENCH_*.json`` trajectory file (:mod:`repro.perf.harness`),
-a Chrome-trace exporter of simulator self-time (:mod:`repro.perf.trace`) and
-a noise-aware regression gate (:mod:`repro.perf.gate`, fronted by
-``tools/check_bench.py``).
+counters (:mod:`repro.perf.spans`) and a Chrome-trace exporter of simulator
+self-time (:mod:`repro.perf.trace`).  ``repro-experiments --self-profile``
+and the repository benchmark (``perfbench/``) both read them.
 
 Profiling is **off by default**: every instrumentation site in the simulator
 is gated on :data:`PERF.enabled <repro.perf.spans.PerfProfiler.enabled>`, so
 a disabled profiler leaves simulated outputs byte-identical and costs one
 attribute check per site.
-
-Instrumented modules deep inside the simulator (``gpu.kernel``,
-``comm.nccl``, ...) import :data:`PERF` from :mod:`repro.perf.spans`, which
-triggers *this* package ``__init__`` -- so only the dependency-free spans
-module is imported eagerly here.  The harness/gate/trace re-exports (which
-reach back up into :mod:`repro.experiments`) resolve lazily via PEP 562
-``__getattr__``.
 """
 
-from typing import Any
-
 from repro.perf.spans import PERF, PerfProfiler, SpanRecord, render_perf_report
-
-#: Lazy re-exports: attribute name -> defining submodule.
-_LAZY = {
-    "BenchComparison": "repro.perf.gate",
-    "WorkloadVerdict": "repro.perf.gate",
-    "compare_bench": "repro.perf.gate",
-    "render_comparison": "repro.perf.gate",
-    "BENCH_SCHEMA_VERSION": "repro.perf.harness",
-    "BenchValidationError": "repro.perf.harness",
-    "BenchWorkload": "repro.perf.harness",
-    "all_workloads": "repro.perf.harness",
-    "load_bench": "repro.perf.harness",
-    "machine_fingerprint": "repro.perf.harness",
-    "run_harness": "repro.perf.harness",
-    "validate_bench": "repro.perf.harness",
-    "workloads_for_profile": "repro.perf.harness",
-    "write_bench": "repro.perf.harness",
-    "export_perf_chrome_trace": "repro.perf.trace",
-    "perf_chrome_trace_events": "repro.perf.trace",
-}
-
-
-def __getattr__(name: str) -> Any:
-    """Resolve the heavy re-exports on first touch (PEP 562)."""
-    module_name = _LAZY.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    return getattr(importlib.import_module(module_name), name)
-
-
-def __dir__() -> list:
-    return sorted(set(globals()) | set(_LAZY))
-
+from repro.perf.trace import export_perf_chrome_trace, perf_chrome_trace_events
 
 __all__ = [
-    "BENCH_SCHEMA_VERSION",
-    "BenchComparison",
-    "BenchValidationError",
-    "BenchWorkload",
     "PERF",
     "PerfProfiler",
     "SpanRecord",
-    "WorkloadVerdict",
-    "all_workloads",
-    "compare_bench",
     "export_perf_chrome_trace",
-    "load_bench",
-    "machine_fingerprint",
     "perf_chrome_trace_events",
-    "render_comparison",
     "render_perf_report",
-    "run_harness",
-    "validate_bench",
-    "workloads_for_profile",
-    "write_bench",
 ]

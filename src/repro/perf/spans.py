@@ -226,6 +226,6 @@ def render_perf_report(perf: PerfProfiler, top: Optional[int] = None) -> str:
 
 
 #: The process-wide profiler every instrumented component consults.
-#: Disabled by default; ``repro-experiments`` enables it under
-#: ``--self-profile`` and the bench harness enables it per workload.
+#: Disabled by default; ``repro-experiments`` enables it for one run under
+#: ``--self-profile`` and ``perfbench/run.py`` enables it under ``--trace 1``.
 PERF = PerfProfiler()

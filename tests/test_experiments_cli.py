@@ -4,6 +4,7 @@ import pathlib
 
 import pytest
 
+from repro.core.errors import ReproError, SweepInterrupted
 from repro.experiments.cli import EXPERIMENTS, main
 
 
@@ -68,6 +69,30 @@ def test_interrupted_sweep_exits_130(monkeypatch, capsys):
     monkeypatch.setattr(cli, "_run_experiment", interrupted)
     assert main(["fig3", "--no-cache"]) == 130
     assert "interrupted" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error, status", [
+    (ReproError("boom"), 2),
+    (SweepInterrupted("fig3", 3, 10), 130),
+], ids=["error", "interrupt"])
+def test_self_profile_disables_perf_on_a_failed_run(monkeypatch, capsys,
+                                                    tmp_path, error, status):
+    from repro.experiments import cli
+    from repro.perf.spans import PERF
+
+    def failing(name, cache, fast):
+        raise error
+
+    monkeypatch.setattr(cli, "_run_experiment", failing)
+    trace = tmp_path / "self.trace.json"
+    try:
+        assert main(["fig3", "--fast", "--no-cache",
+                     "--self-profile", str(trace)]) == status
+        assert PERF.enabled is False
+    finally:
+        PERF.disable()
+        PERF.reset()
+    capsys.readouterr()
 
 
 def test_selfcheck_fast_passes(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Tests for repro.perf: spans, harness, gate, trace, cache perf field."""
+"""Tests for repro.perf: spans, trace, cache perf field, runner timing."""
 
 import json
 
@@ -6,19 +6,6 @@ import pytest
 
 from repro.analysis.serialization import result_to_dict
 from repro.core.config import CommMethodName, SimulationConfig, TrainingConfig
-from repro.perf.gate import compare_bench, render_comparison
-from repro.perf.harness import (
-    BENCH_SCHEMA_VERSION,
-    BenchValidationError,
-    BenchWorkload,
-    _time_workload,
-    calibration_score,
-    load_bench,
-    machine_fingerprint,
-    validate_bench,
-    workloads_for_profile,
-    write_bench,
-)
 from repro.perf.spans import PERF, PerfProfiler, render_perf_report
 from repro.perf.trace import PID_SELF, export_perf_chrome_trace
 from repro.runner import OomInfo, ResultStore, SweepPoint, SweepRunner, SweepSpec
@@ -172,149 +159,6 @@ def test_export_perf_chrome_trace(tmp_path):
     # Process metadata names the self-time lane.
     meta = [e for e in events if e.get("ph") == "M"]
     assert any(e["args"]["name"] == "Simulator self-time" for e in meta)
-
-
-# ----------------------------------------------------------------------
-# Harness: timing discipline, document round-trip, validation
-# ----------------------------------------------------------------------
-def _tiny_document():
-    perf = PerfProfiler()
-    calls = []
-
-    def fn():
-        calls.append(1)
-        with perf.span("work"):
-            pass
-        return {"items": 3.0}
-
-    workload = BenchWorkload(name="tiny", profile="fast", fn=fn,
-                             repeats=3, warmup=2)
-    record = _time_workload(workload, None, perf)
-    return {
-        "schema": BENCH_SCHEMA_VERSION,
-        "generated": "2026-01-01T00:00:00Z",
-        "profile": "fast",
-        "machine": machine_fingerprint(),
-        "calibration": calibration_score(repeats=1),
-        "workloads": {"tiny": record},
-    }, calls
-
-
-def test_time_workload_min_of_n_with_warmup():
-    document, calls = _tiny_document()
-    record = document["workloads"]["tiny"]
-    assert len(calls) == 5  # 2 warmup + 3 timed
-    assert len(record["samples"]) == 3
-    assert record["wall_clock"] == min(record["samples"])
-    assert record["meta"] == {"items": 3.0}
-    assert "work" in record["spans"]
-    validate_bench(document)
-
-
-def test_bench_write_load_round_trip(tmp_path):
-    document, _ = _tiny_document()
-    path = write_bench(tmp_path / "BENCH_test.json", document)
-    assert path.read_text().endswith("\n")
-    loaded = load_bench(path)
-    assert loaded == json.loads(json.dumps(document))
-
-
-@pytest.mark.parametrize("mutate, fragment", [
-    (lambda d: d.update(schema=99), "schema"),
-    (lambda d: d.pop("calibration"), "calibration"),
-    (lambda d: d["workloads"].clear(), "empty"),
-    (lambda d: d["workloads"]["tiny"].update(wall_clock=-1), "wall_clock"),
-    (lambda d: d["workloads"]["tiny"].update(wall_clock=999.0), "min-of-N"),
-    (lambda d: d["workloads"]["tiny"].pop("spans"), "spans"),
-    (lambda d: d["workloads"]["tiny"].update(profile="bogus"), "profile"),
-])
-def test_validate_bench_rejects(mutate, fragment):
-    document, _ = _tiny_document()
-    mutate(document)
-    with pytest.raises(BenchValidationError, match=fragment):
-        validate_bench(document)
-
-
-def test_default_workload_registry_profiles():
-    fast = {w.name for w in workloads_for_profile("fast")}
-    full = {w.name for w in workloads_for_profile("full")}
-    both = {w.name for w in workloads_for_profile("all")}
-    assert "selfcheck-fast" in fast and "selfcheck-full" in full
-    assert fast.isdisjoint(full)
-    assert both == fast | full
-    with pytest.raises(BenchValidationError):
-        workloads_for_profile("bogus")
-
-
-# ----------------------------------------------------------------------
-# Regression gate
-# ----------------------------------------------------------------------
-def _bench_doc(score, **wall_clocks):
-    return {
-        "schema": BENCH_SCHEMA_VERSION,
-        "profile": "fast",
-        "machine": {},
-        "calibration": {"score": score},
-        "workloads": {
-            name: {"wall_clock": wall, "profile": "fast", "repeats": 1,
-                   "samples": [wall], "spans": {}, "counters": {}, "meta": {}}
-            for name, wall in wall_clocks.items()
-        },
-    }
-
-
-def test_gate_passes_identical_documents():
-    doc = _bench_doc(1e6, sweep=10.0)
-    comparison = compare_bench(doc, doc, tolerance=0.1)
-    assert comparison.ok
-    assert comparison.verdicts[0].status == "ok"
-    assert "gate: PASS" in render_comparison(comparison)
-
-
-def test_gate_fails_on_regression():
-    baseline = _bench_doc(1e6, sweep=10.0)
-    fresh = _bench_doc(1e6, sweep=14.0)
-    comparison = compare_bench(fresh, baseline, tolerance=0.2)
-    assert not comparison.ok
-    assert comparison.regressions[0].name == "sweep"
-    assert "gate: FAIL (1 regression(s))" in render_comparison(comparison)
-
-
-def test_gate_normalizes_by_machine_score():
-    # Fresh machine is 2x slower (half the calibration score): a 2x
-    # wall-clock is exactly expected, not a regression.
-    baseline = _bench_doc(2e6, sweep=10.0)
-    fresh = _bench_doc(1e6, sweep=20.0)
-    comparison = compare_bench(fresh, baseline, tolerance=0.1)
-    assert comparison.speed_ratio == pytest.approx(2.0)
-    assert comparison.ok
-    # ...while a genuine slowdown on top of that still fails.
-    slower = _bench_doc(1e6, sweep=30.0)
-    assert not compare_bench(slower, baseline, tolerance=0.1).ok
-
-
-def test_gate_reports_improvements():
-    baseline = _bench_doc(1e6, sweep=10.0)
-    fresh = _bench_doc(1e6, sweep=4.0)
-    comparison = compare_bench(fresh, baseline, tolerance=0.2)
-    assert comparison.ok
-    assert comparison.verdicts[0].status == "improved"
-
-
-def test_gate_skips_mismatched_workloads():
-    baseline = _bench_doc(1e6, common=1.0, only_base=5.0)
-    fresh = _bench_doc(1e6, common=1.0, only_fresh=2.0)
-    comparison = compare_bench(fresh, baseline, tolerance=0.2)
-    assert comparison.ok
-    statuses = {v.name: v.status for v in comparison.verdicts}
-    assert statuses == {"common": "ok", "only_base": "skipped",
-                        "only_fresh": "skipped"}
-
-
-def test_gate_rejects_negative_tolerance():
-    doc = _bench_doc(1e6, sweep=1.0)
-    with pytest.raises(ValueError):
-        compare_bench(doc, doc, tolerance=-0.5)
 
 
 # ----------------------------------------------------------------------

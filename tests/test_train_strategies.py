@@ -198,3 +198,30 @@ def test_unknown_attribute_still_raises():
     pkg = sys.modules["repro.train"]
     with pytest.raises(AttributeError):
         pkg.no_such_thing
+
+
+# ----------------------------------------------------------------------
+# Work ceiling on the strategy dispatch path
+# ----------------------------------------------------------------------
+def test_strategy_matrix_stays_under_its_event_and_dma_ceilings():
+    # The repository benchmark never runs async-update, model-parallel or
+    # the PS strategies, so this pins their work as deterministic counts:
+    # the 7-strategy matrix on lenet and alexnet at batch 16, simulated
+    # from scratch.  The ceilings are the measured counts; any rise means
+    # the dispatch path or the engine now does more work per point.
+    from repro.experiments import strategies
+    from repro.perf.spans import PERF
+    from repro.runner import SweepRunner
+
+    PERF.reset()
+    PERF.enable()
+    try:
+        result = strategies.run(runner=SweepRunner(),
+                                networks=("lenet", "alexnet"), batch_size=16)
+        counters = dict(PERF.counters)
+    finally:
+        PERF.disable()
+        PERF.reset()
+    assert len(result.rows) == 14
+    assert counters["sim.events"] <= 55500
+    assert counters["fabric.dmas"] <= 3788

@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Documentation gate: link check + executable doc examples + coverage.
 
-Four checks over README.md and docs/*.md, all run by the CI docs job:
+Five checks over README.md, DESIGN.md and docs/*.md, all run by the CI
+docs job:
 
 1. **Relative links resolve.**  Every markdown link or inline-code
    reference to a repository path (``[text](docs/COMM.md)``,
@@ -21,6 +22,11 @@ Four checks over README.md and docs/*.md, all run by the CI docs job:
    exactly ``repro.experiments.cli.all_subcommands()`` (requires
    ``PYTHONPATH=src``), so the documented vocabulary cannot drift from
    the parser.
+5. **Module references resolve.**  Every inline-code dotted reference
+   into the package (```` `repro.perf.spans` ````, ```` `repro.perf.PERF`
+   ````, optionally called) must import as a module or resolve as an
+   attribute of one (requires ``PYTHONPATH=src``), so deleting or
+   renaming a module cannot leave a stale pointer behind.
 
 Exit status is non-zero on any failure.
 
@@ -32,6 +38,7 @@ Usage::
 from __future__ import annotations
 
 import doctest
+import importlib
 import pathlib
 import re
 import sys
@@ -46,10 +53,12 @@ CODE_PATH = re.compile(r"`((?:docs|examples|tools|src|tests|benchmarks)/[\w./-]+
                        r"[A-Z][A-Z_]+\.md)`")
 #: Fenced code blocks: ```lang\n ... \n```
 FENCE = re.compile(r"^```(\w*)\n(.*?)^```", re.MULTILINE | re.DOTALL)
+#: Inline code spans naming a module or attribute: `repro.a.b` or `repro.a.f()`.
+MODULE_REF = re.compile(r"`(repro(?:\.\w+)+)(?:\([^`]*\))?`")
 
 
 def default_files() -> List[pathlib.Path]:
-    files = [REPO_ROOT / "README.md"]
+    files = [REPO_ROOT / "README.md", REPO_ROOT / "DESIGN.md"]
     files.extend(sorted((REPO_ROOT / "docs").glob("*.md")))
     return files
 
@@ -96,6 +105,34 @@ def doctest_blocks(path: pathlib.Path, text: str) -> Tuple[int, List[str]]:
                 f"failure(s) in fenced block {index}"
             )
     return run, problems
+
+
+def resolves(reference: str) -> bool:
+    """Whether ``reference`` is an importable module or an attribute path
+    under the longest importable prefix of it."""
+    parts = reference.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for name in parts[cut:]:
+            if not hasattr(target, name):
+                return False
+            target = getattr(target, name)
+        return True
+    return False
+
+
+def check_module_references(path: pathlib.Path, text: str) -> List[str]:
+    """Every inline-code ``repro.…`` reference names something real."""
+    if str(REPO_ROOT / "src") not in sys.path:
+        sys.path.insert(0, str(REPO_ROOT / "src"))
+    return [
+        f"{path.relative_to(REPO_ROOT)}: stale module reference -> {ref}"
+        for ref in sorted({m.group(1) for m in MODULE_REF.finditer(text)})
+        if not resolves(ref)
+    ]
 
 
 def check_subsystem_index() -> List[str]:
@@ -146,6 +183,7 @@ def main(argv: List[str]) -> int:
     for path in files:
         text = path.read_text()
         problems.extend(check_links(path, text))
+        problems.extend(check_module_references(path, text))
         run, block_problems = doctest_blocks(path, text)
         total_blocks += run
         problems.extend(block_problems)
@@ -159,8 +197,8 @@ def main(argv: List[str]) -> int:
         for problem in problems:
             print(f"ERROR: {problem}")
         return 1
-    print(f"\nall links resolve, {total_blocks} doctest block(s) pass, "
-          f"docs index and CLI reference complete")
+    print(f"\nall links and module references resolve, {total_blocks} "
+          f"doctest block(s) pass, docs index and CLI reference complete")
     return 0
 
 
