@@ -31,6 +31,10 @@ Schema history
 * 7 -- cluster-tier faults: the ``faults`` block gained
   ``crashed_node`` and per-segment ``rails_degraded`` (node crashes
   and NIC/rail degradation; see ``docs/FAULTS.md``).
+* 8 -- exact periodicity: a provably periodic run stores one
+  ``iteration_times`` entry per measured system, and every simulated
+  time moves by up to ~2.5e-11 relative under the translation-invariant
+  clock (``docs/PERF.md``, "Exact periodicity").
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ from repro.train.results import AsyncStats, TrainingResult
 
 #: Schema version stamped into every exported dict (and hashed into every
 #: persistent-cache key).
-SCHEMA_VERSION = 7
+SCHEMA_VERSION = 8
 
 
 class SchemaMismatchError(ValueError):

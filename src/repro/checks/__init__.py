@@ -11,7 +11,7 @@ runs*:
 * :mod:`repro.checks.engine`   — :class:`CheckEngine` with its three
   enforcement modes (``off`` / ``warn`` / ``strict``), violation records,
   and per-invariant statistics.
-* :mod:`repro.checks.checkers` — the 19 shipped checkers across the
+* :mod:`repro.checks.checkers` — 25 of the 26 shipped checkers across the
   conservation / capacity / temporal / structural categories.
 * :mod:`repro.checks.expect`   — closed-form expected gradient traffic,
   the independent oracle for the conservation audit.

@@ -1,5 +1,5 @@
-"""The shipped invariant checkers (24 of the 25 checkers, over 13 of the
-14 checkpoints; the ``trainer.dag`` analytic-oracle checker lives in
+"""The shipped invariant checkers (25 of the 26 checkers, over 14 of the
+15 checkpoints; the ``trainer.dag`` analytic-oracle checker lives in
 :mod:`repro.checks.dag`).
 
 Each checker guards one physically meaningful property of the simulation —
@@ -26,6 +26,7 @@ checkpoint            checkers
                       conservation.rail-rebalance,
                       capacity.degraded-rail-floor
 ``trainer.fastpath``  temporal.fallback-agreement
+``trainer.periodic``  temporal.periodic
 ``trainer.stages``    temporal.spans-nested, temporal.iterations-monotone,
                       temporal.step-accounting, capacity.gpu-busy
 ``trainer.traffic``   conservation.gradient-traffic
@@ -427,6 +428,25 @@ def check_fallback_agreement(p: Payload):
         return (f"mean iteration {p['mean_iteration']:.3e}s beats the "
                 f"closed-form collective floor {p['analytic_wu']:.3e}s "
                 f"shared by the event and analytic paths")
+
+
+# ----------------------------------------------------------------------
+# trainer.periodic — fired after each measured segment, over its window
+# ----------------------------------------------------------------------
+@invariant("trainer.periodic", name="periodic", category="temporal",
+           description="a window predicted periodic repeats its first iteration bit for bit")
+def check_periodic(p: Payload):
+    """When both boundaries around the first measured iteration were
+    steady, every later measured iteration must equal it exactly -- the
+    guarantee that lets an unchecked run stop after that iteration."""
+    if not p["periodic"]:
+        return None
+    times = p["times"]
+    for index, t in enumerate(times[1:], start=1):
+        if t != times[0]:
+            return (f"measured iteration {index} took {t!r} s but the first "
+                    f"took {times[0]!r} s, although both boundaries around "
+                    "the first were steady")
 
 
 # ----------------------------------------------------------------------

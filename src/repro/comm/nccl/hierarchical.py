@@ -568,10 +568,13 @@ class HierarchicalNcclCommunicator(NcclCommunicator):
             for dev in self.devices
         ]
         try:
-            if self.fast_path == "event":
+            if self.fast_path == "event" or t_inter == 0:
                 # One charged window per phase: the inter-node exchange
                 # cannot start before the reduce-scatter finishes, and
-                # the allgather not before the exchange.
+                # the allgather not before the exchange.  With no
+                # inter-node phase to fold (one node) the analytic path
+                # charges the same windows, so both paths advance the
+                # clock identically.
                 yield self.env.timeout(c.nccl_call_overhead + t_rs)
                 rs_end = self.env.now
                 if t_inter > 0:

@@ -78,9 +78,16 @@ class SimulationConfig:
     """Controls the event-level simulation of a training run.
 
     Training is periodic per iteration, so we simulate ``warmup_iterations``
-    to reach steady state, then ``measure_iterations`` at full event fidelity
-    and extrapolate the mean steady-state iteration time to the epoch's
-    iteration count (plus once-per-run fixed costs).
+    to reach steady state, then measure at full event fidelity and
+    extrapolate the mean steady-state iteration time to the epoch's
+    iteration count (plus once-per-run fixed costs).  The simulated clock
+    is translation-invariant, so when the boundaries before and after the
+    first measured iteration are both quiescent, that iteration provably
+    repeats bit for bit and is the whole measurement (one
+    ``iteration_times`` entry).  ``measure_iterations`` is the window for
+    runs that are not provably periodic (a time-varying straggler, no
+    warm-up), and the window invariant checking simulates to verify the
+    periodic ones (``temporal.periodic``).
     """
 
     warmup_iterations: int = 1

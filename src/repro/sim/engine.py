@@ -1,4 +1,17 @@
-"""The simulation environment: virtual clock plus event heap."""
+"""The simulation environment: virtual clock plus event heap.
+
+The clock is translation-invariant.  The heap stores absolute instants
+``ORIGIN + t`` rather than ``t``: every instant below ``ORIGIN`` seconds
+of simulated time then lies in one binade and shares one ulp (2**-46 s),
+so ``now + delay`` rounds the same way wherever a chain of timeouts
+starts, and ``now - start`` is exact.  A process replayed from a later
+quiescent boundary therefore reproduces its durations bit for bit, which
+is what lets the trainer stop after one measured iteration
+(docs/PERF.md, "Exact periodicity").  The origin never leaves this
+module: :attr:`Environment.now`, :meth:`Environment.peek`,
+``run(until=...)``, the observer callback and the ``sim.event``
+checkpoint all speak seconds since start.
+"""
 
 from __future__ import annotations
 
@@ -7,6 +20,12 @@ from typing import Any, Generator, List, Optional, Tuple
 
 from repro.core.errors import SimulationError
 from repro.sim.events import AllOf, AnyOf, Event, Process, Timeout
+
+#: Absolute heap time of simulated instant 0.  A module constant, not an
+#: option: the instants ``[0, ORIGIN)`` share the ulp of ``[ORIGIN,
+#: 2 * ORIGIN)``, far finer than any modelled duration (the longest
+#: simulated horizon of the paper's sweeps is a few seconds).
+ORIGIN = 64.0
 
 
 class Environment:
@@ -17,7 +36,7 @@ class Environment:
     """
 
     def __init__(self, initial_time: float = 0.0) -> None:
-        self._now = initial_time
+        self._now = ORIGIN + initial_time
         self._eid = 0
         self._queue: List[Tuple[float, int, Event]] = []
         self._observer = None
@@ -25,6 +44,8 @@ class Environment:
         self._steps = 0
         self._dispatched = 0
         self._checks = None
+        # Every Resource built on this environment, for quiescent().
+        self._resources: List[Any] = []
 
     def set_checks(self, checks) -> None:
         """Attach a :class:`~repro.checks.CheckEngine` (or ``None``).
@@ -50,8 +71,21 @@ class Environment:
 
     @property
     def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
+        """Current simulated time in seconds since start (exact)."""
+        return self._now - ORIGIN
+
+    def quiescent(self) -> bool:
+        """Whether replaying from here is translation-invariant.
+
+        True when no event is scheduled, every
+        :class:`~repro.sim.resources.Resource` on this environment is
+        idle with nobody queued, and the clock is still inside the
+        origin's binade.  From such a state a deterministic process runs
+        the same way, bit for bit, whenever it starts.
+        """
+        if self._queue or self._now >= 2 * ORIGIN:
+            return False
+        return not any(r._users or r._waiting for r in self._resources)
 
     @property
     def dispatched(self) -> int:
@@ -108,9 +142,10 @@ class Environment:
         """
         if isinstance(until, Event):
             return self._run_until_event(until)
-        deadline = float("inf") if until is None else float(until)
+        deadline = float("inf") if until is None else ORIGIN + float(until)
         if deadline < self._now:
-            raise SimulationError(f"deadline {deadline} is in the past (now={self._now})")
+            raise SimulationError(
+                f"deadline {until} is in the past (now={self.now})")
         self._dispatch(None, deadline, -1)
         if deadline != float("inf"):
             self._now = deadline
@@ -153,7 +188,7 @@ class Environment:
             if when < now:
                 raise SimulationError("event scheduled in the past")
             if checks is not None:
-                checks.check("sim.event", when=when, now=now)
+                checks.check("sim.event", when=when - ORIGIN, now=now - ORIGIN)
             self._now = now = when
             self._dispatched += 1
             callbacks, event.callbacks = event.callbacks, []
@@ -163,8 +198,8 @@ class Environment:
             if observer is not None:
                 self._steps += 1
                 if self._steps % self._observer_every == 0:
-                    observer(now, len(queue))
+                    observer(now - ORIGIN, len(queue))
 
     def peek(self) -> float:
         """Timestamp of the next scheduled event, or ``inf`` if none."""
-        return self._queue[0][0] if self._queue else float("inf")
+        return self._queue[0][0] - ORIGIN if self._queue else float("inf")

@@ -48,6 +48,7 @@ class Resource:
         self.capacity = capacity
         self._users: List[Request] = []
         self._waiting: Deque[Request] = deque()
+        env._resources.append(self)
 
     @property
     def count(self) -> int:

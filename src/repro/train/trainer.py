@@ -15,9 +15,12 @@ weight arrays are handed to the communicator (the BP/WU overlap MXNet
 pipelines); the iteration barrier falls when both compute and weight
 update complete, plus the host-side synchronization cost.
 
-Training is periodic, so the trainer simulates a warm-up then a few
-measured iterations at full event fidelity and extrapolates the epoch:
-``epoch = iterations * mean_iteration + once_per_run_overheads``.
+Training is periodic, so the trainer simulates a warm-up then measured
+iterations at full event fidelity and extrapolates the epoch:
+``epoch = iterations * mean_iteration + once_per_run_overheads``.  The
+simulated clock is translation-invariant, so when the boundaries around
+the first measured iteration are both quiescent that iteration provably
+repeats bit for bit, and the trainer stops after it (:meth:`Trainer._measure`).
 
 Fault injection (``faults=``, a :class:`~repro.faults.plan.FaultPlan`)
 generalizes this: the epoch timeline splits into *segments* -- maximal
@@ -479,17 +482,50 @@ class Trainer:
             )
         return checks.violation_records()
 
+    @staticmethod
+    def _steady_boundary(env, devices, input_ready) -> bool:
+        """Whether an iteration boundary is the canonical steady state.
+
+        That state is unique up to a translation of the clock: an empty
+        heap, idle resources and a clock inside the origin's binade
+        (:meth:`~repro.sim.engine.Environment.quiescent`), every input
+        prefetch done (with the heap empty, a triggered event has been
+        processed), and no device whose speed varies with time.  Two
+        consecutive steady boundaries therefore have equal signatures,
+        and determinism makes every later iteration bit-identical to the
+        one between them.
+        """
+        return (
+            env.quiescent()
+            and all(e is not None and e.triggered for e in input_ready)
+            and all(dev.slowdown is None for dev in devices)
+        )
+
     def _measure(
         self, env, profiler, fabric, router, devices, comm
     ) -> List[float]:
-        """Warm up, then measure steady-state iterations at full fidelity."""
+        """Warm up, then measure steady-state iterations at full fidelity.
+
+        When the boundaries before and after the first measured iteration
+        are both steady (:meth:`_steady_boundary`), that iteration repeats
+        exactly and is the whole answer: the run stops there.  Otherwise
+        the full ``measure_iterations`` window runs.  With invariants on,
+        a periodic run still simulates the full window, with the profiler
+        closed after the first measured iteration, and
+        ``temporal.periodic`` requires every measured iteration to equal
+        the first; the answer is the first iteration either way.
+        """
         with PERF.span("trainer.measure"):
+            checks = self.checks
+            verify = checks is not None and checks.enabled
+            first = self.sim.warmup_iterations
+            total = first + self.sim.measure_iterations
             input_ready: List[Optional[Event]] = [None] * len(devices)
             iteration_times: List[float] = []
-            total_iterations = (
-                self.sim.warmup_iterations + self.sim.measure_iterations)
-            for iteration in range(total_iterations):
-                if iteration == self.sim.warmup_iterations:
+            steady = periodic = False
+            iteration = 0
+            while iteration < total:
+                if iteration == first:
                     profiler.enabled = True
                     profiler.reset()
                 start = env.now
@@ -500,12 +536,23 @@ class Trainer:
                     )
                 )
                 env.run(until=done)
-                if iteration >= self.sim.warmup_iterations:
+                iteration += 1
+                if iteration > first:
                     iteration_times.append(env.now - start)
+                if iteration == first:
+                    steady = self._steady_boundary(env, devices, input_ready)
+                elif iteration == first + 1 and steady:
+                    periodic = self._steady_boundary(env, devices, input_ready)
+                    if periodic and not verify:
+                        break
+                    profiler.enabled = not periodic
+            if verify:
+                checks.check("trainer.periodic", periodic=periodic,
+                             times=tuple(iteration_times), now=env.now)
             if PERF.enabled:
                 PERF.count("sim.events", env.dispatched)
-                PERF.count("trainer.iterations", total_iterations)
-            return iteration_times
+                PERF.count("trainer.iterations", iteration)
+            return iteration_times[:1] if periodic else iteration_times
 
     def _run_healthy(self) -> TrainingResult:
         env, profiler, fabric, router, devices, comm = self._build_system()

@@ -176,6 +176,10 @@ CASES = {
          "faulted": True, "mean_iteration": 2e-3, "analytic_wu": 1e-3,
          "iterations": 4},
     ),
+    "temporal.periodic": (
+        {"periodic": True, "times": (0.25, 0.25, 0.25)},
+        {"periodic": True, "times": (0.25, 0.25, 0.25000000000000006)},
+    ),
     "temporal.spans-nested": (
         {"spans": _stage_spans(), "host_overhead": 0.2, "busy": {},
          "elapsed": 1.0},

@@ -169,14 +169,14 @@ def test_describe_carries_cluster_tags():
 
 
 # ----------------------------------------------------------------------
-# Schema-v7 serialization round-trip
+# Schema-v7 serialization round-trip (the cluster fields arrived in v7)
 # ----------------------------------------------------------------------
 def test_schema_v7_roundtrips_cluster_fields():
     from repro.analysis.serialization import (
         SCHEMA_VERSION, result_from_dict, result_to_dict,
     )
 
-    assert SCHEMA_VERSION == 7
+    assert SCHEMA_VERSION == 8
     result = Trainer(cluster_config(2, "analytic"), sim=FAST).run()
     clone = result_from_dict(result_to_dict(result))
     assert clone.config.cluster_fabric == "single-switch"

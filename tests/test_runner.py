@@ -389,13 +389,13 @@ def test_result_round_trip_preserves_extended_config_fields():
 def test_store_rejects_stale_schema_entries(tmp_path):
     """Entries written before the schema gained the ``violations`` field
     (schema 3), the ``strategy``/``async_stats`` fields (schema 4), the
-    cluster-tier config fields (schema 5) or the cluster-tier fault
-    fields (schema 6) must be refused loudly, not deserialized without
-    them."""
-    assert SCHEMA_VERSION == 7
+    cluster-tier config fields (schema 5), the cluster-tier fault
+    fields (schema 6) or the periodic-exit ``iteration_times`` (schema 7)
+    must be refused loudly, not deserialized without them."""
+    assert SCHEMA_VERSION == 8
     store = ResultStore(tmp_path)
     store.root.mkdir(parents=True, exist_ok=True)
-    for stale in (3, 4, 5, 6):
+    for stale in (3, 4, 5, 6, 7):
         key = f"v{stale}"
         store.path_for(key).write_text(json.dumps({
             "schema": stale, "kind": "training",

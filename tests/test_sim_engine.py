@@ -134,3 +134,57 @@ def test_determinism_across_runs():
         return log
 
     assert build_and_run() == build_and_run()
+
+
+# ----------------------------------------------------------------------
+# The translation-invariant clock
+# ----------------------------------------------------------------------
+def _chain(env, delays, out):
+    start = env.now
+    for delay in delays:
+        yield env.timeout(delay)
+        out.append(env.now - start)
+
+
+def test_durations_do_not_depend_on_the_start_time():
+    delays = (1.1e-5, 3.7e-6, 2.9e-4, 7.3e-7, 1.3e-3, 4.1e-5) * 50
+    first, later = [], []
+    env = Environment()
+    env.run(until=env.process(_chain(env, delays, first)))
+    env.timeout(0.123456789)  # move to an arbitrary later boundary
+    env.run()
+    env.run(until=env.process(_chain(env, delays, later)))
+    assert later == first
+
+
+def test_public_times_are_seconds_since_start():
+    env = Environment()
+    seen = []
+    env.set_observer(lambda now, depth: seen.append(now))
+    env.timeout(0.25)
+    env.timeout(0.75)
+    assert env.peek() == 0.25
+    env.run(until=0.5)
+    assert env.now == 0.5 and seen == [0.25]
+    assert env.peek() == 0.75
+    env.run()
+    assert env.now == 0.75 and seen == [0.25, 0.75]
+    with pytest.raises(SimulationError, match="deadline 0.5 is in the past"):
+        env.run(until=0.5)
+
+
+def test_quiescent_needs_an_empty_heap_idle_resources_and_the_binade():
+    from repro.sim import Resource
+
+    env = Environment()
+    resource = Resource(env)
+    assert env.quiescent()
+    req = resource.request_now()
+    assert not env.quiescent()
+    resource.release(req)
+    env.timeout(1.0)
+    assert not env.quiescent()
+    env.run()
+    assert env.quiescent()
+    # Past the clock origin's binade, translation invariance ends.
+    assert not Environment(initial_time=64.0).quiescent()

@@ -28,7 +28,8 @@ def test_result_basic_invariants():
     assert r.iteration_time > 0
     assert r.epoch_time > r.fixed_overhead
     assert r.iterations_per_epoch == 256 * 1024 // 16
-    assert len(r.iteration_times) == 2
+    # A provably periodic run measures one iteration, not the window.
+    assert r.iteration_times == (r.iteration_time,)
     assert r.images_per_second > 0
 
 
@@ -153,3 +154,95 @@ def test_sync_api_recorded():
     r = _train(gpus=4, method=CommMethodName.NCCL)
     assert r.apis.time_of("cudaStreamSynchronize") > 0
     assert r.apis.percent_of("cudaStreamSynchronize") > 50
+
+
+# ----------------------------------------------------------------------
+# Exact periodicity: one measured iteration when it provably repeats
+# ----------------------------------------------------------------------
+SYNC_STRATEGIES = {
+    "p2p-tree": CommMethodName.P2P,
+    "nccl-collective": CommMethodName.NCCL,
+    "nccl-allreduce-replicated": CommMethodName.NCCL_ALLREDUCE,
+    "ps-cpu": CommMethodName.LOCAL,
+    "ps-gpu": CommMethodName.P2P,
+}
+
+
+def _without_violations(result):
+    import dataclasses
+
+    return dataclasses.replace(result, violations=())
+
+
+def test_periodic_run_simulates_one_measured_iteration():
+    from repro.perf.spans import PERF
+
+    PERF.reset()
+    PERF.enable()
+    try:
+        r = _train(gpus=4, method=CommMethodName.NCCL)
+        simulated = PERF.counters["trainer.iterations"]
+    finally:
+        PERF.disable()
+        PERF.reset()
+    assert r.iteration_times == (r.iteration_time,)
+    assert simulated == FAST.warmup_iterations + 1
+
+
+def test_time_varying_straggler_keeps_the_full_window():
+    from repro.faults import SlowdownProfile
+
+    profile = SlowdownProfile(steps=((0.0, 1.0), (0.002, 2.0)))
+    r = _train(gpus=2, gpu_speed_factors={0: profile})
+    assert len(r.iteration_times) == FAST.measure_iterations
+
+
+def test_no_warmup_keeps_the_full_window():
+    # The first measured iteration starts cold (no prefetched input), so
+    # nothing proves it repeats.
+    r = train(TrainingConfig("lenet", 16, 2),
+              sim=SimulationConfig(warmup_iterations=0, measure_iterations=3))
+    assert len(r.iteration_times) == 3
+
+
+@pytest.mark.parametrize("strategy", sorted(SYNC_STRATEGIES))
+def test_strict_and_off_results_are_equal(strategy):
+    from repro.checks import CheckEngine
+
+    config = TrainingConfig("lenet", 16, 4, strategy=strategy,
+                            comm_method=SYNC_STRATEGIES[strategy])
+    off = train(config)
+    strict = train(config, checks=CheckEngine("strict"))
+    assert strict.violations == ()
+    assert off.iteration_times == (off.iteration_time,)
+    assert _without_violations(strict) == off
+
+
+def test_strict_and_off_results_are_equal_under_random_faults():
+    from repro.checks import CheckEngine
+    from repro.faults import FaultPlan
+
+    config = TrainingConfig("alexnet", 16, 8, comm_method=CommMethodName.NCCL)
+    plan = FaultPlan.random(seed=3, num_gpus=8)
+    off = train(config, faults=plan)
+    strict = train(config, faults=plan, checks=CheckEngine("strict"))
+    assert len(off.faults.segments) > 1
+    assert len(off.iteration_times) == len(off.faults.segments)
+    assert _without_violations(strict) == off
+
+
+def test_periodic_invariant_flags_unequal_iterations(monkeypatch):
+    # Claim periodicity where a time-varying straggler breaks it: the
+    # checked run must flag the unequal window, yet still answer with
+    # the first measured iteration.
+    from repro.checks import CheckEngine
+    from repro.faults import SlowdownProfile
+
+    monkeypatch.setattr(Trainer, "_steady_boundary",
+                        staticmethod(lambda env, devices, input_ready: True))
+    profile = SlowdownProfile(steps=((0.0, 1.0), (0.002, 2.0)))
+    r = _train(gpus=2, gpu_speed_factors={0: profile},
+               checks=CheckEngine("warn"))
+    flagged = [v for v in r.violations if v.invariant == "temporal.periodic"]
+    assert len(flagged) == 1
+    assert len(r.iteration_times) == 1
