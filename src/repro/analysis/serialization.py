@@ -35,6 +35,11 @@ Schema history
   ``iteration_times`` entry per measured system, and every simulated
   time moves by up to ~2.5e-11 relative under the translation-invariant
   clock (``docs/PERF.md``, "Exact periodicity").
+* 9 -- the warm-up is the steady iteration: a periodic run measures
+  iteration 0, so the ``apis`` totals lose the rounding that forming
+  ``cudaLaunchKernel``'s end off the clock's grid gave them at a later
+  window start (``docs/PERF.md``, "The warm-up is the steady
+  iteration"); every other field is bit-equal.
 """
 
 from __future__ import annotations
@@ -52,7 +57,7 @@ from repro.train.results import AsyncStats, TrainingResult
 
 #: Schema version stamped into every exported dict (and hashed into every
 #: persistent-cache key).
-SCHEMA_VERSION = 8
+SCHEMA_VERSION = 9
 
 
 class SchemaMismatchError(ValueError):

@@ -434,19 +434,19 @@ def check_fallback_agreement(p: Payload):
 # trainer.periodic — fired after each measured segment, over its window
 # ----------------------------------------------------------------------
 @invariant("trainer.periodic", name="periodic", category="temporal",
-           description="a window predicted periodic repeats its first iteration bit for bit")
+           description="a window predicted periodic repeats iteration 0 bit for bit")
 def check_periodic(p: Payload):
-    """When both boundaries around the first measured iteration were
-    steady, every later measured iteration must equal it exactly -- the
-    guarantee that lets an unchecked run stop after that iteration."""
+    """When boundaries 0 and 1 were both steady, every simulated
+    iteration -- the warm-up included -- must equal iteration 0 exactly:
+    the guarantee that lets an unchecked run stop after iteration 0."""
     if not p["periodic"]:
         return None
     times = p["times"]
     for index, t in enumerate(times[1:], start=1):
         if t != times[0]:
-            return (f"measured iteration {index} took {t!r} s but the first "
-                    f"took {times[0]!r} s, although both boundaries around "
-                    "the first were steady")
+            return (f"iteration {index} took {t!r} s but iteration 0 took "
+                    f"{times[0]!r} s, although both boundaries around "
+                    "iteration 0 were steady")
 
 
 # ----------------------------------------------------------------------

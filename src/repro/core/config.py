@@ -77,17 +77,18 @@ CLUSTER_FAST_PATHS = ("auto", "event", "analytic")
 class SimulationConfig:
     """Controls the event-level simulation of a training run.
 
-    Training is periodic per iteration, so we simulate ``warmup_iterations``
-    to reach steady state, then measure at full event fidelity and
-    extrapolate the mean steady-state iteration time to the epoch's
-    iteration count (plus once-per-run fixed costs).  The simulated clock
-    is translation-invariant, so when the boundaries before and after the
-    first measured iteration are both quiescent, that iteration provably
-    repeats bit for bit and is the whole measurement (one
-    ``iteration_times`` entry).  ``measure_iterations`` is the window for
-    runs that are not provably periodic (a time-varying straggler, no
-    warm-up), and the window invariant checking simulates to verify the
-    periodic ones (``temporal.periodic``).
+    Training is periodic per iteration, so we measure steady-state
+    iterations at full event fidelity and extrapolate the mean iteration
+    time to the epoch's iteration count (plus once-per-run fixed costs).
+    The simulated clock is translation-invariant and a fresh environment
+    is already a steady boundary, so when the boundary after iteration 0
+    is quiescent too, iteration 0 provably repeats bit for bit and is the
+    whole measurement (one ``iteration_times`` entry).  Runs that are not
+    provably periodic (a time-varying straggler) discard
+    ``warmup_iterations`` and measure the next ``measure_iterations``;
+    invariant checking simulates ``warmup_iterations +
+    measure_iterations`` to verify the periodic ones
+    (``temporal.periodic``).
     """
 
     warmup_iterations: int = 1

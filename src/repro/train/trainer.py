@@ -15,12 +15,13 @@ weight arrays are handed to the communicator (the BP/WU overlap MXNet
 pipelines); the iteration barrier falls when both compute and weight
 update complete, plus the host-side synchronization cost.
 
-Training is periodic, so the trainer simulates a warm-up then measured
-iterations at full event fidelity and extrapolates the epoch:
+Training is periodic, so the trainer measures steady-state iterations at
+full event fidelity and extrapolates the epoch:
 ``epoch = iterations * mean_iteration + once_per_run_overheads``.  The
-simulated clock is translation-invariant, so when the boundaries around
-the first measured iteration are both quiescent that iteration provably
-repeats bit for bit, and the trainer stops after it (:meth:`Trainer._measure`).
+simulated clock is translation-invariant and a fresh environment is
+already a steady boundary, so when the boundary after iteration 0 is
+quiescent too, iteration 0 provably repeats bit for bit and the trainer
+stops after it (:meth:`Trainer._measure`).
 
 Fault injection (``faults=``, a :class:`~repro.faults.plan.FaultPlan`)
 generalizes this: the epoch timeline splits into *segments* -- maximal
@@ -488,32 +489,34 @@ class Trainer:
 
         That state is unique up to a translation of the clock: an empty
         heap, idle resources and a clock inside the origin's binade
-        (:meth:`~repro.sim.engine.Environment.quiescent`), every input
-        prefetch done (with the heap empty, a triggered event has been
-        processed), and no device whose speed varies with time.  Two
-        consecutive steady boundaries therefore have equal signatures,
-        and determinism makes every later iteration bit-identical to the
-        one between them.
+        (:meth:`~repro.sim.engine.Environment.quiescent`), no input
+        prefetch in flight (with the heap empty, a triggered event has
+        been processed; :meth:`_gpu_compute` takes the same branch for a
+        missing prefetch as for a fired one), and no device whose speed
+        varies with time.  A fresh environment without such a device is
+        a steady boundary, and determinism makes every iteration that
+        starts from one bit-identical to every other.
         """
         return (
             env.quiescent()
-            and all(e is not None and e.triggered for e in input_ready)
+            and all(e is None or e.triggered for e in input_ready)
             and all(dev.slowdown is None for dev in devices)
         )
 
     def _measure(
         self, env, profiler, fabric, router, devices, comm
     ) -> List[float]:
-        """Warm up, then measure steady-state iterations at full fidelity.
+        """Measure steady-state iterations at full fidelity.
 
-        When the boundaries before and after the first measured iteration
-        are both steady (:meth:`_steady_boundary`), that iteration repeats
+        The fresh environment is boundary 0.  When it and boundary 1 are
+        both steady (:meth:`_steady_boundary`), iteration 0 repeats
         exactly and is the whole answer: the run stops there.  Otherwise
-        the full ``measure_iterations`` window runs.  With invariants on,
-        a periodic run still simulates the full window, with the profiler
-        closed after the first measured iteration, and
-        ``temporal.periodic`` requires every measured iteration to equal
-        the first; the answer is the first iteration either way.
+        the first ``warmup_iterations`` are discarded and the following
+        ``measure_iterations`` kept.  With invariants on, a periodic run
+        still simulates ``warmup + measure`` iterations, with the profiler
+        closed after iteration 0, and ``temporal.periodic`` requires every
+        one of them to equal iteration 0; the answer is iteration 0
+        either way.
         """
         with PERF.span("trainer.measure"):
             checks = self.checks
@@ -522,10 +525,12 @@ class Trainer:
             total = first + self.sim.measure_iterations
             input_ready: List[Optional[Event]] = [None] * len(devices)
             iteration_times: List[float] = []
-            steady = periodic = False
-            iteration = 0
-            while iteration < total:
-                if iteration == first:
+            # Boundary 0, the fresh environment, is steady unless a device's
+            # speed varies with time; iteration 0 then decides periodicity.
+            periodic = self._steady_boundary(env, devices, input_ready)
+            profiler.enabled = periodic
+            for iteration in range(total):
+                if iteration == first and not periodic:
                     profiler.enabled = True
                     profiler.reset()
                 start = env.now
@@ -536,23 +541,21 @@ class Trainer:
                     )
                 )
                 env.run(until=done)
-                iteration += 1
-                if iteration > first:
-                    iteration_times.append(env.now - start)
-                if iteration == first:
-                    steady = self._steady_boundary(env, devices, input_ready)
-                elif iteration == first + 1 and steady:
+                iteration_times.append(env.now - start)
+                if iteration == 0 and periodic:
                     periodic = self._steady_boundary(env, devices, input_ready)
                     if periodic and not verify:
                         break
-                    profiler.enabled = not periodic
+                    # Periodic: the window was iteration 0.  Otherwise it
+                    # opens (again) at iteration ``first``.
+                    profiler.enabled = first == 0 and not periodic
             if verify:
                 checks.check("trainer.periodic", periodic=periodic,
                              times=tuple(iteration_times), now=env.now)
             if PERF.enabled:
                 PERF.count("sim.events", env.dispatched)
-                PERF.count("trainer.iterations", iteration)
-            return iteration_times[:1] if periodic else iteration_times
+                PERF.count("trainer.iterations", len(iteration_times))
+            return iteration_times[:1] if periodic else iteration_times[first:]
 
     def _run_healthy(self) -> TrainingResult:
         env, profiler, fabric, router, devices, comm = self._build_system()

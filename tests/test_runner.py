@@ -390,12 +390,13 @@ def test_store_rejects_stale_schema_entries(tmp_path):
     """Entries written before the schema gained the ``violations`` field
     (schema 3), the ``strategy``/``async_stats`` fields (schema 4), the
     cluster-tier config fields (schema 5), the cluster-tier fault
-    fields (schema 6) or the periodic-exit ``iteration_times`` (schema 7)
-    must be refused loudly, not deserialized without them."""
-    assert SCHEMA_VERSION == 8
+    fields (schema 6), the periodic-exit ``iteration_times`` (schema 7)
+    or the later-window ``apis`` rounding (schema 8) must be refused
+    loudly, not deserialized without them."""
+    assert SCHEMA_VERSION == 9
     store = ResultStore(tmp_path)
     store.root.mkdir(parents=True, exist_ok=True)
-    for stale in (3, 4, 5, 6, 7):
+    for stale in (3, 4, 5, 6, 7, 8):
         key = f"v{stale}"
         store.path_for(key).write_text(json.dumps({
             "schema": stale, "kind": "training",

@@ -223,5 +223,5 @@ def test_strategy_matrix_stays_under_its_event_and_dma_ceilings():
         PERF.disable()
         PERF.reset()
     assert len(result.rows) == 14
-    assert counters["sim.events"] <= 27750
-    assert counters["fabric.dmas"] <= 1924
+    assert counters["sim.events"] <= 13875
+    assert counters["fabric.dmas"] <= 992

@@ -175,6 +175,8 @@ def _without_violations(result):
 
 
 def test_periodic_run_simulates_one_measured_iteration():
+    # The fresh environment is already a steady boundary, so the run
+    # answers with iteration 0 and simulates nothing else.
     from repro.perf.spans import PERF
 
     PERF.reset()
@@ -186,7 +188,7 @@ def test_periodic_run_simulates_one_measured_iteration():
         PERF.disable()
         PERF.reset()
     assert r.iteration_times == (r.iteration_time,)
-    assert simulated == FAST.warmup_iterations + 1
+    assert simulated == 1
 
 
 def test_time_varying_straggler_keeps_the_full_window():
@@ -197,12 +199,66 @@ def test_time_varying_straggler_keeps_the_full_window():
     assert len(r.iteration_times) == FAST.measure_iterations
 
 
-def test_no_warmup_keeps_the_full_window():
-    # The first measured iteration starts cold (no prefetched input), so
-    # nothing proves it repeats.
-    r = train(TrainingConfig("lenet", 16, 2),
-              sim=SimulationConfig(warmup_iterations=0, measure_iterations=3))
-    assert len(r.iteration_times) == 3
+def test_time_varying_straggler_discards_its_warmup():
+    # The fallback window keeps iteration 0 out of the answer and out of
+    # every profiler summary: compare with the same run measured from 0.
+    from repro.faults import SlowdownProfile
+
+    profile = SlowdownProfile(steps=((0.0, 1.0), (0.002, 2.0)))
+    config = TrainingConfig("lenet", 16, 2)
+    r = train(config, sim=FAST, gpu_speed_factors={0: profile},
+              keep_profiler=True)
+    cold = train(config, sim=SimulationConfig(warmup_iterations=0,
+                                              measure_iterations=3),
+                 gpu_speed_factors={0: profile})
+    assert r.iteration_times == cold.iteration_times[1:]
+    assert r.iteration_times[0] != cold.iteration_times[0]
+    warmup_end = cold.iteration_times[0]
+    windows = [s for s in r.profiler.spans if s.name == "iteration"]
+    assert [s.iteration for s in windows] == [1, 2]
+    assert {s.iteration for s in r.profiler.spans} == {1, 2}
+    assert r.stages.iteration == pytest.approx(
+        sum(r.iteration_times) / len(r.iteration_times))
+    assert len(r.profiler.apis) == 2 * 2 * FAST.measure_iterations
+    assert min(a.start for a in r.profiler.apis) >= warmup_end
+    assert r.apis.time_of("cudaStreamSynchronize") > 0
+
+
+def test_no_warmup_answers_with_iteration_zero():
+    # warmup_iterations only sizes the fallback window: a periodic run
+    # answers with iteration 0 whatever it is, bit for bit.
+    config = TrainingConfig("lenet", 16, 2)
+    none = train(config, sim=SimulationConfig(warmup_iterations=0,
+                                              measure_iterations=3))
+    default = train(config)
+    assert len(none.iteration_times) == 1
+    assert none == default
+
+
+def test_checked_periodic_run_compares_the_whole_window(monkeypatch):
+    # Under warn the periodic run still simulates warmup + measure
+    # iterations, the former warm-up included, and all of them are
+    # bit-equal to iteration 0.
+    from repro.checks import CheckEngine
+
+    payloads = []
+    check = CheckEngine.check
+
+    def spy(self, point, **payload):
+        if point == "trainer.periodic":
+            payloads.append(payload)
+        return check(self, point, **payload)
+
+    monkeypatch.setattr(CheckEngine, "check", spy)
+    r = _train(gpus=4, method=CommMethodName.NCCL,
+               checks=CheckEngine("warn"))
+    assert r.violations == ()
+    [payload] = payloads
+    times = payload["times"]
+    assert payload["periodic"] is True
+    assert len(times) == FAST.warmup_iterations + FAST.measure_iterations
+    assert set(times) == {r.iteration_time}
+    assert r.iteration_times == times[:1]
 
 
 @pytest.mark.parametrize("strategy", sorted(SYNC_STRATEGIES))
@@ -232,9 +288,9 @@ def test_strict_and_off_results_are_equal_under_random_faults():
 
 
 def test_periodic_invariant_flags_unequal_iterations(monkeypatch):
-    # Claim periodicity where a time-varying straggler breaks it: the
-    # checked run must flag the unequal window, yet still answer with
-    # the first measured iteration.
+    # Claim steady boundaries where a time-varying straggler breaks
+    # periodicity: the checked run must flag the unequal window, the
+    # former warm-up included, yet still answer with iteration 0.
     from repro.checks import CheckEngine
     from repro.faults import SlowdownProfile
 
