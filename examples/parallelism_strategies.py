@@ -9,9 +9,11 @@ example measures all three on the simulated DGX-1.
 Run:  python examples/parallelism_strategies.py
 """
 
+import dataclasses
+
 from repro import CommMethodName, TrainingConfig
 from repro.experiments.tables import render_table
-from repro.train import AsyncTrainer, ModelParallelEstimator, train
+from repro.train import ModelParallelEstimator, train
 
 NETWORKS = ("alexnet", "resnet")
 GPUS = 4
@@ -24,7 +26,7 @@ def main() -> None:
         config = TrainingConfig(network, BATCH, GPUS, comm_method=CommMethodName.P2P)
 
         sync = train(config)
-        asyn = AsyncTrainer(config).run()
+        asyn = train(dataclasses.replace(config, strategy="async-update"))
         mp = ModelParallelEstimator(config).run()
         mp_piped = ModelParallelEstimator(config, pipeline_microbatches=4).run()
 
@@ -34,7 +36,7 @@ def main() -> None:
                  f"{sync.images_per_second:.0f}", "-"),
                 (network, "data-parallel async", f"{asyn.epoch_time:.1f}",
                  f"{asyn.images_per_second:.0f}",
-                 f"staleness {asyn.staleness_mean:.1f}"),
+                 f"staleness {asyn.async_stats.staleness_mean:.1f}"),
                 (network, "model-parallel", f"{mp.epoch_time:.1f}",
                  f"{mp.images_per_second:.0f}",
                  f"boundary {mp.communication_bytes_per_iteration / 1e6:.0f} MB/iter"),

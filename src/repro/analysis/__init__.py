@@ -29,8 +29,6 @@ from repro.analysis.scaling import (
 from repro.analysis.serialization import (
     SCHEMA_VERSION,
     SchemaMismatchError,
-    async_result_from_dict,
-    async_result_to_dict,
     result_from_dict,
     result_to_dict,
 )
@@ -48,8 +46,6 @@ __all__ = [
     "ValidationReport",
     "ScalingCurve",
     "amdahl_serial_fraction",
-    "async_result_from_dict",
-    "async_result_to_dict",
     "crossover_table",
     "karp_flatt",
     "protocol_speedups",

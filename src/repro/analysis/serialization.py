@@ -2,9 +2,8 @@
 
 Sweeps are cheap to re-run but expensive to re-plot; these helpers round-
 trip :class:`~repro.train.results.TrainingResult` (minus the raw profiler,
-which has its own Chrome-trace exporter) and
-:class:`~repro.train.async_trainer.AsyncResult` through plain dicts
-suitable for ``json.dump``.  The persistent sweep cache
+which has its own Chrome-trace exporter) through plain dicts suitable
+for ``json.dump``.  The persistent sweep cache
 (:mod:`repro.runner.store`) stores exactly these dicts, so
 ``SCHEMA_VERSION`` doubles as the cache format version: bump it whenever
 a field is added, removed or reinterpreted, and loads of mismatched data
@@ -14,7 +13,8 @@ Schema history
 --------------
 * 1 -- initial format (config missing ``cluster_nodes``,
   ``fp16_gradients``, ``optimizer``).
-* 2 -- full :class:`TrainingConfig` coverage and ``AsyncResult`` support.
+* 2 -- full :class:`TrainingConfig` coverage and a separate
+  asynchronous-run result export.
 * 3 -- optional ``faults`` block (the
   :class:`~repro.faults.recovery.FaultSummary` of a fault-injected run).
 * 4 -- ``violations`` list (invariant-violation records from
@@ -40,6 +40,11 @@ Schema history
   ``cudaLaunchKernel``'s end off the clock's grid gave them at a later
   window start (``docs/PERF.md``, "The warm-up is the steady
   iteration"); every other field is bit-equal.
+* 10 -- one way to simulate asynchronous SGD: the separate
+  asynchronous-run export and the store's ``"async"`` entry kind are
+  gone, and sweep fingerprints no longer hash a point mode; an
+  ``async-update`` run is a :class:`TrainingResult` with
+  ``async_stats`` like any other strategy's.
 """
 
 from __future__ import annotations
@@ -52,12 +57,11 @@ from repro.faults.recovery import FaultSummary, SegmentReport
 from repro.gpu.memory import MemoryUsage
 from repro.profile.smi import MemoryReading
 from repro.profile.summary import ApiSummary, StageBreakdown
-from repro.train.async_trainer import AsyncResult
 from repro.train.results import AsyncStats, TrainingResult
 
 #: Schema version stamped into every exported dict (and hashed into every
 #: persistent-cache key).
-SCHEMA_VERSION = 9
+SCHEMA_VERSION = 10
 
 
 class SchemaMismatchError(ValueError):
@@ -313,34 +317,4 @@ def result_from_dict(data: Dict[str, Any]) -> TrainingResult:
         faults=_faults_from_dict(data.get("faults")),
         violations=_violations_from_list(data.get("violations", [])),
         async_stats=_async_stats_from_dict(data.get("async_stats")),
-    )
-
-
-def async_result_to_dict(result: AsyncResult) -> Dict[str, Any]:
-    """A JSON-serializable representation of an asynchronous run."""
-    return {
-        "schema": SCHEMA_VERSION,
-        "config": _config_to_dict(result.config),
-        "iteration_time": result.iteration_time,
-        "epoch_time": result.epoch_time,
-        "images_per_second": result.images_per_second,
-        "staleness_mean": result.staleness_mean,
-        "staleness_max": result.staleness_max,
-        "staleness_samples": list(result.staleness_samples),
-        "server_updates": result.server_updates,
-    }
-
-
-def async_result_from_dict(data: Dict[str, Any]) -> AsyncResult:
-    """Rebuild an :class:`AsyncResult` exported by :func:`async_result_to_dict`."""
-    _check_schema(data)
-    return AsyncResult(
-        config=_config_from_dict(data["config"]),
-        iteration_time=data["iteration_time"],
-        epoch_time=data["epoch_time"],
-        images_per_second=data["images_per_second"],
-        staleness_mean=data["staleness_mean"],
-        staleness_max=data["staleness_max"],
-        staleness_samples=tuple(data["staleness_samples"]),
-        server_updates=data["server_updates"],
     )

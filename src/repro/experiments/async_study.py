@@ -6,16 +6,38 @@ quantifies the trade-off on the same simulated DGX-1: raw epoch time
 (ASGD wins -- no barriers, no stragglers), gradient staleness (grows with
 GPU count), and the staleness-penalized effective time (where synchronous
 SGD wins back for compute-heavy networks).
+
+The asynchronous runs are the ``async-update`` strategy; their
+staleness accounting is :attr:`TrainingResult.async_stats`.
+Convergence itself is out of scope for a performance study, so the
+effective time uses the standard linear-staleness penalty model (each
+unit of mean staleness inflates the epochs-to-converge proportionally).
+The penalty coefficient is a documented model input, not a measured
+quantity.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.core.config import CommMethodName, SimulationConfig, TrainingConfig
 from repro.experiments.tables import render_table
 from repro.runner import SweepPoint, SweepRunner, SweepSpec
+from repro.train.results import TrainingResult
+
+#: Default linear staleness penalty: epochs-to-converge multiplier is
+#: ``1 + coefficient * mean_staleness`` (illustrative model input).
+STALENESS_PENALTY_COEFFICIENT = 0.12
+
+
+def effective_epoch_time(
+    result: TrainingResult, penalty: float = STALENESS_PENALTY_COEFFICIENT,
+) -> float:
+    """An async run's epoch time scaled by the linear staleness penalty."""
+    return result.epoch_time * (
+        1.0 + penalty * result.async_stats.staleness_mean)
 
 
 @dataclass(frozen=True)
@@ -57,14 +79,16 @@ def sweep_spec(
     batch_size: int = 16,
     gpu_counts: Tuple[int, ...] = (2, 4, 8),
 ) -> SweepSpec:
-    """Paired points: every configuration once synchronous, once async."""
+    """Paired points: every configuration once synchronous, once with
+    the ``async-update`` strategy."""
     points: List[SweepPoint] = []
     for network in networks:
         for gpus in gpu_counts:
             config = TrainingConfig(network, batch_size, gpus,
                                     comm_method=CommMethodName.P2P)
-            points.append(SweepPoint(config=config, mode="sync"))
-            points.append(SweepPoint(config=config, mode="async"))
+            points.append(SweepPoint(config=config))
+            points.append(SweepPoint(config=dataclasses.replace(
+                config, strategy="async-update")))
     return SweepSpec.explicit("async-study", points)
 
 
@@ -81,17 +105,19 @@ def run(
     rows: List[AsyncStudyRow] = []
     for network in networks:
         for gpus in gpu_counts:
-            sync = results.result(network=network, num_gpus=gpus, mode="sync")
-            asyn = results.result(network=network, num_gpus=gpus, mode="async")
+            sync = results.result(network=network, num_gpus=gpus,
+                                  strategy="auto")
+            asyn = results.result(network=network, num_gpus=gpus,
+                                  strategy="async-update")
             rows.append(
                 AsyncStudyRow(
                     network=network,
                     num_gpus=gpus,
                     sync_epoch=sync.epoch_time,
                     async_epoch=asyn.epoch_time,
-                    staleness_mean=asyn.staleness_mean,
-                    staleness_max=asyn.staleness_max,
-                    async_effective_epoch=asyn.effective_epoch_time(),
+                    staleness_mean=asyn.async_stats.staleness_mean,
+                    staleness_max=asyn.async_stats.staleness_max,
+                    async_effective_epoch=effective_epoch_time(asyn),
                 )
             )
     return AsyncStudyResult(rows=tuple(rows))

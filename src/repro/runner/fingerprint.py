@@ -85,7 +85,6 @@ def point_fingerprint(
     try:
         payload = {
             "schema": SCHEMA_VERSION,
-            "mode": point.mode,
             "config": canonical(point.config),
             "sim": canonical(sim),
             "constants": canonical(constants),

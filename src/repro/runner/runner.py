@@ -74,7 +74,7 @@ from repro.runner.store import CacheEntry, ResultStore, fault_breakdown
 
 #: What one executed/cached point yields: a result object, an OOM record,
 #: or a (never-cached) failure record.
-PointValue = Union["TrainingResult", "AsyncResult", OomInfo, FailureInfo]  # noqa: F821
+PointValue = Union["TrainingResult", OomInfo, FailureInfo]  # noqa: F821
 
 #: Poll interval of the timeout-enforcing pool wait loop (wall seconds).
 _TIMEOUT_POLL = 0.05
@@ -123,7 +123,6 @@ def _execute_point(
     fails, so a strict-mode violation still reports which checks ran.
     """
     from repro.checks.engine import CheckEngine
-    from repro.train.async_trainer import AsyncTrainer
     from repro.train.trainer import Trainer
 
     engine = CheckEngine(invariants)
@@ -133,14 +132,9 @@ def _execute_point(
         kwargs["checks"] = engine
     start = time.perf_counter()
     try:
-        if point.mode == "async":
-            value: PointValue = AsyncTrainer(
-                point.config, sim=sim, constants=constants, **kwargs
-            ).run()
-        else:
-            value = Trainer(
-                point.config, sim=sim, constants=constants, **kwargs
-            ).run()
+        value: PointValue = Trainer(
+            point.config, sim=sim, constants=constants, **kwargs
+        ).run()
     except OutOfMemoryError as exc:
         value = OomInfo(
             device=exc.device, requested=exc.requested, free=exc.free,
@@ -160,13 +154,14 @@ def steady_twin_point(
 ) -> Optional[SweepPoint]:
     """The point ``point`` can be derived from, or ``None``.
 
-    Only synchronous points executed with invariant checks off qualify;
-    the rest of the rule is :func:`~repro.train.steady.steady_twin` over
-    the trainer keyword arguments the point would run with.
+    Only points executed with invariant checks off qualify; the rest of
+    the rule, which also requires a synchronous strategy, is
+    :func:`~repro.train.steady.steady_twin` over the trainer keyword
+    arguments the point would run with.
     """
     from repro.train.steady import steady_twin
 
-    if point.mode != "sync" or invariants != "off":
+    if invariants != "off":
         return None
     kwargs = dict(trainer_kwargs)
     kwargs.update(point.overrides)
@@ -194,7 +189,7 @@ class PointOutcome:
     """One sweep point's result plus how it was obtained."""
 
     point: SweepPoint
-    result: Optional[Any]        # TrainingResult | AsyncResult | None on OOM
+    result: Optional[Any]        # TrainingResult | None on OOM
     source: str                  # "executed" | "memory" | "disk" | "derived"
     oom: Optional[OomInfo] = None
     elapsed: float = 0.0
@@ -222,10 +217,8 @@ class SweepResults:
     def _matches(outcome: PointOutcome, criteria: Mapping[str, Any]) -> bool:
         tags = outcome.point.tag_dict()
         for key, wanted in criteria.items():
-            if key == "mode":
-                have: Any = outcome.point.mode
-            elif key in tags:
-                have = tags[key]
+            if key in tags:
+                have: Any = tags[key]
             elif hasattr(outcome.point.config, key):
                 have = getattr(outcome.point.config, key)
             else:
@@ -237,8 +230,8 @@ class SweepResults:
     def outcomes_for(self, **criteria: Any) -> List[PointOutcome]:
         """Every outcome matching the criteria, in spec order.
 
-        Criteria match, in precedence order, the point's ``mode``, its
-        tags, then :class:`TrainingConfig` fields; enum-valued fields
+        Criteria match, in precedence order, the point's tags, then
+        :class:`TrainingConfig` fields; enum-valued fields
         compare equal to their string values (``comm_method="nccl"``).
         """
         return [o for o in self.outcomes if self._matches(o, criteria)]

@@ -21,10 +21,6 @@ from repro.core.config import (
     TrainingConfig,
 )
 
-#: ``mode`` values a point may carry.
-POINT_MODES = ("sync", "async")
-
-
 class OomPolicy(str, enum.Enum):
     """What a sweep does when a point raises :class:`OutOfMemoryError`.
 
@@ -98,31 +94,24 @@ class SweepPoint:
     topology builder, custom network, ...) stored as a sorted tuple of
     ``(name, value)`` pairs so the point stays hashable; ``tags`` are
     free-form labels the experiment attaches for later lookup -- they do
-    not influence execution; ``mode`` selects the synchronous trainer or
-    the asynchronous parameter-server trainer.
+    not influence execution.  The execution model (synchronous, async
+    parameter server, model parallel) is ``config.strategy``.
     """
 
     config: TrainingConfig
-    mode: str = "sync"
     overrides: Tuple[Tuple[str, Any], ...] = ()
     tags: Tuple[Tuple[str, Any], ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.mode not in POINT_MODES:
-            raise ValueError(f"mode must be one of {POINT_MODES}, got {self.mode!r}")
 
     @classmethod
     def make(
         cls,
         config: TrainingConfig,
-        mode: str = "sync",
         overrides: Optional[Mapping[str, Any]] = None,
         tags: Optional[Mapping[str, Any]] = None,
     ) -> "SweepPoint":
         """Build a point from plain dicts (the ergonomic constructor)."""
         return cls(
             config=config,
-            mode=mode,
             overrides=_freeze(overrides),
             tags=_freeze(tags),
         )
@@ -134,10 +123,9 @@ class SweepPoint:
         return dict(self.tags)
 
     def describe(self) -> str:
-        """Short human-readable label, e.g. ``lenet/b16/g4/nccl[async]``."""
-        suffix = f"[{self.mode}]" if self.mode != "sync" else ""
+        """Short human-readable label, e.g. ``lenet/b16/g4/nccl+faults``."""
         extra = "+" + ",".join(k for k, _ in self.overrides) if self.overrides else ""
-        return f"{self.config.describe()}{suffix}{extra}"
+        return f"{self.config.describe()}{extra}"
 
 
 @dataclass(frozen=True)
@@ -195,7 +183,6 @@ class SweepSpec:
         gpu_counts: Sequence[int],
         comm_methods: Sequence[CommMethodName] = (CommMethodName.NCCL,),
         scalings: Sequence[ScalingMode] = (ScalingMode.STRONG,),
-        mode: str = "sync",
         oom_policy: OomPolicy = OomPolicy.RAISE,
         config_extra: Optional[Mapping[str, Any]] = None,
         overrides: Optional[Mapping[str, Any]] = None,
@@ -224,7 +211,6 @@ class SweepSpec:
                     scaling=scaling,
                     **extra,
                 ),
-                mode=mode,
                 overrides=frozen_overrides,
                 tags=frozen_tags,
             )

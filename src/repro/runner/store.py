@@ -13,9 +13,9 @@ Layout::
     <root>/
         <sha256-fingerprint>.json    # {"schema": N, "kind": ..., "result": {...}}
 
-``kind`` is ``"training"`` (synchronous :class:`TrainingResult`),
-``"async"`` (:class:`AsyncResult`) or ``"oom"`` (a recorded
-out-of-memory failure, so untrainable points are not re-attempted).
+``kind`` is ``"training"`` (a :class:`TrainingResult`, whatever its
+strategy) or ``"oom"`` (a recorded out-of-memory failure, so untrainable
+points are not re-attempted).
 
 Entries may additionally carry a ``"perf"`` object -- the wall-clock the
 point originally cost to simulate and its invariant-check statistics
@@ -71,7 +71,7 @@ class CacheCorruptionWarning(UserWarning):
     """
 
 
-StoredValue = Union["TrainingResult", "AsyncResult", OomInfo]  # noqa: F821
+StoredValue = Union["TrainingResult", OomInfo]  # noqa: F821
 
 
 @dataclass(frozen=True)
@@ -97,7 +97,7 @@ def fault_breakdown(value: Any) -> Optional[Dict[str, Any]]:
 
     Only fault-injected :class:`TrainingResult`\\ s (a non-``None``
     ``faults`` summary) produce a breakdown; everything else -- healthy
-    results, async results, OOM records -- maps to ``None`` so the field
+    results, OOM records -- maps to ``None`` so the field
     stays absent from their entries.
     """
     summary = getattr(value, "faults", None)
@@ -260,7 +260,6 @@ class ResultStore:
         from repro.analysis.serialization import (
             SCHEMA_VERSION,
             SchemaMismatchError,
-            async_result_from_dict,
             result_from_dict,
         )
 
@@ -289,8 +288,6 @@ class ResultStore:
         try:
             if kind == "training":
                 value = result_from_dict(data["result"])
-            elif kind == "async":
-                value = async_result_from_dict(data["result"])
             elif kind == "oom":
                 o = data["result"]
                 value = OomInfo(
@@ -340,10 +337,8 @@ class ResultStore:
         """The JSON-ready entry document for ``value`` (no I/O)."""
         from repro.analysis.serialization import (
             SCHEMA_VERSION,
-            async_result_to_dict,
             result_to_dict,
         )
-        from repro.train.async_trainer import AsyncResult
 
         if isinstance(value, OomInfo):
             kind, payload = "oom", {
@@ -352,8 +347,6 @@ class ResultStore:
                 "free": value.free,
                 "message": value.message,
             }
-        elif isinstance(value, AsyncResult):
-            kind, payload = "async", async_result_to_dict(value)
         else:
             kind, payload = "training", result_to_dict(value)
 

@@ -15,9 +15,10 @@ the answer is a sound optimistic estimate of the simulated number --
 clearly marked ``degraded: true`` with its floor breakdown so clients
 can tell an analytic answer from a measured one.
 
-Only synchronous points degrade: the DAG model has no notion of
-parameter-server staleness, so async points past their budget are
-refused instead of answered wrongly.
+Only points of a synchronous strategy degrade: the DAG model has no
+notion of parameter-server staleness or of a layer-partitioned
+pipeline, so ``async-update`` and ``model-parallel`` points past their
+budget are refused instead of answered wrongly.
 """
 
 from __future__ import annotations
@@ -32,7 +33,14 @@ from repro.runner.spec import SweepPoint
 
 
 class AnalyticUnsupported(ValueError):
-    """The point cannot be answered analytically (e.g. async mode)."""
+    """The point cannot be answered analytically (e.g. async SGD)."""
+
+
+def degradable(point: SweepPoint) -> bool:
+    """Whether the synchronous DAG model covers ``point``'s strategy."""
+    from repro.train.strategies import strategy_for
+
+    return strategy_for(point.config).execution == "sync"
 
 
 @functools.lru_cache(maxsize=256)
@@ -59,12 +67,13 @@ def analytic_estimate(
 ) -> Dict[str, Any]:
     """The degraded (analytic) per-point response payload for ``point``.
 
-    Raises :class:`AnalyticUnsupported` for async points.
+    Raises :class:`AnalyticUnsupported` for points of a non-synchronous
+    strategy and for points with trainer overrides.
     """
-    if point.mode != "sync":
+    if not degradable(point):
         raise AnalyticUnsupported(
             "the analytic DAG model covers synchronous SGD only; "
-            "async points cannot degrade"
+            f"{point.config.strategy} points cannot degrade"
         )
     if point.overrides:
         raise AnalyticUnsupported(

@@ -17,12 +17,12 @@ with an ``op`` field:
     exceeded, remaining points degrade), ``degrade`` (default true;
     set false to forbid analytic answers and get hard errors instead).
 
-Each point is a flat JSON object of :class:`TrainingConfig` fields plus
-``mode`` (``"sync"``/``"async"``); validation is eager, so a malformed
-point is refused before anything simulates.  Responses carry ``status``
-(``"ok"`` / ``"busy"`` / ``"rejected"`` / ``"error"``); ``busy`` and
-``rejected`` add a machine-readable ``reason`` (``"quota"``,
-``"budget"``, ``"backpressure"``, ``"draining"``).  See
+Each point is a flat JSON object of :class:`TrainingConfig` fields (the
+execution model is the ``strategy`` field); validation is eager, so a
+malformed point is refused before anything simulates.  Responses carry
+``status`` (``"ok"`` / ``"busy"`` / ``"rejected"`` / ``"error"``);
+``busy`` and ``rejected`` add a machine-readable ``reason``
+(``"quota"``, ``"budget"``, ``"backpressure"``, ``"draining"``).  See
 ``docs/SERVICE.md`` for the full grammar.
 """
 
@@ -85,9 +85,6 @@ def point_from_dict(raw: Any) -> SweepPoint:
     if not isinstance(raw, dict):
         raise ProtocolError(f"point must be an object, got {type(raw).__name__}")
     data = dict(raw)
-    mode = data.pop("mode", "sync")
-    if mode not in ("sync", "async"):
-        raise ProtocolError(f"point mode must be 'sync' or 'async', got {mode!r}")
     kwargs: Dict[str, Any] = {}
     try:
         if "comm_method" in data:
@@ -117,7 +114,7 @@ def point_from_dict(raw: Any) -> SweepPoint:
         config = TrainingConfig(**kwargs)
     except (ConfigurationError, TypeError, ValueError) as exc:
         raise ProtocolError(f"invalid point: {exc}") from exc
-    return SweepPoint.make(config, mode=mode)
+    return SweepPoint(config=config)
 
 
 def point_to_dict(point: SweepPoint) -> Dict[str, Any]:
@@ -130,8 +127,6 @@ def point_to_dict(point: SweepPoint) -> Dict[str, Any]:
         "comm_method": cfg.comm_method.value,
         "scaling": cfg.scaling.value,
     }
-    if point.mode != "sync":
-        out["mode"] = point.mode
     fields = TrainingConfig.__dataclass_fields__
     for name in CONFIG_FIELDS:
         if name in out:
@@ -204,16 +199,17 @@ def value_payload(label: str, value: Any) -> Dict[str, Any]:
             "error_type": value.error_type, "message": value.message,
             "attempts": value.attempts, "timed_out": value.timed_out,
         }
+    stats = value.async_stats
     payload: Dict[str, Any] = {
         "label": label,
-        "kind": "async" if hasattr(value, "staleness_mean") else "training",
+        "kind": "training" if stats is None else "async",
         "degraded": False,
         "iteration_time": value.iteration_time,
         "epoch_time": value.epoch_time,
         "images_per_second": value.images_per_second,
     }
-    if hasattr(value, "staleness_mean"):
-        payload["staleness_mean"] = value.staleness_mean
+    if stats is not None:
+        payload["staleness_mean"] = stats.staleness_mean
     return payload
 
 

@@ -48,7 +48,11 @@ from repro.runner.spec import FailureInfo, SweepPoint
 from repro.runner.store import ResultStore, ShardedResultStore
 from repro.service import protocol
 from repro.service.admission import AdmissionController, CircuitBreaker
-from repro.service.analytic import AnalyticUnsupported, analytic_estimate
+from repro.service.analytic import (
+    AnalyticUnsupported,
+    analytic_estimate,
+    degradable,
+)
 from repro.service.dedup import InflightRegistry
 from repro.service.executor import PoolExecutor
 
@@ -393,8 +397,9 @@ class SweepService:
 
         # Pass 2: budget classification.  Points beyond the simulation
         # budget degrade to the analytic fast path; if any of them
-        # cannot degrade (async mode, degradation forbidden), the whole
-        # request is refused up front rather than partially executed.
+        # cannot degrade (a non-synchronous strategy, degradation
+        # forbidden), the whole request is refused up front rather than
+        # partially executed.
         budget = (
             request.budget if request.budget is not None
             else cfg.default_budget
@@ -402,7 +407,7 @@ class SweepService:
         quota = budget if budget is not None else len(misses)
         over = misses[quota:]
         if over and (not request.degrade
-                     or any(p.mode != "sync" for _, p, _ in over)):
+                     or not all(degradable(p) for _, p, _ in over)):
             return self._shed(request, "budget", "rejected", started)
 
         async def serve_point(

@@ -11,7 +11,6 @@ server reductions, asynchronous parameter-server SGD and the
 model-parallel placement estimator behind one result schema.
 """
 
-from repro.train.async_trainer import AsyncResult, AsyncTrainer
 from repro.train.dataset import SyntheticImageDataset, imagenet_subset
 from repro.train.inference import InferenceEstimate, InferenceEstimator
 from repro.train.optimizers import ADAM, SGD, SGD_MOMENTUM, OptimizerSpec, available_optimizers, get_optimizer
@@ -34,9 +33,7 @@ from repro.train.trainer import Trainer, train
 
 __all__ = [
     "ADAM",
-    "AsyncResult",
     "AsyncStats",
-    "AsyncTrainer",
     "InferenceEstimate",
     "InferenceEstimator",
     "ModelParallelEstimator",

@@ -45,6 +45,7 @@ from repro.core.config import CommMethodName
 from repro.core.errors import ConfigurationError, FaultPlanError
 from repro.gpu import GpuDevice
 from repro.gpu.kernel import KernelSpec
+from repro.perf.spans import PERF
 from repro.profile import MemoryMonitor
 from repro.profile.summary import ApiSummary, StageBreakdown
 from repro.sim import Environment
@@ -378,14 +379,51 @@ class AsyncUpdateStrategy(ReductionStrategy):
 
     def run(self, trainer) -> TrainingResult:
         self._check_no_faults(trainer)
+        config = trainer.config
         if trainer.check_memory:
             trainer.memory_model.check_fits(
-                trainer.stats,
-                trainer.config.batch_size,
-                is_server=trainer.config.num_gpus > 1,
+                trainer.stats, config.batch_size,
+                is_server=config.num_gpus > 1,
             )
-        measured = self.simulate(trainer)
-        config = trainer.config
+        env = Environment()
+        topology = build_dgx1v()
+        fabric = Fabric(env, topology, trainer.constants)
+        router = Router(topology)
+        devices = [
+            GpuDevice(env, topology.gpu(i), trainer.spec,
+                      speed_factor=trainer.gpu_speed_factors.get(i, 1.0))
+            for i in range(config.num_gpus)
+        ]
+        state = _ServerState()
+        warmup = trainer.sim.warmup_iterations
+        iterations = warmup + ASYNC_MEASURE_ITERATIONS
+        workers = [
+            env.process(
+                self._worker(trainer, env, fabric, router, devices, pos,
+                             state, iterations)
+            )
+            for pos in range(len(devices))
+        ]
+        env.run(until=env.all_of(workers))
+        if PERF.enabled:
+            PERF.count("sim.events", env.dispatched)
+
+        measured = tuple(
+            t for pos, it, t in state.iteration_records if it >= warmup
+        )
+        staleness = tuple(
+            s for pos, it, s in state.staleness_records if it >= warmup
+        )
+        mean_iteration = statistics.mean(measured)
+        # Workers proceed independently: aggregate throughput is the sum
+        # of per-worker rates.
+        images_per_second = sum(
+            config.batch_size / t for t in measured
+        ) / max(1, len(measured)) * config.num_gpus
+        epoch_time = (
+            config.total_images / images_per_second
+            + trainer.constants.run_startup_overhead
+        )
         monitor = MemoryMonitor(trainer.spec, trainer.constants,
                                 optimizer=trainer.optimizer)
         memory = tuple(
@@ -393,78 +431,19 @@ class AsyncUpdateStrategy(ReductionStrategy):
         )
         return TrainingResult(
             config=config,
-            iteration_time=measured.iteration_time,
-            iteration_times=measured.iteration_times,
-            epoch_time=measured.epoch_time,
+            iteration_time=mean_iteration,
+            iteration_times=measured,
+            epoch_time=epoch_time,
             fixed_overhead=trainer.constants.run_startup_overhead,
             stages=StageBreakdown(fp=0.0, bp=0.0, wu=0.0,
-                                  iteration=measured.iteration_time),
+                                  iteration=mean_iteration),
             apis=ApiSummary(totals=()),
             gpu_busy={},
             compute_utilization=trainer.cost_model.compute_utilization(
                 trainer.stats, config.batch_size
             ),
             memory=memory,
-            async_stats=measured.stats,
-        )
-
-    # ------------------------------------------------------------------
-    # The server-model simulation (shared with the legacy AsyncTrainer)
-    # ------------------------------------------------------------------
-    def simulate(self, host) -> "AsyncMeasurement":
-        """Run the async server-model simulation for ``host``.
-
-        ``host`` is any object carrying the compiled-trainer attributes
-        (``config``, ``sim``, ``constants``, ``spec``, ``stats``,
-        ``cost_model``, ``_fwd``, ``_bwd``, ``gpu_speed_factors``); both
-        :class:`~repro.train.trainer.Trainer` and the legacy
-        :class:`~repro.train.async_trainer.AsyncTrainer` qualify.
-        """
-        env = Environment()
-        topology = build_dgx1v()
-        fabric = Fabric(env, topology, host.constants)
-        router = Router(topology)
-        devices = [
-            GpuDevice(env, topology.gpu(i), host.spec,
-                      speed_factor=host.gpu_speed_factors.get(i, 1.0))
-            for i in range(host.config.num_gpus)
-        ]
-
-        state = _ServerState()
-        iterations = host.sim.warmup_iterations + ASYNC_MEASURE_ITERATIONS
-        workers = [
-            env.process(
-                self._worker(host, env, fabric, router, devices, pos, state,
-                             iterations)
-            )
-            for pos in range(len(devices))
-        ]
-        env.run(until=env.all_of(workers))
-
-        measured = [
-            t for pos, it, t in state.iteration_records
-            if it >= host.sim.warmup_iterations
-        ]
-        staleness = tuple(
-            s for pos, it, s in state.staleness_records
-            if it >= host.sim.warmup_iterations
-        )
-        mean_iteration = statistics.mean(measured)
-        # Workers proceed independently: aggregate throughput is the sum
-        # of per-worker rates.
-        images_per_second = sum(
-            host.config.batch_size / t for t in measured
-        ) / max(1, len(measured)) * host.config.num_gpus
-        epoch_time = (
-            host.config.total_images / images_per_second
-            + host.constants.run_startup_overhead
-        )
-        return AsyncMeasurement(
-            iteration_time=mean_iteration,
-            iteration_times=tuple(measured),
-            epoch_time=epoch_time,
-            images_per_second=images_per_second,
-            stats=AsyncStats(
+            async_stats=AsyncStats(
                 staleness_mean=(statistics.mean(staleness)
                                 if staleness else 0.0),
                 staleness_max=max(staleness) if staleness else 0,
@@ -475,7 +454,7 @@ class AsyncUpdateStrategy(ReductionStrategy):
 
     def _worker(
         self,
-        host,
+        trainer,
         env: Environment,
         fabric: Fabric,
         router: Router,
@@ -484,10 +463,11 @@ class AsyncUpdateStrategy(ReductionStrategy):
         state: "_ServerState",
         iterations: int,
     ) -> Generator[Event, None, None]:
-        c = host.constants
+        c = trainer.constants
         dev = devices[pos]
         server = devices[0]
-        model_bytes = host.stats.model_bytes
+        model_bytes = trainer.stats.model_bytes
+        update = self._update_kernel(trainer)
         for iteration in range(iterations):
             start = env.now
             # Pull the current weights from the server.
@@ -503,13 +483,12 @@ class AsyncUpdateStrategy(ReductionStrategy):
             # Compute FP + BP.
             yield env.timeout(
                 c.input_pipeline_residual
-                + c.input_cost_per_image * host.config.batch_size
+                + c.input_cost_per_image * trainer.config.batch_size
             )
-            for kernel in host._fwd:
-                yield env.process(dev.run_kernel(kernel))
-            for _, kernels in host._bwd:
-                for kernel in kernels:
-                    yield env.process(dev.run_kernel(kernel))
+            for kernel in trainer._fwd:
+                yield from dev.run_kernel(kernel)
+            for _, kernels in trainer._bwd:
+                yield from dev.run_kernels(kernels)
             # Push gradients; the server updates immediately on arrival.
             if pos != 0:
                 route = router.gpu_to_gpu(
@@ -519,36 +498,25 @@ class AsyncUpdateStrategy(ReductionStrategy):
                 yield env.timeout(c.p2p_copy_setup)
                 yield from fabric.pipelined_transfer(
                     route, model_bytes, 4 * 2**20)
-            yield env.process(server.run_kernel(self._update_kernel(host)))
+            yield from server.run_kernel(update)
             staleness = state.version - version_seen
             state.version += 1
             state.staleness_records.append((pos, iteration, staleness))
             state.iteration_records.append((pos, iteration, env.now - start))
             yield env.timeout(c.stream_sync_overhead)
 
-    def _update_kernel(self, host) -> KernelSpec:
-        numel = host.stats.total_params
-        nbytes = host.stats.model_bytes
+    def _update_kernel(self, trainer) -> KernelSpec:
+        numel = trainer.stats.total_params
+        nbytes = trainer.stats.model_bytes
         return KernelSpec(
             name="asgd_update",
             layer="@server",
             stage="wu",
-            duration=host.cost_model.kernel_time(4.0 * numel, 5 * nbytes,
-                                                 False),
+            duration=trainer.cost_model.kernel_time(4.0 * numel, 5 * nbytes,
+                                                    False),
             flops=4.0 * numel,
             bytes_moved=5 * nbytes,
         )
-
-
-@dataclass(frozen=True)
-class AsyncMeasurement:
-    """Raw output of the async server-model simulation."""
-
-    iteration_time: float
-    iteration_times: Tuple[float, ...]
-    epoch_time: float
-    images_per_second: float
-    stats: AsyncStats
 
 
 class _ServerState:

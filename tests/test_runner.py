@@ -7,8 +7,6 @@ import pytest
 
 from repro.analysis.serialization import (
     SCHEMA_VERSION,
-    async_result_from_dict,
-    async_result_to_dict,
     result_to_dict,
 )
 from repro.core.config import (
@@ -33,7 +31,7 @@ from repro.runner import (
     canonical,
     point_fingerprint,
 )
-from repro.train import AsyncTrainer
+from repro.train import Trainer
 
 FAST = SimulationConfig(warmup_iterations=1, measure_iterations=2)
 
@@ -91,7 +89,8 @@ def test_spec_addition_keeps_stricter_policy():
 
 
 def test_point_rejects_unknown_mode():
-    with pytest.raises(ValueError):
+    # The execution model is ``config.strategy``; a point has no mode.
+    with pytest.raises(TypeError):
         SweepPoint(config=OOM_CONFIG, mode="turbo")
 
 
@@ -248,22 +247,23 @@ def test_parallel_results_identical_to_serial():
         assert result_to_dict(a.result) == result_to_dict(b.result)
 
 
+def _async_point(gpus):
+    return SweepPoint(config=dataclasses.replace(
+        _point(gpus=gpus).config, strategy="async-update"))
+
+
 def test_parallel_async_points():
-    spec = SweepSpec.explicit(
-        "amix", [SweepPoint(config=_point(gpus=2).config, mode="async")]
-    )
+    spec = SweepSpec.explicit("amix", [_async_point(2)])
     serial = SweepRunner(sim=FAST).run(spec).outcomes[0].result
     parallel = SweepRunner(sim=FAST, jobs=2)
     # jobs>1 with one pending point falls back to serial; force two points.
-    two = spec + SweepSpec.explicit(
-        "amix2", [SweepPoint(config=_point(gpus=4).config, mode="async")]
-    )
+    two = spec + SweepSpec.explicit("amix2", [_async_point(4)])
     results = parallel.run(two)
-    assert async_result_to_dict(results.outcomes[0].result) == \
-        async_result_to_dict(serial)
-    direct = AsyncTrainer(_point(gpus=2).config, sim=FAST).run()
-    assert async_result_to_dict(results.outcomes[0].result) == \
-        async_result_to_dict(direct)
+    pooled = results.outcomes[0].result
+    assert pooled.async_stats is not None
+    assert result_to_dict(pooled) == result_to_dict(serial)
+    direct = Trainer(_async_point(2).config, sim=FAST).run()
+    assert result_to_dict(pooled) == result_to_dict(direct)
 
 
 def test_oom_policy_raise():
@@ -299,11 +299,13 @@ def test_results_lookup_by_tag_mode_and_config():
     results = runner.run(spec)
     assert results.outcome(role="big").point.config.batch_size == 32
     assert results.outcome(batch_size=16).point.tag_dict()["role"] == "base"
-    assert results.outcome(mode="sync", role="base").ok
+    assert results.outcome(strategy="auto", role="base").ok
     with pytest.raises(KeyError):
         results.outcome(role="missing")
     with pytest.raises(KeyError):
-        results.outcome(mode="sync")       # ambiguous
+        results.outcome(strategy="auto")   # ambiguous
+    with pytest.raises(KeyError):
+        results.outcome(mode="sync")       # points have no mode
 
 
 def test_runner_publishes_progress_events():
@@ -353,22 +355,9 @@ def test_uncacheable_points_still_execute(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Serialization round-trips (schema v2)
+# Serialization round-trips (async-update results round-trip with every
+# other strategy in tests/test_train_strategies.py)
 # ----------------------------------------------------------------------
-def test_async_serialization_round_trip():
-    result = AsyncTrainer(
-        TrainingConfig("lenet", 16, 4, comm_method=CommMethodName.P2P),
-        sim=FAST,
-    ).run()
-    data = json.loads(json.dumps(async_result_to_dict(result)))
-    back = async_result_from_dict(data)
-    assert back.config == result.config
-    assert back.staleness_samples == result.staleness_samples
-    assert back.effective_epoch_time() == pytest.approx(
-        result.effective_epoch_time()
-    )
-
-
 def test_result_round_trip_preserves_extended_config_fields():
     runner = SweepRunner(sim=FAST)
     config = TrainingConfig("lenet", 16, 8, comm_method=CommMethodName.NCCL,
@@ -390,13 +379,14 @@ def test_store_rejects_stale_schema_entries(tmp_path):
     """Entries written before the schema gained the ``violations`` field
     (schema 3), the ``strategy``/``async_stats`` fields (schema 4), the
     cluster-tier config fields (schema 5), the cluster-tier fault
-    fields (schema 6), the periodic-exit ``iteration_times`` (schema 7)
-    or the later-window ``apis`` rounding (schema 8) must be refused
-    loudly, not deserialized without them."""
-    assert SCHEMA_VERSION == 9
+    fields (schema 6), the periodic-exit ``iteration_times`` (schema 7),
+    the later-window ``apis`` rounding (schema 8) or the separate
+    ``"async"`` entry kind and fingerprinted point mode (schema 9) must
+    be refused loudly, not deserialized without them."""
+    assert SCHEMA_VERSION == 10
     store = ResultStore(tmp_path)
     store.root.mkdir(parents=True, exist_ok=True)
-    for stale in (3, 4, 5, 6, 7, 8):
+    for stale in (3, 4, 5, 6, 7, 8, 9):
         key = f"v{stale}"
         store.path_for(key).write_text(json.dumps({
             "schema": stale, "kind": "training",

@@ -53,6 +53,10 @@ def _wire_point(batch=16, gpus=1):
             "comm_method": "p2p"}
 
 
+#: The strategies the synchronous DAG floor does not model.
+NON_SYNC = ("async-update", "model-parallel")
+
+
 # ----------------------------------------------------------------------
 # Protocol
 # ----------------------------------------------------------------------
@@ -65,18 +69,20 @@ def test_parse_request_ops_and_rejections():
 
 def test_point_roundtrip_through_wire_format():
     for point in (_point(), _point(batch=64, gpus=4),
-                  SweepPoint.make(CONFIG, mode="async")):
+                  SweepPoint.make(dataclasses.replace(
+                      CONFIG, strategy="async-update"))):
         again = protocol.point_from_dict(protocol.point_to_dict(point))
-        assert again.config == point.config
-        assert again.mode == point.mode
+        assert again == point
 
 
 def test_point_from_dict_rejects_malformed_points():
     with pytest.raises(ProtocolError, match="must be an object"):
         protocol.point_from_dict([1, 2])
-    with pytest.raises(ProtocolError, match="mode"):
-        protocol.point_from_dict({"network": "lenet", "batch_size": 16,
-                                  "mode": "psycho"})
+    # A point has no mode: asynchronous SGD is ``strategy: async-update``.
+    for mode in ("psycho", "async"):
+        with pytest.raises(ProtocolError, match="unknown point field 'mode'"):
+            protocol.point_from_dict({"network": "lenet", "batch_size": 16,
+                                      "mode": mode})
     with pytest.raises(ProtocolError, match="unknown point field"):
         protocol.point_from_dict({"network": "lenet", "batch_size": 16,
                                   "topology_builder": "evil"})
@@ -243,8 +249,10 @@ def test_analytic_estimate_is_a_marked_floor_of_the_simulation():
 
 
 def test_analytic_refuses_async_and_override_points():
-    with pytest.raises(AnalyticUnsupported, match="async"):
-        analytic_estimate(SweepPoint.make(CONFIG, mode="async"))
+    for strategy in NON_SYNC:
+        config = dataclasses.replace(CONFIG, num_gpus=2, strategy=strategy)
+        with pytest.raises(AnalyticUnsupported, match=strategy):
+            analytic_estimate(SweepPoint.make(config))
     with pytest.raises(AnalyticUnsupported, match="overrides"):
         analytic_estimate(SweepPoint.make(
             CONFIG, overrides={"check_memory": False}))
@@ -442,6 +450,30 @@ def test_service_cold_then_warm_requests(tmp_path, capsys):
     assert "drained: journal flushed" in capsys.readouterr().err
 
 
+def test_service_serves_async_update_points_as_async_kind(tmp_path):
+    wire = dict(_wire_point(16, gpus=2), strategy="async-update")
+
+    async def go():
+        service = SweepService(_config(cache_dir=tmp_path / "cache"))
+        await service.start()
+        message = {"op": "sweep", "client": "t", "points": [wire]}
+        cold = await _request(service.port, message)
+        warm = await _request(service.port, message)
+        await _drained(service)
+        return cold, warm
+
+    cold, warm = asyncio.run(go())
+    assert cold["status"] == warm["status"] == "ok"
+    assert warm["sourcing"]["disk_hits"] == 1
+    assert cold["results"] == warm["results"]
+    [result] = cold["results"]
+    direct = Trainer(protocol.point_from_dict(wire).config, sim=TINY).run()
+    assert result["kind"] == "async"
+    assert result["staleness_mean"] == direct.async_stats.staleness_mean
+    assert result["epoch_time"] == direct.epoch_time
+    assert result["images_per_second"] == direct.images_per_second
+
+
 def test_service_dedups_concurrent_identical_points():
     async def go():
         service = SweepService(_config())
@@ -571,18 +603,24 @@ def test_service_rejects_over_budget_when_degradation_forbidden():
             "op": "sweep", "client": "t", "budget": 0, "degrade": False,
             "points": [_wire_point(16)],
         })
-        async_over = await _request(service.port, {
-            "op": "sweep", "client": "t", "budget": 0,
-            "points": [dict(_wire_point(16), mode="async")],
-        })
+        non_sync = [
+            await _request(service.port, {
+                "op": "sweep", "client": "t", "budget": 0,
+                "points": [_wire_point(16),
+                           dict(_wire_point(16, gpus=2), strategy=strategy)],
+            })
+            for strategy in NON_SYNC
+        ]
         await _drained(service)
-        return refused, async_over
+        return refused, non_sync
 
-    refused, async_over = asyncio.run(go())
+    refused, non_sync = asyncio.run(go())
     assert refused["status"] == "rejected" and refused["reason"] == "budget"
-    # Async points cannot degrade, so the whole request is refused too.
-    assert async_over["status"] == "rejected"
-    assert async_over["reason"] == "budget"
+    # Non-synchronous strategies cannot degrade to the synchronous DAG
+    # floor, so a request holding one is refused too.
+    for response in non_sync:
+        assert response["status"] == "rejected"
+        assert response["reason"] == "budget"
 
 
 def test_service_rejects_while_draining_and_malformed_lines():

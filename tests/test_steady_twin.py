@@ -124,7 +124,8 @@ def test_checked_points_have_no_twin(invariants):
 
 
 def test_async_mode_has_no_twin():
-    point = SweepPoint(config=WEAK, mode="async")
+    point = SweepPoint(config=dataclasses.replace(
+        WEAK, comm_method=CommMethodName.P2P, strategy="async-update"))
     assert steady_twin_point(point, {}, "off") is None
 
 

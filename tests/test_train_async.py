@@ -1,15 +1,18 @@
-"""Tests for the asynchronous-SGD trainer."""
+"""Tests for asynchronous SGD (the ``async-update`` strategy)."""
 
 import pytest
 
 from repro import CommMethodName, OutOfMemoryError, SimulationConfig, TrainingConfig
-from repro.train import AsyncTrainer, train
+from repro.experiments.async_study import effective_epoch_time
+from repro.train import Trainer, train
 
 FAST = SimulationConfig(warmup_iterations=1, measure_iterations=2)
 
 
 def _async(net="lenet", batch=16, gpus=4, **kwargs):
-    return AsyncTrainer(TrainingConfig(net, batch, gpus), sim=FAST, **kwargs).run()
+    config = TrainingConfig(net, batch, gpus, comm_method=CommMethodName.P2P,
+                            strategy="async-update")
+    return Trainer(config, sim=FAST, **kwargs).run()
 
 
 def test_basic_invariants():
@@ -17,18 +20,18 @@ def test_basic_invariants():
     assert r.iteration_time > 0
     assert r.epoch_time > 0
     assert r.images_per_second > 0
-    assert r.server_updates > 0
+    assert r.async_stats.server_updates > 0
 
 
 def test_single_gpu_has_zero_staleness():
     r = _async(gpus=1)
-    assert r.staleness_mean == 0.0
-    assert r.staleness_max == 0
+    assert r.async_stats.staleness_mean == 0.0
+    assert r.async_stats.staleness_max == 0
 
 
 def test_staleness_grows_with_gpu_count():
     """The delayed-gradient problem: staleness scales with workers."""
-    means = [_async(gpus=n).staleness_mean for n in (2, 4, 8)]
+    means = [_async(gpus=n).async_stats.staleness_mean for n in (2, 4, 8)]
     assert means[0] < means[1] < means[2]
     # roughly N-1 updates land between a worker's pull and push
     assert means[2] == pytest.approx(7.0, abs=1.5)
@@ -45,9 +48,10 @@ def test_async_throughput_beats_synchronous():
 
 def test_effective_time_penalizes_staleness():
     r = _async(gpus=8)
-    assert r.effective_epoch_time() > r.epoch_time
-    assert r.effective_epoch_time(penalty=0.0) == r.epoch_time
-    assert r.effective_epoch_time(penalty=1.0) > r.effective_epoch_time(penalty=0.1)
+    assert effective_epoch_time(r) > r.epoch_time
+    assert effective_epoch_time(r, penalty=0.0) == r.epoch_time
+    assert effective_epoch_time(r, penalty=1.0) > \
+        effective_epoch_time(r, penalty=0.1)
 
 
 def test_effective_time_can_lose_to_sync():
@@ -56,7 +60,7 @@ def test_effective_time_can_lose_to_sync():
     sync = train(TrainingConfig("inception-v3", 16, 8,
                                 comm_method=CommMethodName.NCCL), sim=FAST)
     asyn = _async(net="inception-v3", gpus=8)
-    assert asyn.effective_epoch_time(penalty=0.5) > sync.epoch_time
+    assert effective_epoch_time(asyn, penalty=0.5) > sync.epoch_time
 
 
 def test_oom_still_checked():
@@ -67,10 +71,4 @@ def test_oom_still_checked():
 def test_determinism():
     a, b = _async(), _async()
     assert a.epoch_time == b.epoch_time
-    assert a.staleness_samples == b.staleness_samples
-
-
-def test_describe():
-    r = _async()
-    assert "async" in r.describe()
-    assert "staleness" in r.describe()
+    assert a.async_stats.staleness_samples == b.async_stats.staleness_samples
