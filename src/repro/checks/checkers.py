@@ -54,7 +54,14 @@ Payload = Mapping[str, Any]
 
 
 def _lt(a: float, b: float) -> bool:
-    """True when ``a`` is less than ``b`` beyond float tolerance."""
+    """True when ``a`` is less than ``b`` beyond float tolerance.
+
+    ``a >= b`` answers ``False`` at once: the tolerance is never negative
+    and rounding is monotone, so the full test could not pass either (a
+    NaN fails both comparisons and takes the full test).
+    """
+    if a >= b:
+        return False
     return a < b - (REL_TOL * max(abs(a), abs(b)) + ABS_TOL)
 
 

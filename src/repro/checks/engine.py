@@ -106,15 +106,18 @@ class CheckEngine:
         """
         if self.mode is CheckMode.OFF:
             return
-        if PERF.enabled:
+        perf = PERF.enabled
+        if perf:
             # One payload was built by the calling checkpoint; each checker
             # dispatch is counted separately so the ratio is visible.
             PERF.count("checks.payloads")
-        at = float(payload.get("now", 0.0))
+        stats = self.stats
         for checker in checkers_at(point):
-            if PERF.enabled:
+            if perf:
                 PERF.count("checks.evaluations")
-            entry = self.stats.setdefault(checker.invariant, [0, 0])
+            entry = stats.get(checker.invariant)
+            if entry is None:
+                entry = stats[checker.invariant] = [0, 0]
             entry[0] += 1
             result = checker.fn(payload)
             if result is None:
@@ -123,6 +126,7 @@ class CheckEngine:
             if not messages:
                 continue
             entry[1] += len(messages)
+            at = float(payload.get("now", 0.0))
             for message in messages:
                 self._handle_violation(checker.invariant, point, message, at)
 

@@ -20,8 +20,8 @@ hardware ceiling), ``temporal`` (clocks and spans are ordered), and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from dataclasses import dataclass, field
+from typing import Any, Callable, Dict, Iterable, Mapping, Optional, Tuple, Union
 
 #: Result type a checker may return: nothing, one message, or several.
 CheckResult = Union[None, str, Iterable[str]]
@@ -38,7 +38,9 @@ class Checker:
     """One registered invariant checker.
 
     ``invariant`` is the dotted ``category.name`` identity used in
-    violation records, obs metric labels, and the selfcheck report.
+    violation records, obs metric labels, and the selfcheck report (e.g.
+    ``"conservation.collective-wire"``); it is derived once, here, because
+    the engine reads it on every evaluation.
     """
 
     name: str
@@ -46,14 +48,14 @@ class Checker:
     checkpoint: str
     description: str
     fn: CheckerFn
+    invariant: str = field(init=False, repr=False, compare=False)
 
-    @property
-    def invariant(self) -> str:
-        """Dotted identity, e.g. ``"conservation.collective-wire"``."""
-        return f"{self.category}.{self.name}"
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "invariant", f"{self.category}.{self.name}")
 
 
-_BY_POINT: Dict[str, List[Checker]] = {}
+#: Checkers per checkpoint, stored as the tuple :func:`checkers_at` returns.
+_BY_POINT: Dict[str, Tuple[Checker, ...]] = {}
 _BY_INVARIANT: Dict[str, Checker] = {}
 
 
@@ -79,7 +81,7 @@ def invariant(
         if checker.invariant in _BY_INVARIANT:
             raise ValueError(f"duplicate invariant {checker.invariant!r}")
         _BY_INVARIANT[checker.invariant] = checker
-        _BY_POINT.setdefault(checkpoint, []).append(checker)
+        _BY_POINT[checkpoint] = _BY_POINT.get(checkpoint, ()) + (checker,)
         return fn
 
     return register
@@ -87,7 +89,7 @@ def invariant(
 
 def checkers_at(checkpoint: str) -> Tuple[Checker, ...]:
     """All checkers attached to ``checkpoint`` (empty tuple if none)."""
-    return tuple(_BY_POINT.get(checkpoint, ()))
+    return _BY_POINT.get(checkpoint, ())
 
 
 def all_checkers() -> Tuple[Checker, ...]:

@@ -148,12 +148,13 @@ class Communicator(abc.ABC):
         if self.checks is not None and self.checks.enabled:
             self.checks.check(point, **payload)
 
-    def _publish(self, event) -> None:
-        """Emit a typed observability event through the profiler's bus.
+    def _wants(self, event_type: type) -> bool:
+        """Whether an ``event_type`` event published now has a listener.
 
-        Tolerates bare profilers (anything with only ``record_*`` methods)
-        by doing nothing when no ``publish`` hook exists.
+        Emitters ask once per collective and build nothing when the
+        answer is no; then they publish through ``self.profiler``.  Bare
+        profilers (only ``record_*`` methods, no ``wants``) want nothing.
         """
-        publish = getattr(self.profiler, "publish", None)
-        if publish is not None:
-            publish(event)
+        wants = getattr(self.profiler, "wants", None)
+        return wants is not None and wants(event_type)
+

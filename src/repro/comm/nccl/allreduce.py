@@ -39,7 +39,7 @@ class NcclAllReduceCommunicator(NcclCommunicator):
         chunk -- the structure "Demystifying NCCL" times step by step."""
         hops = self._ring_hops
         n = self.plan.size
-        if not hops or n < 2 or end <= start:
+        if not hops or n < 2 or end <= start or not self._wants(RingStepEvent):
             return
         num_steps = 2 * (n - 1)
         slot = (end - start) / num_steps
@@ -48,7 +48,7 @@ class NcclAllReduceCommunicator(NcclCommunicator):
             t0 = start + step * slot
             t1 = start + (step + 1) * slot
             for src, dst, _, link_type in hops:
-                self._publish(RingStepEvent(
+                self.profiler.publish(RingStepEvent(
                     collective=collective, array=array.name, step=step,
                     src=src, dst=dst, link_type=link_type, nbytes=chunk,
                     start=t0, end=t1,
@@ -97,14 +97,8 @@ class NcclAllReduceCommunicator(NcclCommunicator):
         yield req
         start = self.env.now
         self._emit_stream_waits(start - queued, start)
-        taxes = [
-            self.env.process(
-                dev.run_kernel(
-                    self._collective_kernel("allreduce", array, c.nccl_engine_tax)
-                )
-            )
-            for dev in self.devices
-        ]
+        tax = self._collective_kernel("allreduce", array, c.nccl_engine_tax)
+        taxes = [self.env.process(dev.run_kernel(tax)) for dev in self.devices]
         try:
             yield self.env.timeout(duration)
             yield self.env.all_of(taxes)

@@ -173,10 +173,10 @@ class NcclCommunicator(Communicator):
         this is the per-link contention counter the Prometheus export
         surfaces as ``link_wait_time_total``.
         """
-        if wait <= 0:
+        if wait <= 0 or not self._wants(LinkWaitEvent):
             return
         for src, dst, link_name, link_type in self._ring_hops:
-            self._publish(LinkWaitEvent(
+            self.profiler.publish(LinkWaitEvent(
                 link=link_name, src=f"gpu{src}", dst=f"gpu{dst}",
                 link_type=link_type, wait=wait, at=at,
             ))
@@ -194,12 +194,12 @@ class NcclCommunicator(Communicator):
         all-gather structure.
         """
         hops = self._ring_hops
-        if not hops or end <= start:
+        if not hops or end <= start or not self._wants(RingStepEvent):
             return
         steps = hops[:-1] if len(hops) > 1 else hops  # last hop closes the cycle
         slot = (end - start) / len(steps)
         for i, (src, dst, _, link_type) in enumerate(steps):
-            self._publish(RingStepEvent(
+            self.profiler.publish(RingStepEvent(
                 collective=collective, array=array.name, step=i,
                 src=src, dst=dst, link_type=link_type, nbytes=wire_bytes,
                 start=start + i * slot, end=start + (i + 1) * slot,
@@ -231,7 +231,9 @@ class NcclCommunicator(Communicator):
 
     def _emit_choice(self, choice: TuningChoice, array: WeightArray,
                      at: float) -> None:
-        self._publish(ProtocolChoiceEvent(
+        if not self._wants(ProtocolChoiceEvent):
+            return
+        self.profiler.publish(ProtocolChoiceEvent(
             collective=choice.collective, array=array.name,
             nbytes=choice.nbytes, algorithm=choice.algorithm.value,
             protocol=choice.protocol.value, predicted=choice.predicted,
@@ -249,7 +251,8 @@ class NcclCommunicator(Communicator):
         steady-state, where all levels of the tree carry consecutive
         chunks simultaneously.
         """
-        if not self._tree_edges or end <= start:
+        if (not self._tree_edges or end <= start
+                or not self._wants(CollectiveChunkEvent)):
             return
         schedule = tree_hop_bytes(choice.collective, choice.nbytes,
                                   len(self._tree_edges))
@@ -266,7 +269,7 @@ class NcclCommunicator(Communicator):
             base, rem = divmod(nbytes, num_chunks)
             for chunk in range(num_chunks):
                 t0 = start + (direction * num_chunks + chunk) * slot
-                self._publish(CollectiveChunkEvent(
+                self.profiler.publish(CollectiveChunkEvent(
                     collective=choice.collective, array=array.name,
                     algorithm=choice.algorithm.value,
                     protocol=choice.protocol.value,
@@ -360,12 +363,8 @@ class NcclCommunicator(Communicator):
         self._emit_stream_waits(start - queued, start)
         # Each GPU launches its cooperative kernel; the brief SM occupancy
         # contends with backward-pass compute on every device.
-        taxes = [
-            self.env.process(
-                dev.run_kernel(self._collective_kernel(kind, array, c.nccl_engine_tax))
-            )
-            for dev in self.devices
-        ]
+        tax = self._collective_kernel(kind, array, c.nccl_engine_tax)
+        taxes = [self.env.process(dev.run_kernel(tax)) for dev in self.devices]
         try:
             yield self.env.timeout(duration)
             yield self.env.all_of(taxes)

@@ -477,16 +477,18 @@ class HierarchicalNcclCommunicator(NcclCommunicator):
         start: float, end: float, nbytes: int,
     ) -> None:
         """``g - 1`` step windows, every intra-node ring hop active."""
-        hops = self._intra_hops()
         g = self.intra_plan.size
-        if not hops or g < 2 or end <= start:
+        if g < 2 or end <= start or not self._wants(RingStepEvent):
+            return
+        hops = self._intra_hops()
+        if not hops:
             return
         slot = (end - start) / (g - 1)
         seg = max(1, nbytes // g)
         for step in range(g - 1):
             t0, t1 = start + step * slot, start + (step + 1) * slot
             for src, dst, link_type in hops:
-                self._publish(RingStepEvent(
+                self.profiler.publish(RingStepEvent(
                     collective=collective, array=array.name, step=step,
                     src=src, dst=dst, link_type=link_type, nbytes=seg,
                     start=t0, end=t1,
@@ -503,7 +505,7 @@ class HierarchicalNcclCommunicator(NcclCommunicator):
         ``2*ceil(log2 M)`` windows moving the full ``B_r``.
         """
         m = self.cluster_nodes
-        if m < 2 or end <= start:
+        if m < 2 or end <= start or not self._wants(RingStepEvent):
             return
         per_rail = rail_assignment(
             nbytes, GPUS_PER_NODE, self.rails, self.rail_scales
@@ -522,7 +524,7 @@ class HierarchicalNcclCommunicator(NcclCommunicator):
             for step in range(steps):
                 src_node = step % m
                 dst_node = (step + 1) % m
-                self._publish(RingStepEvent(
+                self.profiler.publish(RingStepEvent(
                     collective=collective, array=array.name, step=step,
                     src=src_node * GPUS_PER_NODE + r * lead,
                     dst=dst_node * GPUS_PER_NODE + r * lead,
@@ -558,15 +560,8 @@ class HierarchicalNcclCommunicator(NcclCommunicator):
         yield req
         start = self.env.now
         self._emit_stream_waits(start - queued, start)
-        taxes = [
-            self.env.process(
-                dev.run_kernel(
-                    self._collective_kernel("allreduce", array,
-                                            c.nccl_engine_tax)
-                )
-            )
-            for dev in self.devices
-        ]
+        tax = self._collective_kernel("allreduce", array, c.nccl_engine_tax)
+        taxes = [self.env.process(dev.run_kernel(tax)) for dev in self.devices]
         try:
             if self.fast_path == "event" or t_inter == 0:
                 # One charged window per phase: the inter-node exchange
@@ -597,9 +592,9 @@ class HierarchicalNcclCommunicator(NcclCommunicator):
                 self._emit_intra_steps("hier-allgather", array,
                                        inter_end, inter_end + t_ag,
                                        wire_bytes)
-            else:
+            elif self._wants(RingStepEvent):
                 # Analytic mode: one summary window, no per-step fan-out.
-                self._publish(RingStepEvent(
+                self.profiler.publish(RingStepEvent(
                     collective="hier-analytic", array=array.name, step=0,
                     src=self.server.index, dst=self.server.index + 1,
                     link_type="infiniband", nbytes=wire_bytes,

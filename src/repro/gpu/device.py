@@ -52,8 +52,8 @@ class GpuDevice:
         self.spec = spec
         self.profiler = profiler
         # Queueing delay behind earlier kernels goes to the metrics bridge
-        # (profilers without a bus simply lack ``publish``).
-        self._publish = getattr(profiler, "publish", None)
+        # when someone wants it (profilers without a bus lack ``wants``).
+        self._wants = getattr(profiler, "wants", None)
         self.speed_factor = speed_factor
         self.ecc = ecc
         self.engine = Resource(env, capacity=1)
@@ -86,9 +86,9 @@ class GpuDevice:
             self.engine.release(req)
             if self.profiler is not None:
                 self.profiler.record_kernel(self.index, kernel, start, end)
-                if (self._publish is not None and start > issued
-                        and getattr(self.profiler, "enabled", True)):
-                    self._publish(EngineWaitEvent(
+                if (start > issued and self._wants is not None
+                        and self._wants(EngineWaitEvent)):
+                    self.profiler.publish(EngineWaitEvent(
                         gpu=self.index, kernel=kernel.name,
                         wait=start - issued, at=start,
                     ))

@@ -47,6 +47,12 @@ class EventBus:
         for handler in self._handlers.get(None, ()):
             handler(event)
 
+    def wants(self, event_type: Type[ObsEvent]) -> bool:
+        """Whether publishing an ``event_type`` event reaches any handler:
+        one subscribed to that exact type, or a wildcard.  Emitters ask
+        before building an event, so an unobserved type costs nothing."""
+        return bool(self._handlers.get(event_type) or self._handlers.get(None))
+
     def subscriber_count(self, event_type: Optional[Type[ObsEvent]] = None) -> int:
         """Number of handlers registered for ``event_type`` (or wildcard)."""
         key = None if event_type in (None, ObsEvent) else event_type

@@ -62,6 +62,11 @@ class Profiler:
         if self.enabled:
             self.bus.publish(event)
 
+    def wants(self, event_type: type) -> bool:
+        """Whether an ``event_type`` event published now would be delivered:
+        measurement is enabled and the bus has a handler for it."""
+        return self.enabled and self.bus.wants(event_type)
+
     def bind_clock(self, clock: Clock) -> None:
         """Attach the time source :meth:`span` reads (normally the env)."""
         self.clock = clock

@@ -173,7 +173,7 @@ class Environment:
         """
         queue = self._queue
         pop = heapq.heappop
-        checks = self._checks
+        check = self._checks.check if self._checks is not None else None
         observer = self._observer
         now = self._now
         while until is None or not until._processed:
@@ -187,8 +187,8 @@ class Environment:
             when, _, event = pop(queue)
             if when < now:
                 raise SimulationError("event scheduled in the past")
-            if checks is not None:
-                checks.check("sim.event", when=when - ORIGIN, now=now - ORIGIN)
+            if check is not None:
+                check("sim.event", when=when - ORIGIN, now=now - ORIGIN)
             self._now = now = when
             self._dispatched += 1
             callbacks, event.callbacks = event.callbacks, []

@@ -39,11 +39,11 @@ class Fabric:
         observer: Optional[object] = None,
         checks: Optional[object] = None,
     ) -> None:
-        """``observer`` is anything with a ``publish(event)`` method
-        (normally the run's :class:`~repro.profile.profiler.Profiler`);
-        every DMA then emits per-directed-link
-        :class:`~repro.obs.events.LinkBusyEvent` /
-        :class:`~repro.obs.events.LinkWaitEvent` records.
+        """``observer`` is anything with ``wants(event_type)`` and
+        ``publish(event)`` methods (normally the run's
+        :class:`~repro.profile.profiler.Profiler`); every DMA then emits
+        the per-directed-link :class:`~repro.obs.events.LinkBusyEvent` /
+        :class:`~repro.obs.events.LinkWaitEvent` records it wants.
 
         ``checks`` is an optional :class:`~repro.checks.CheckEngine`; when
         enabled, every DMA fires the ``fabric.dma`` checkpoint (link
@@ -65,10 +65,6 @@ class Fabric:
         self.busy_time: Dict[str, float] = {link.name: 0.0 for link in topology.links}
         #: Contention: cumulative FIFO-queueing wait per link (seconds).
         self.wait_time: Dict[str, float] = {link.name: 0.0 for link in topology.links}
-
-    def _publish(self, event) -> None:
-        if self.observer is not None:
-            self.observer.publish(event)
 
     def channel(self, link: Link, source: Node) -> Resource:
         """The FIFO resource guarding ``link`` in the ``source ->`` direction."""
@@ -100,7 +96,9 @@ class Fabric:
             yield req
         granted = self.env.now
         wait = granted - requested
-        wire_time = leg.latency(self.constants) + nbytes / leg.bandwidth(self.constants)
+        latency = leg.latency(self.constants)
+        bandwidth = leg.bandwidth(self.constants)
+        wire_time = latency + nbytes / bandwidth
         try:
             yield self.env.timeout(wire_time)
         finally:
@@ -117,29 +115,33 @@ class Fabric:
                     "fabric.dma",
                     nbytes=nbytes,
                     wire_time=wire_time,
-                    latency=leg.latency(self.constants),
-                    bandwidth=leg.bandwidth(self.constants),
+                    latency=latency,
+                    bandwidth=bandwidth,
                     granted=granted,
                     end=end,
                     windows=windows,
                     now=end,
                 )
+            observer = self.observer
+            want_wait = (observer is not None and wait > 0
+                         and observer.wants(LinkWaitEvent))
+            want_busy = observer is not None and observer.wants(LinkBusyEvent)
             for link, src, req in requests:
                 self.bytes_moved[link.name] += nbytes
                 self.busy_time[link.name] += wire_time
                 self.wait_time[link.name] += wait
                 req.resource.release(req)
-                if self.observer is not None:
-                    dst = link.other(src)
-                    link_type = link.link_type.value
-                    if wait > 0:
-                        self._publish(LinkWaitEvent(
-                            link=link.name, src=src.name, dst=dst.name,
-                            link_type=link_type, wait=wait, at=granted,
-                        ))
-                    self._publish(LinkBusyEvent(
-                        link=link.name, src=src.name, dst=dst.name,
-                        link_type=link_type, nbytes=nbytes,
+                if want_wait:
+                    observer.publish(LinkWaitEvent(
+                        link=link.name, src=src.name,
+                        dst=link.other(src).name,
+                        link_type=link.link_type.value, wait=wait, at=granted,
+                    ))
+                if want_busy:
+                    observer.publish(LinkBusyEvent(
+                        link=link.name, src=src.name,
+                        dst=link.other(src).name,
+                        link_type=link.link_type.value, nbytes=nbytes,
                         start=granted, end=end,
                     ))
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 from repro.core.constants import CalibrationConstants
@@ -92,16 +91,28 @@ class Route:
 
 
 class Router:
-    """Computes :class:`Route` objects over a :class:`SystemTopology`."""
+    """Computes :class:`Route` objects over a :class:`SystemTopology`.
+
+    Routes are memoized in the topology's ``route_cache``, so every
+    router over one topology computes each route once.
+    """
 
     def __init__(self, topology: SystemTopology) -> None:
         self.topology = topology
+        self._routes = topology.route_cache
 
     # ------------------------------------------------------------------
     # GPU <-> GPU
     # ------------------------------------------------------------------
     def gpu_to_gpu(self, src: GpuNode, dst: GpuNode) -> Route:
         """Best route between two GPUs, preferring NVLink."""
+        key = ("gpu", src.name, dst.name)
+        route = self._routes.get(key)
+        if route is None:
+            route = self._routes[key] = self._gpu_to_gpu(src, dst)
+        return route
+
+    def _gpu_to_gpu(self, src: GpuNode, dst: GpuNode) -> Route:
         if src == dst:
             return Route(RouteKind.LOCAL, ())
         direct = self.topology.nvlink_between(src, dst)
@@ -164,6 +175,13 @@ class Router:
     # ------------------------------------------------------------------
     def cpu_to_gpu(self, cpu: CpuNode, gpu: GpuNode) -> Route:
         """HtoD route used when the CPU sends mini-batches to a GPU."""
+        key = ("cpu", cpu.name, gpu.name)
+        route = self._routes.get(key)
+        if route is None:
+            route = self._routes[key] = self._cpu_to_gpu(cpu, gpu)
+        return route
+
+    def _cpu_to_gpu(self, cpu: CpuNode, gpu: GpuNode) -> Route:
         up = list(reversed(self._pcie_links(gpu)))
         home = self.topology.home_cpu(gpu)
         links: List[Link] = list(up)

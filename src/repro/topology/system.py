@@ -16,7 +16,9 @@ class SystemTopology:
 
     Wraps a :class:`networkx.Graph` whose edges carry :class:`Link`
     objects.  Parallel NVLink connections are pre-aggregated into a single
-    ``width=2`` link, so the graph is simple.
+    ``width=2`` link, so the graph is simple.  Because the graph never
+    changes after construction, derived paths are searched once per
+    instance and memoized.
     """
 
     def __init__(self, name: str, nodes: Iterable[Node], links: Iterable[Link]) -> None:
@@ -37,6 +39,11 @@ class SystemTopology:
                 raise ConfigurationError(f"duplicate link between {link.a} and {link.b}")
             self._graph.add_edge(link.a, link.b, link=link)
             self._links.append(link)
+        self._pcie_paths: Dict[str, Tuple[Node, ...]] = {}
+        self._host_paths: Dict[Tuple[str, str], Tuple[Node, ...]] = {}
+        #: Memo of :class:`~repro.topology.routing.Router` routes, shared
+        #: by every router over this topology (routes are frozen values).
+        self.route_cache: Dict[Tuple[str, str, str], object] = {}
 
     # ------------------------------------------------------------------
     # Node lookup
@@ -116,15 +123,26 @@ class SystemTopology:
 
     def pcie_path(self, gpu: GpuNode) -> List[Node]:
         """The PCIe chain from ``gpu`` up to its home CPU socket."""
+        path = self._pcie_paths.get(gpu.name)
+        if path is None:
+            path = self._pcie_paths[gpu.name] = tuple(self._search_pcie_path(gpu))
+        return list(path)
+
+    def _search_pcie_path(self, gpu: GpuNode) -> List[Node]:
+        """One breadth-first search from ``gpu`` over PCIe and QPI links:
+        the path to the first CPU socket (by index) that no other socket
+        sits on."""
         subgraph_types = {LinkType.PCIE, LinkType.QPI}
         allowed = nx.Graph()
         for link in self._links:
             if link.link_type in subgraph_types:
                 allowed.add_edge(link.a, link.b)
-        for cpu in self.cpus:
-            if allowed.has_node(gpu) and nx.has_path(allowed, gpu, cpu):
-                path = nx.shortest_path(allowed, gpu, cpu)
-                if all(not isinstance(n, CpuNode) for n in path[1:-1]):
+        if allowed.has_node(gpu):
+            paths = nx.shortest_path(allowed, gpu)
+            for cpu in self.cpus:
+                path = paths.get(cpu)
+                if path is not None and all(
+                        not isinstance(n, CpuNode) for n in path[1:-1]):
                     return path
         raise ConfigurationError(f"{gpu} has no PCIe path to a CPU")
 
@@ -135,6 +153,13 @@ class SystemTopology:
         nodes route through the NIC / InfiniBand-switch chain.  GPU nodes
         are excluded from the search.
         """
+        key = (src.name, dst.name)
+        path = self._host_paths.get(key)
+        if path is None:
+            path = self._host_paths[key] = tuple(self._search_host_path(src, dst))
+        return list(path)
+
+    def _search_host_path(self, src: CpuNode, dst: CpuNode) -> List[Node]:
         allowed = nx.Graph()
         host_types = {LinkType.PCIE, LinkType.QPI, LinkType.INFINIBAND}
         for link in self._links:
@@ -145,9 +170,10 @@ class SystemTopology:
             allowed.add_edge(link.a, link.b)
         if not (allowed.has_node(src) and allowed.has_node(dst)):
             raise ConfigurationError(f"no host fabric between {src} and {dst}")
-        if not nx.has_path(allowed, src, dst):
-            raise ConfigurationError(f"no host path from {src} to {dst}")
-        return nx.shortest_path(allowed, src, dst)
+        try:
+            return nx.shortest_path(allowed, src, dst)
+        except nx.NetworkXNoPath:
+            raise ConfigurationError(f"no host path from {src} to {dst}") from None
 
     def home_cpu(self, gpu: GpuNode) -> CpuNode:
         """The CPU socket whose PCIe root complex hosts ``gpu``."""

@@ -38,7 +38,7 @@ from repro.dnn.shapes import Shape
 from repro.dnn.stats import DTYPE_BYTES, NetworkStats
 from repro.gpu import KernelCostModel
 from repro.gpu.spec import TESLA_V100, GpuSpec
-from repro.topology import Router, build_dgx1v
+from repro.topology import Router, SystemTopology, build_dgx1v
 
 
 @dataclass(frozen=True)
@@ -155,7 +155,10 @@ class ModelParallelEstimator:
         network: Optional[Network] = None,
         input_shape: Optional[Shape] = None,
         pipeline_microbatches: int = 1,
+        topology: Optional[SystemTopology] = None,
     ) -> None:
+        """``topology`` is the system the boundary transfers route over
+        (default: a fresh :func:`~repro.topology.build_dgx1v`)."""
         if pipeline_microbatches < 1:
             raise ConfigurationError("pipeline_microbatches must be >= 1")
         if config.batch_size % pipeline_microbatches:
@@ -174,7 +177,7 @@ class ModelParallelEstimator:
         self.network = network
         self.stats = compile_network(network, input_shape)
         self.plan = partition_network(self.network, self.stats, config.num_gpus)
-        self._router = Router(build_dgx1v())
+        self._router = Router(topology if topology is not None else build_dgx1v())
 
     # ------------------------------------------------------------------
     # Cost components

@@ -50,7 +50,7 @@ from repro.profile import MemoryMonitor
 from repro.profile.summary import ApiSummary, StageBreakdown
 from repro.sim import Environment
 from repro.sim.events import Event
-from repro.topology import Fabric, Router, build_dgx1v
+from repro.topology import Fabric, Router
 from repro.train.results import AsyncStats, TrainingResult
 
 #: Per-worker iteration count the asynchronous simulation measures (the
@@ -386,7 +386,7 @@ class AsyncUpdateStrategy(ReductionStrategy):
                 is_server=config.num_gpus > 1,
             )
         env = Environment()
-        topology = build_dgx1v()
+        topology = trainer._base_topology()
         fabric = Fabric(env, topology, trainer.constants)
         router = Router(topology)
         devices = [
@@ -556,7 +556,8 @@ class ModelParallelStrategy(ReductionStrategy):
         self._check_no_faults(trainer)
         config = trainer.config
         estimator = ModelParallelEstimator(
-            config, constants=trainer.constants, spec=trainer.spec)
+            config, constants=trainer.constants, spec=trainer.spec,
+            topology=trainer._base_topology())
         mp = estimator.run()
         monitor = MemoryMonitor(trainer.spec, trainer.constants,
                                 optimizer=trainer.optimizer)

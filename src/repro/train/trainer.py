@@ -67,7 +67,7 @@ from repro.profile import MemoryMonitor, Profiler, summarize_apis, summarize_sta
 from repro.profile.summary import gpu_busy_fractions
 from repro.sim import Environment
 from repro.sim.events import Event
-from repro.topology import Fabric, Router, build_dgx1v
+from repro.topology import Fabric, Route, Router, build_dgx1v
 from repro.train.optimizers import get_optimizer
 from repro.train.results import TrainingResult
 from repro.train.steady import extrapolate_epoch
@@ -524,6 +524,11 @@ class Trainer:
             first = self.sim.warmup_iterations
             total = first + self.sim.measure_iterations
             input_ready: List[Optional[Event]] = [None] * len(devices)
+            # Each GPU's mini-batch rides the same HtoD route every iteration.
+            input_routes = [
+                router.cpu_to_gpu(fabric.topology.home_cpu(dev.node), dev.node)
+                for dev in devices
+            ]
             iteration_times: List[float] = []
             # Boundary 0, the fresh environment, is steady unless a device's
             # speed varies with time; iteration 0 then decides periodicity.
@@ -537,7 +542,7 @@ class Trainer:
                 done = env.process(
                     self._iteration(
                         env, iteration, devices, comm, profiler, fabric,
-                        router, input_ready,
+                        input_routes, input_ready,
                     )
                 )
                 env.run(until=done)
@@ -902,7 +907,7 @@ class Trainer:
         comm,
         profiler: Profiler,
         fabric: Fabric,
-        router: Router,
+        input_routes: Sequence[Route],
         input_ready: List[Optional[Event]],
     ) -> Generator[Event, None, None]:
         c = self.constants
@@ -919,7 +924,8 @@ class Trainer:
         this_input = list(input_ready)
         for pos, dev in enumerate(devices):
             input_ready[pos] = env.process(
-                self._stage_input(env, fabric, router, dev, profiler)
+                self._stage_input(env, fabric, input_routes[pos], dev,
+                                  profiler)
             )
 
         compute = [
@@ -959,15 +965,13 @@ class Trainer:
         profiler.record_span("iteration", -1, iteration, start, env.now)
 
     def _stage_input(
-        self, env: Environment, fabric: Fabric, router: Router, dev: GpuDevice,
+        self, env: Environment, fabric: Fabric, route: Route, dev: GpuDevice,
         profiler: Profiler,
     ) -> Generator[Event, None, None]:
-        """HtoD copy of one GPU's next mini-batch (prefetch)."""
+        """HtoD copy of one GPU's next mini-batch (prefetch) along ``route``."""
         nbytes = (
             self.stats.input_shape.numel * 4 * self.config.batch_size
         )
-        cpu = fabric.topology.home_cpu(dev.node)
-        route = router.cpu_to_gpu(cpu, dev.node)
         start = env.now
         yield from fabric.transfer(route, nbytes)
         profiler.record_transfer("h2d", -1, dev.index, nbytes, start, env.now)

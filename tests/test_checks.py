@@ -366,3 +366,73 @@ def test_registry_rejects_bad_category_and_duplicates():
 
 def test_checkers_at_unknown_point_empty():
     assert checkers_at("nope") == ()
+
+
+# ----------------------------------------------------------------------
+# Dispatch shortcuts
+# ----------------------------------------------------------------------
+def test_checkers_at_returns_the_stored_tuple():
+    first = checkers_at("fabric.dma")
+    assert isinstance(first, tuple) and len(first) == 2
+    assert checkers_at("fabric.dma") is first
+    for checker in all_checkers():
+        assert checker.invariant == f"{checker.category}.{checker.name}"
+
+
+def _old_lt(a, b):
+    from repro.checks.checkers import ABS_TOL, REL_TOL
+
+    return a < b - (REL_TOL * max(abs(a), abs(b)) + ABS_TOL)
+
+
+_SPECIAL = (0.0, -0.0, 1.0, -1.0, 1e-12, -1e-12, 5e-13, 1e300, -1e300,
+            float("inf"), float("-inf"), float("nan"), 2.0 ** -1074)
+
+
+def test_lt_shortcut_matches_the_full_formula_on_special_values():
+    from repro.checks.checkers import _lt
+
+    for a in _SPECIAL:
+        for b in _SPECIAL:
+            assert _lt(a, b) is _old_lt(a, b), (a, b)
+
+
+def test_lt_shortcut_matches_near_equal_values():
+    import math
+    import random
+
+    from repro.checks.checkers import _lt
+
+    rng = random.Random(20261018)
+    for _ in range(5000):
+        b = rng.uniform(-10.0, 10.0) * 10.0 ** rng.randint(-15, 5)
+        a = b
+        for _ in range(rng.randint(0, 40)):
+            a = math.nextafter(a, rng.choice((-math.inf, math.inf)))
+        a *= 1.0 + rng.choice((0.0, 1e-9, -1e-9, 2e-9, -2e-9))
+        assert _lt(a, b) is _old_lt(a, b)
+        assert _lt(b, a) is _old_lt(b, a)
+
+
+def test_event_monotone_evaluates_every_dispatched_event():
+    from repro import CommMethodName, SimulationConfig, TrainingConfig
+    from repro.perf.spans import PERF
+    from repro.train import train
+
+    PERF.reset()
+    PERF.enable()
+    try:
+        engine = CheckEngine("strict")
+        train(TrainingConfig("lenet", 16, 2, comm_method=CommMethodName.NCCL),
+              sim=SimulationConfig(warmup_iterations=1, measure_iterations=2),
+              checks=engine)
+        events = PERF.counters["sim.events"]
+        payloads = PERF.counters["checks.payloads"]
+        evaluations = PERF.counters["checks.evaluations"]
+    finally:
+        PERF.disable()
+        PERF.reset()
+    stats = engine.stats_dict()
+    assert stats["temporal.event-monotone"] == (events, 0)
+    assert evaluations == sum(checked for checked, _ in stats.values())
+    assert payloads < evaluations

@@ -161,3 +161,38 @@ def test_span_without_clock_raises():
     with pytest.raises(ValueError, match="clock"):
         with p.span("fp"):
             pass
+
+
+# ----------------------------------------------------------------------
+# wants(): emitters build only what someone subscribed to
+# ----------------------------------------------------------------------
+def test_bus_wants_exact_type_subscribers():
+    bus = EventBus()
+    assert not bus.wants(KernelEvent)
+    handler = bus.subscribe(KernelEvent, lambda e: None)
+    assert bus.wants(KernelEvent)
+    assert not bus.wants(ApiEvent)
+    bus.unsubscribe(KernelEvent, handler)
+    assert not bus.wants(KernelEvent)
+
+
+def test_bus_wants_everything_under_a_wildcard():
+    bus = EventBus()
+    handler = bus.subscribe(None, lambda e: None)
+    assert bus.wants(KernelEvent) and bus.wants(ApiEvent)
+    bus.unsubscribe(None, handler)
+    assert not bus.wants(ApiEvent)
+    bus.subscribe(ObsEvent, lambda e: None)
+    assert bus.wants(SpanEvent)
+
+
+def test_profiler_wants_needs_a_subscriber_and_the_window():
+    from repro.obs import RingStepEvent
+
+    prof = Profiler()
+    assert prof.wants(KernelEvent)  # the record list subscribes
+    assert not prof.wants(RingStepEvent)
+    prof.bus.subscribe(RingStepEvent, lambda e: None)
+    assert prof.wants(RingStepEvent)
+    prof.enabled = False
+    assert not prof.wants(RingStepEvent) and not prof.wants(KernelEvent)

@@ -171,3 +171,73 @@ def test_cli_trace_alias_and_summary_flag(tmp_path, capsys):
 def test_cli_obs_rejects_unknown_format(tmp_path):
     with pytest.raises(SystemExit):
         cli_main(["obs", "--formats", "xml", "-o", str(tmp_path)])
+
+
+# ----------------------------------------------------------------------
+# Emitters build only what someone wants
+# ----------------------------------------------------------------------
+_GATED = ("RingStepEvent", "LinkWaitEvent", "LinkBusyEvent",
+          "EngineWaitEvent", "CollectiveChunkEvent", "ProtocolChoiceEvent")
+
+
+def _count_constructions(monkeypatch):
+    import repro.obs.events as events
+
+    built = {name: 0 for name in _GATED}
+    for name in _GATED:
+        cls = getattr(events, name)
+
+        def counting(self, *args, _name=name, _init=cls.__init__, **kwargs):
+            built[_name] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    return built
+
+
+_GATED_RUNS = {
+    "nccl": TrainingConfig("alexnet", 16, 4, comm_method=CommMethodName.NCCL),
+    "nccl-tree": TrainingConfig("alexnet", 16, 4,
+                                comm_method=CommMethodName.NCCL,
+                                nccl_algorithm="auto", nccl_protocol="auto"),
+    "p2p": TrainingConfig("alexnet", 16, 4, comm_method=CommMethodName.P2P),
+}
+
+
+@pytest.mark.parametrize("run", sorted(_GATED_RUNS))
+def test_unobserved_run_builds_no_gated_events(monkeypatch, run):
+    from repro.checks import CheckEngine
+
+    built = _count_constructions(monkeypatch)
+    Trainer(_GATED_RUNS[run], sim=SIM, checks=CheckEngine("strict")).run()
+    assert built == {name: 0 for name in _GATED}
+    # The same run observed builds them, so the zero above is not vacuous.
+    Trainer(_GATED_RUNS[run], sim=SIM, obs=ObsSession()).run()
+    assert built["LinkBusyEvent"] > 0 and built["EngineWaitEvent"] > 0
+    if run != "p2p":
+        assert built["RingStepEvent"] + built["CollectiveChunkEvent"] > 0
+
+
+@pytest.mark.parametrize("run", sorted(_GATED_RUNS))
+def test_subscribers_see_the_stream_every_event_would_give(monkeypatch, run):
+    # Forcing wants() true builds every event, as emitters did before
+    # they asked: the JSONL recorder (a wildcard) and the metrics bridge
+    # (typed subscriptions) must see exactly that stream.
+    from repro.obs import EventBus, write_events_jsonl
+
+    def observe():
+        obs = ObsSession()
+        Trainer(_GATED_RUNS[run], sim=SIM, obs=obs).run()
+        buf = io.StringIO()
+        write_events_jsonl(obs.recorder.events, buf)
+        return buf.getvalue(), render_prometheus(obs.registry)
+
+    def bridge_only():
+        obs = ObsSession(record_events=False)
+        Trainer(_GATED_RUNS[run], sim=SIM, obs=obs).run()
+        return render_prometheus(obs.registry)
+
+    gated, gated_bridge = observe(), bridge_only()
+    monkeypatch.setattr(EventBus, "wants", lambda self, event_type: True)
+    assert observe() == gated
+    assert bridge_only() == gated_bridge

@@ -126,3 +126,77 @@ def test_bottleneck_bandwidth_reflects_narrowest_leg(topo, router):
     assert route.bottleneck_bandwidth(CALIBRATION) == pytest.approx(
         2 * single.bottleneck_bandwidth(CALIBRATION)
     )
+
+
+# ----------------------------------------------------------------------
+# Memoized paths and routes agree with a fresh search
+# ----------------------------------------------------------------------
+def _reference_pcie_path(topology, gpu):
+    """The per-socket search the memoized path replaced: for each CPU in
+    index order, the shortest PCIe/QPI path, kept if no other CPU is on it."""
+    import networkx as nx
+
+    from repro.topology.links import LinkType
+    from repro.topology.nodes import CpuNode
+
+    allowed = nx.Graph()
+    for link in topology.links:
+        if link.link_type in (LinkType.PCIE, LinkType.QPI):
+            allowed.add_edge(link.a, link.b)
+    for cpu in topology.cpus:
+        if nx.has_path(allowed, gpu, cpu):
+            path = nx.shortest_path(allowed, gpu, cpu)
+            if all(not isinstance(n, CpuNode) for n in path[1:-1]):
+                return path
+    raise AssertionError(f"{gpu} has no PCIe path")
+
+
+def _memo_topologies():
+    from repro.topology import ClusterSpec, build_cluster
+
+    return {
+        "dgx1v": build_dgx1v(),
+        "rail-2node": build_cluster(ClusterSpec(num_nodes=2)),
+    }
+
+
+@pytest.mark.parametrize("name", ["dgx1v", "rail-2node"])
+def test_memoized_paths_equal_a_fresh_search(name):
+    topology = _memo_topologies()[name]
+    for gpu in topology.gpus:
+        first = topology.pcie_path(gpu)
+        assert topology.pcie_path(gpu) == first
+        assert first == topology._search_pcie_path(gpu)
+        assert first == _reference_pcie_path(topology, gpu)
+        assert topology.home_cpu(gpu) == first[-1]
+    for src in topology.cpus:
+        for dst in topology.cpus:
+            first = topology.host_path(src, dst)
+            assert topology.host_path(src, dst) == first
+            assert first == topology._search_host_path(src, dst)
+
+
+@pytest.mark.parametrize("name", ["dgx1v", "rail-2node"])
+def test_memoized_routes_equal_a_fresh_computation(name):
+    topology = _memo_topologies()[name]
+    router = Router(topology)
+    for src in topology.gpus:
+        for dst in topology.gpus:
+            route = router.gpu_to_gpu(src, dst)
+            assert router.gpu_to_gpu(src, dst) is route
+            assert route == router._gpu_to_gpu(src, dst)
+        for cpu in topology.cpus:
+            if cpu.socket // 2 != src.index // 8:
+                continue  # input staging stays inside one chassis
+            route = router.cpu_to_gpu(cpu, src)
+            assert router.cpu_to_gpu(cpu, src) is route
+            assert route == router._cpu_to_gpu(cpu, src)
+
+
+def test_routers_over_one_topology_share_their_routes():
+    topology = build_dgx1v()
+    a, b = Router(topology), Router(topology)
+    route = a.gpu_to_gpu(topology.gpu(0), topology.gpu(7))
+    assert b.gpu_to_gpu(topology.gpu(0), topology.gpu(7)) is route
+    other = Router(build_dgx1v())
+    assert other.gpu_to_gpu(other.topology.gpu(0), other.topology.gpu(7)) == route

@@ -72,3 +72,17 @@ def test_determinism():
     a, b = _async(), _async()
     assert a.epoch_time == b.epoch_time
     assert a.async_stats.staleness_samples == b.async_stats.staleness_samples
+
+
+def test_topology_builder_override_reaches_async_workers():
+    """The async workers route over the trainer's topology: a 10x slower
+    NVLink fabric must slow the epoch, as it does for synchronous SGD."""
+    import functools
+
+    from repro.topology import build_dgx1v
+
+    slow = functools.partial(build_dgx1v, nvlink_bandwidth_scale=0.1)
+    default = _async(net="alexnet")
+    overridden = _async(net="alexnet", topology_builder=slow)
+    assert default.epoch_time == pytest.approx(58.6427, rel=1e-5)
+    assert overridden.epoch_time > 1.2 * default.epoch_time

@@ -128,3 +128,21 @@ def test_determinism():
     a = ModelParallelEstimator(TrainingConfig("googlenet", 16, 4)).run()
     b = ModelParallelEstimator(TrainingConfig("googlenet", 16, 4)).run()
     assert a.epoch_time == b.epoch_time
+
+
+def test_strategy_routes_boundaries_over_the_trainers_topology():
+    """The model-parallel strategy hands its estimator the trainer's
+    topology, so a slower NVLink fabric slows the boundary transfers."""
+    import functools
+
+    from repro.topology import build_dgx1v
+
+    config = TrainingConfig("alexnet", 16, 4, comm_method=CommMethodName.P2P,
+                            strategy="model-parallel")
+    slow = functools.partial(build_dgx1v, nvlink_bandwidth_scale=0.1)
+    default = train(config)
+    overridden = train(config, topology_builder=slow)
+    assert default.epoch_time == ModelParallelEstimator(config).run().epoch_time
+    assert overridden.epoch_time == ModelParallelEstimator(
+        config, topology=slow()).run().epoch_time
+    assert overridden.epoch_time > 2 * default.epoch_time

@@ -302,3 +302,26 @@ def test_periodic_invariant_flags_unequal_iterations(monkeypatch):
     flagged = [v for v in r.violations if v.invariant == "temporal.periodic"]
     assert len(flagged) == 1
     assert len(r.iteration_times) == 1
+
+
+def test_checked_run_searches_each_pcie_path_once(monkeypatch):
+    # Routes are memoized per topology: a checked 7-iteration 8-GPU run
+    # derives each GPU's input route once, not once per iteration.
+    import networkx as nx
+
+    from repro.checks import CheckEngine
+
+    searches = []
+    original = nx.shortest_path
+
+    def counting(*args, **kwargs):
+        searches.append(args[1] if len(args) > 1 else kwargs.get("source"))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(nx, "shortest_path", counting)
+    sim = SimulationConfig(warmup_iterations=2, measure_iterations=5)
+    config = TrainingConfig("lenet", 16, 8, comm_method=CommMethodName.P2P)
+    r = train(config, sim=sim, checks=CheckEngine("strict"))
+    assert r.violations == ()
+    assert 0 < len(searches) <= 8
+    assert len(set(searches)) == len(searches)
