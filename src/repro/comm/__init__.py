@@ -36,6 +36,16 @@ __all__ = [
     "reduction_tree",
 ]
 
+#: The factory's keys and the classes they build.
+_COMMUNICATORS = {
+    "p2p": P2PCommunicator,
+    "ps-gpu": PsGpuCommunicator,
+    "nccl": NcclCommunicator,
+    "local": LocalCommunicator,
+    "nccl-allreduce": NcclAllReduceCommunicator,
+    "nccl-hierarchical": HierarchicalNcclCommunicator,
+}
+
 #: Keyword arguments only the hierarchical cluster communicator takes.
 _CLUSTER_KWARGS = (
     "cluster_nodes", "rails", "rail_bandwidth", "rail_latency",
@@ -53,22 +63,12 @@ def make_communicator(name, *args, **kwargs) -> Communicator:
     that have no such selection space.
     """
     key = getattr(name, "value", name)
+    if key not in _COMMUNICATORS:
+        raise ValueError(f"unknown communication method {name!r}")
     if key not in ("nccl", "nccl-allreduce"):
         kwargs.pop("algorithm", None)
         kwargs.pop("protocol", None)
     if key != "nccl-hierarchical":
         for cluster_kwarg in _CLUSTER_KWARGS:
             kwargs.pop(cluster_kwarg, None)
-    if key == "p2p":
-        return P2PCommunicator(*args, **kwargs)
-    if key == "ps-gpu":
-        return PsGpuCommunicator(*args, **kwargs)
-    if key == "nccl":
-        return NcclCommunicator(*args, **kwargs)
-    if key == "local":
-        return LocalCommunicator(*args, **kwargs)
-    if key == "nccl-allreduce":
-        return NcclAllReduceCommunicator(*args, **kwargs)
-    if key == "nccl-hierarchical":
-        return HierarchicalNcclCommunicator(*args, **kwargs)
-    raise ValueError(f"unknown communication method {name!r}")
+    return _COMMUNICATORS[key](*args, **kwargs)

@@ -52,60 +52,36 @@ class LocalCommunicator(Communicator):
             return
         # Phase 1: DtoH from every GPU (concurrent, contending on PCIe).
         pushes = [
-            self.env.process(self._dtoh(array, dev.index))
+            self.env.process(self._host_copy(array, dev.index, to_host=True))
             for dev in self.devices
         ]
         yield self.env.all_of(pushes)
-        # Phase 2: reduce + SGD update on the host cores.
-        yield self.env.process(self._host_update(array))
+        # Phase 2: sum N gradients and apply SGD on the host cores.
+        reduce_bytes = array.nbytes * (self.num_gpus + 1)
+        update_bytes = 5 * array.nbytes
+        yield self.env.process(self._cpu.hold(
+            (reduce_bytes + update_bytes) / HOST_REDUCE_BANDWIDTH))
         # Phase 3: HtoD back to every GPU.
         pulls = [
-            self.env.process(self._htod(array, dev.index))
+            self.env.process(self._host_copy(array, dev.index, to_host=False))
             for dev in self.devices
         ]
         yield self.env.all_of(pulls)
 
-    def _dtoh(self, array: WeightArray, gpu: int) -> Generator[Event, None, None]:
+    def _host_copy(self, array: WeightArray, gpu: int,
+                   to_host: bool) -> Generator[Event, None, None]:
+        """One DtoH (``to_host``) or HtoD copy between ``gpu`` and its
+        home CPU, after the copy setup on the GPU's dispatch thread."""
         gpu_node = self.fabric.topology.gpu(gpu)
         cpu_node = self.fabric.topology.home_cpu(gpu_node)
-        # DtoH is the reverse of the CPU->GPU route.
-        route = self.router.cpu_to_gpu(cpu_node, gpu_node)
-        req = self._dispatch[gpu].request()
-        yield req
-        try:
-            yield self.env.timeout(HOST_COPY_SETUP)
-        finally:
-            self._dispatch[gpu].release(req)
+        leg = self.router.cpu_to_gpu(cpu_node, gpu_node).legs[0]
+        yield from self._dispatch[gpu].hold(HOST_COPY_SETUP)
         start = self.env.now
         nbytes = self._comm_bytes(array)
-        # Same links, opposite (device-to-host) direction.
-        yield self.env.process(self.fabric.dma(route.legs[0].reversed(), nbytes))
-        self._record_transfer("d2h", gpu, -1, nbytes, start, self.env.now)
-
-    def _htod(self, array: WeightArray, gpu: int) -> Generator[Event, None, None]:
-        gpu_node = self.fabric.topology.gpu(gpu)
-        cpu_node = self.fabric.topology.home_cpu(gpu_node)
-        route = self.router.cpu_to_gpu(cpu_node, gpu_node)
-        req = self._dispatch[gpu].request()
-        yield req
-        try:
-            yield self.env.timeout(HOST_COPY_SETUP)
-        finally:
-            self._dispatch[gpu].release(req)
-        start = self.env.now
-        nbytes = self._comm_bytes(array)
-        yield self.env.process(self.fabric.dma(route.legs[0], nbytes))
-        self._record_transfer("h2d", -1, gpu, nbytes, start, self.env.now)
-
-    def _host_update(self, array: WeightArray) -> Generator[Event, None, None]:
-        """Sum N gradients and apply SGD on the CPU."""
-        req = self._cpu.request()
-        yield req
-        try:
-            reduce_bytes = array.nbytes * (self.num_gpus + 1)
-            update_bytes = 5 * array.nbytes
-            yield self.env.timeout(
-                (reduce_bytes + update_bytes) / HOST_REDUCE_BANDWIDTH
-            )
-        finally:
-            self._cpu.release(req)
+        if to_host:
+            # DtoH rides the CPU->GPU route's links in reverse.
+            yield self.env.process(self.fabric.dma(leg.reversed(), nbytes))
+            self._record_transfer("d2h", gpu, -1, nbytes, start, self.env.now)
+        else:
+            yield self.env.process(self.fabric.dma(leg, nbytes))
+            self._record_transfer("h2d", -1, gpu, nbytes, start, self.env.now)

@@ -23,7 +23,7 @@ and per-chunk observability events.  See docs/COMM.md.
 
 from __future__ import annotations
 
-from typing import Generator, List, Optional, Tuple
+from typing import Generator, List, Optional, Sequence, Tuple
 
 from repro.comm.base import Communicator
 from repro.comm.nccl.protocol import (
@@ -72,7 +72,8 @@ class NcclCommunicator(Communicator):
                 [d.index for d in self.devices],
                 self.constants,
             )
-            self._ring_hops: List[RingHop] = self._build_ring_hops()
+            self._ring_hops: List[RingHop] = self._build_ring_hops(
+                self.plan.order)
             self.tree: Optional[TreePlan] = None
             self._tree_edges: List[TreeEdge] = []
             self._tuner: Optional[NcclTuner] = None
@@ -142,10 +143,9 @@ class NcclCommunicator(Communicator):
             now=self.env.now,
         )
 
-    def _build_ring_hops(self) -> List[RingHop]:
-        """The directed (src -> dst) hops around the ring, with the
-        physical link each hop rides (NVLink, or the PCIe/IB fallback)."""
-        order = self.plan.order
+    def _build_ring_hops(self, order: Sequence[int]) -> List[RingHop]:
+        """The directed (src -> dst) hops around the ring ``order``, with
+        the physical link each hop rides (NVLink, or the PCIe/IB fallback)."""
         if len(order) < 2:
             return []
         topology = self.fabric.topology
@@ -205,8 +205,34 @@ class NcclCommunicator(Communicator):
                 start=start + i * slot, end=start + (i + 1) * slot,
             ))
 
+    def _emit_ring_windows(
+        self, collective: str, array: WeightArray, hops: Sequence[RingHop],
+        steps: int, nbytes: int, start: float, end: float,
+    ) -> None:
+        """``steps`` equal step windows over ``[start, end]`` in which
+        *every* hop of ``hops`` is active carrying ``nbytes`` -- the ring
+        reduce-scatter/all-gather structure "Demystifying NCCL" times
+        step by step."""
+        if not hops or end <= start or not self._wants(RingStepEvent):
+            return
+        slot = (end - start) / steps
+        for step in range(steps):
+            t0 = start + step * slot
+            t1 = start + (step + 1) * slot
+            for src, dst, _, link_type in hops:
+                self.profiler.publish(RingStepEvent(
+                    collective=collective, array=array.name, step=step,
+                    src=src, dst=dst, link_type=link_type, nbytes=nbytes,
+                    start=t0, end=t1,
+                ))
+
     def epoch_fixed_overhead(self) -> float:
         return self.constants.nccl_epoch_fixed_overhead
+
+    @property
+    def total_ranks(self) -> int:
+        """GPUs taking part in every collective."""
+        return self.num_gpus
 
     def per_iteration_overhead(self) -> float:
         """Grouped-launch rendezvous across all engine threads.
@@ -216,9 +242,9 @@ class NcclCommunicator(Communicator):
         grows with GPU count and is independent of model size -- large for
         LeNet in relative terms, negligible for Inception-v3.
         """
-        if self.num_gpus == 1:
+        if self.total_ranks == 1:
             return 0.0
-        return self.constants.nccl_group_sync_per_gpu * self.num_gpus
+        return self.constants.nccl_group_sync_per_gpu * self.total_ranks
 
     # ------------------------------------------------------------------
     # Protocol-layer hooks (no-ops in compat mode)
@@ -282,36 +308,36 @@ class NcclCommunicator(Communicator):
     # ------------------------------------------------------------------
     # Collective durations
     # ------------------------------------------------------------------
+    def _ring_duration(self, kind: str, nbytes: int, steps: int,
+                       wire_fraction: float) -> float:
+        """A chunk-pipelined ring collective: the launch overhead,
+        ``steps`` ring-step latencies of pipeline fill, and
+        ``wire_fraction * S`` at the ring's aggregate bandwidth.
+        Non-compat modes defer to the tuner's protocol-aware cost model
+        instead."""
+        c = self.constants
+        if self.plan.size == 1:
+            return c.nccl_single_gpu_kernel
+        choice = self._choose(kind, nbytes)
+        if choice is not None:
+            return choice.predicted
+        wire = wire_fraction * nbytes / self.plan.aggregate_bandwidth
+        return c.nccl_call_overhead + steps * c.nccl_ring_step_latency + wire
+
     def reduce_duration(self, nbytes: int) -> float:
         """Ring Reduce toward the root GPU.
 
         With chunk pipelining every ring link stays busy carrying the
         accumulating stream, so each channel moves the full array: the
         wire cost is ``S / aggregate_bandwidth`` plus the pipeline fill of
-        ``N-1`` chunk steps.  Non-compat modes defer to the tuner's
-        protocol-aware cost model instead.
+        ``N-1`` chunk steps.
         """
-        c = self.constants
-        n = self.plan.size
-        if n == 1:
-            return c.nccl_single_gpu_kernel
-        choice = self._choose("reduce", nbytes)
-        if choice is not None:
-            return choice.predicted
-        wire = nbytes / self.plan.aggregate_bandwidth
-        return c.nccl_call_overhead + (n - 1) * c.nccl_ring_step_latency + wire
+        return self._ring_duration("reduce", nbytes, self.plan.size - 1, 1.0)
 
     def broadcast_duration(self, nbytes: int) -> float:
         """Ring Broadcast from the root: same pipelined full-array cost."""
-        c = self.constants
-        n = self.plan.size
-        if n == 1:
-            return c.nccl_single_gpu_kernel
-        choice = self._choose("broadcast", nbytes)
-        if choice is not None:
-            return choice.predicted
-        wire = nbytes / self.plan.aggregate_bandwidth
-        return c.nccl_call_overhead + (n - 1) * c.nccl_ring_step_latency + wire
+        return self._ring_duration("broadcast", nbytes, self.plan.size - 1,
+                                   1.0)
 
     # ------------------------------------------------------------------
     # Weight-update path
@@ -356,6 +382,21 @@ class NcclCommunicator(Communicator):
             else self.broadcast_duration(wire_bytes)
         )
         self._check_collective(kind, wire_bytes, duration)
+        yield from self._launch(kind, array, wire_bytes, (duration,))
+
+    def _launch(
+        self, kind: str, array: WeightArray, wire_bytes: int,
+        windows: Sequence[float],
+    ) -> Generator[Event, None, Tuple[float, List[float]]]:
+        """Run one collective on the NCCL stream; every collective of
+        every NCCL communicator goes through here.
+
+        Queues on the stream, starts each GPU's cooperative tax kernel,
+        charges ``windows`` back to back (a zero window charges nothing),
+        joins the taxes and releases the stream.  Returns ``(start,
+        ends)``: the clock when the stream was granted and after each
+        window.
+        """
         queued = self.env.now
         req = self._stream.request()
         yield req
@@ -363,10 +404,14 @@ class NcclCommunicator(Communicator):
         self._emit_stream_waits(start - queued, start)
         # Each GPU launches its cooperative kernel; the brief SM occupancy
         # contends with backward-pass compute on every device.
-        tax = self._collective_kernel(kind, array, c.nccl_engine_tax)
+        tax = self._collective_kernel(kind, array, self.constants.nccl_engine_tax)
         taxes = [self.env.process(dev.run_kernel(tax)) for dev in self.devices]
+        ends: List[float] = []
         try:
-            yield self.env.timeout(duration)
+            for window in windows:
+                if window > 0:
+                    yield self.env.timeout(window)
+                ends.append(self.env.now)
             yield self.env.all_of(taxes)
         finally:
             self._stream.release(req)
@@ -377,13 +422,21 @@ class NcclCommunicator(Communicator):
         with PERF.span("nccl.pipeline"):
             if PERF.enabled:
                 PERF.count("nccl.collectives")
-            choice = self._choose(kind, wire_bytes)
-            if choice is None or choice.algorithm is NcclAlgorithm.RING:
-                self._emit_ring_steps(kind, array, start, start + duration,
-                                      wire_bytes)
-            else:
-                self._emit_tree_steps(choice, array, start, start + duration)
-            if choice is not None:
-                self._emit_choice(choice, array, start)
+            self._emit_windows(kind, array, wire_bytes, start, ends, windows)
             self._record_transfer("nccl", self.server.index, -1, wire_bytes,
                                   start, self.env.now)
+        return start, ends
+
+    def _emit_windows(
+        self, kind: str, array: WeightArray, wire_bytes: int, start: float,
+        ends: Sequence[float], windows: Sequence[float],
+    ) -> None:
+        """The observability fan-out of one charged collective window."""
+        end = start + windows[0]
+        choice = self._choose(kind, wire_bytes)
+        if choice is None or choice.algorithm is NcclAlgorithm.RING:
+            self._emit_ring_steps(kind, array, start, end, wire_bytes)
+        else:
+            self._emit_tree_steps(choice, array, start, end)
+        if choice is not None:
+            self._emit_choice(choice, array, start)

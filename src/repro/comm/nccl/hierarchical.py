@@ -20,17 +20,18 @@ wire totals, closed-form phase timings built on the audited
 timeline either *event*-wise (one charged window per phase, per-rail
 ring-step events) or *analytically* (one closed-form window per
 collective -- a 1024-GPU AllReduce cannot afford per-chunk events on
-every link).  Both modes charge the same float algebra, which is what
-the ``temporal.hierarchical-agreement`` invariant cross-validates.  See
-docs/SCALING.md for the model and its validity envelope.
+every link).  Both modes charge the same float algebra; the
+``temporal.hierarchical-agreement`` invariant compares the clock each
+collective actually charged with the closed form.  See docs/SCALING.md
+for the model and its validity envelope.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Generator, List, Tuple
+from typing import Generator, List, Sequence, Tuple
 
-from repro.comm.nccl.communicator import NcclCommunicator
+from repro.comm.nccl.allreduce import NcclAllReduceCommunicator
 from repro.comm.nccl.protocol import (
     _pipelined_time,
     _segments,
@@ -278,7 +279,7 @@ def hierarchical_phase_times(
 # ----------------------------------------------------------------------
 # The communicator
 # ----------------------------------------------------------------------
-class HierarchicalNcclCommunicator(NcclCommunicator):
+class HierarchicalNcclCommunicator(NcclAllReduceCommunicator):
     """Rail-aware hierarchical AllReduce with replicated local updates.
 
     Covers the whole cluster (``cluster_nodes * 8`` ranks) even when the
@@ -290,6 +291,7 @@ class HierarchicalNcclCommunicator(NcclCommunicator):
     per phase and emits per-rail ring-step events, ``"analytic"``
     charges a single closed-form window -- and both modes evaluate the
     same float algebra (invariant ``temporal.hierarchical-agreement``).
+    The replicated-update :meth:`sync_array` is the flat AllReduce's.
     """
 
     name = "nccl-hierarchical"
@@ -362,22 +364,18 @@ class HierarchicalNcclCommunicator(NcclCommunicator):
             self.intra_plan: RingPlan = build_ring_plan(
                 self.fabric.topology, intra_indices, self.constants
             )
+            self._intra_hops = self._build_ring_hops(self.intra_plan.order)
 
     @property
     def total_ranks(self) -> int:
-        """GPUs participating in the collective across the cluster."""
+        """GPUs participating in the collective across the cluster (the
+        grouped-launch rendezvous spans all of their engines)."""
         return self.cluster_nodes * GPUS_PER_NODE
 
     @property
     def representative(self) -> bool:
         """True when fewer devices are simulated than ranks exist."""
         return len(self.devices) < self.total_ranks
-
-    def per_iteration_overhead(self) -> float:
-        """Grouped-launch rendezvous across the *whole cluster*'s engines."""
-        if self.total_ranks == 1:
-            return 0.0
-        return self.constants.nccl_group_sync_per_gpu * self.total_ranks
 
     # ------------------------------------------------------------------
     # Durations
@@ -405,12 +403,14 @@ class HierarchicalNcclCommunicator(NcclCommunicator):
     # Checkpoint
     # ------------------------------------------------------------------
     def _check_hierarchical(
-        self, nbytes: int, duration: float, analytic: float
+        self, nbytes: int, duration: float, analytic: float,
+        phases: Tuple[float, float, float],
     ) -> None:
-        """Fire the ``comm.hierarchical`` checkpoint for one collective."""
+        """Fire the ``comm.hierarchical`` checkpoint for one collective
+        that charged ``duration`` on the clock."""
         if not self.checks_active:
             return
-        t_rs, t_inter, t_ag = self._phase_times(nbytes)
+        t_rs, t_inter, t_ag = phases
         scales = self.rail_scales or (1.0,) * self.rails
         multi = self.cluster_nodes > 1
         self._check(
@@ -460,40 +460,6 @@ class HierarchicalNcclCommunicator(NcclCommunicator):
     # ------------------------------------------------------------------
     # Event emission
     # ------------------------------------------------------------------
-    def _intra_hops(self) -> List[Tuple[int, int, str]]:
-        """Directed (src, dst, link_type) hops of the intra-node ring."""
-        order = self.intra_plan.order
-        if len(order) < 2:
-            return []
-        topology = self.fabric.topology
-        hops = []
-        for a, b in zip(order, order[1:] + order[:1]):
-            link = topology.nvlink_between(topology.gpu(a), topology.gpu(b))
-            hops.append((a, b, link.link_type.value if link else "pcie"))
-        return hops
-
-    def _emit_intra_steps(
-        self, collective: str, array: WeightArray,
-        start: float, end: float, nbytes: int,
-    ) -> None:
-        """``g - 1`` step windows, every intra-node ring hop active."""
-        g = self.intra_plan.size
-        if g < 2 or end <= start or not self._wants(RingStepEvent):
-            return
-        hops = self._intra_hops()
-        if not hops:
-            return
-        slot = (end - start) / (g - 1)
-        seg = max(1, nbytes // g)
-        for step in range(g - 1):
-            t0, t1 = start + step * slot, start + (step + 1) * slot
-            for src, dst, link_type in hops:
-                self.profiler.publish(RingStepEvent(
-                    collective=collective, array=array.name, step=step,
-                    src=src, dst=dst, link_type=link_type, nbytes=seg,
-                    start=t0, end=t1,
-                ))
-
     def _emit_inter_steps(
         self, array: WeightArray, start: float, end: float, nbytes: int,
     ) -> None:
@@ -532,73 +498,50 @@ class HierarchicalNcclCommunicator(NcclCommunicator):
                     start=start + step * slot, end=start + (step + 1) * slot,
                 ))
 
+    def _emit_windows(
+        self, kind: str, array: WeightArray, wire_bytes: int, start: float,
+        ends: Sequence[float], windows: Sequence[float],
+    ) -> None:
+        """Per-phase ring steps (event mode) or one summary window."""
+        if self.fast_path == "event":
+            rs_end, inter_end, _ = ends
+            g = self.intra_plan.size
+            seg = max(1, wire_bytes // g)
+            self._emit_ring_windows("hier-reduce-scatter", array,
+                                    self._intra_hops, g - 1, seg,
+                                    start, rs_end)
+            self._emit_inter_steps(array, rs_end, inter_end, wire_bytes)
+            self._emit_ring_windows("hier-allgather", array,
+                                    self._intra_hops, g - 1, seg,
+                                    inter_end, inter_end + windows[2])
+        elif self._wants(RingStepEvent):
+            # Analytic mode: one summary window, no per-step fan-out.
+            self.profiler.publish(RingStepEvent(
+                collective="hier-analytic", array=array.name, step=0,
+                src=self.server.index, dst=self.server.index + 1,
+                link_type="infiniband", nbytes=wire_bytes,
+                start=start, end=start + sum(windows),
+            ))
+
     # ------------------------------------------------------------------
     # Weight-update path
     # ------------------------------------------------------------------
-    def sync_array(self, array: WeightArray) -> Generator[Event, None, None]:
-        yield self.env.process(self._allreduce(array))
-        # Every simulated GPU applies the identical update in parallel;
-        # the unsimulated nodes run the same kernels on their own engines.
-        updates = [
-            self.env.process(dev.run_kernel(self._update_kernel(array)))
-            for dev in self.devices
-        ]
-        yield self.env.all_of(updates)
-
     def _allreduce(self, array: WeightArray) -> Generator[Event, None, None]:
         c = self.constants
         wire_bytes = self._comm_bytes(array)
-        t_rs, t_inter, t_ag = self._phase_times(wire_bytes)
+        phases = t_rs, t_inter, t_ag = self._phase_times(wire_bytes)
         analytic = c.nccl_call_overhead + t_rs + t_inter + t_ag
-        if self.fast_path == "event":
-            duration = (c.nccl_call_overhead + t_rs) + t_inter + t_ag
+        if self.fast_path == "event" or t_inter == 0:
+            # One charged window per phase: the inter-node exchange
+            # cannot start before the reduce-scatter finishes, and the
+            # allgather not before the exchange.  With no inter-node
+            # phase to fold (one node) the analytic path charges the same
+            # windows, so both paths advance the clock identically.
+            windows: Tuple[float, ...] = (c.nccl_call_overhead + t_rs,
+                                          t_inter, t_ag)
         else:
-            duration = analytic
-        self._check_hierarchical(wire_bytes, duration, analytic)
-        queued = self.env.now
-        req = self._stream.request()
-        yield req
-        start = self.env.now
-        self._emit_stream_waits(start - queued, start)
-        tax = self._collective_kernel("allreduce", array, c.nccl_engine_tax)
-        taxes = [self.env.process(dev.run_kernel(tax)) for dev in self.devices]
-        try:
-            if self.fast_path == "event" or t_inter == 0:
-                # One charged window per phase: the inter-node exchange
-                # cannot start before the reduce-scatter finishes, and
-                # the allgather not before the exchange.  With no
-                # inter-node phase to fold (one node) the analytic path
-                # charges the same windows, so both paths advance the
-                # clock identically.
-                yield self.env.timeout(c.nccl_call_overhead + t_rs)
-                rs_end = self.env.now
-                if t_inter > 0:
-                    yield self.env.timeout(t_inter)
-                inter_end = self.env.now
-                if t_ag > 0:
-                    yield self.env.timeout(t_ag)
-            else:
-                yield self.env.timeout(duration)
-            yield self.env.all_of(taxes)
-        finally:
-            self._stream.release(req)
-        with PERF.span("nccl.pipeline"):
-            if PERF.enabled:
-                PERF.count("nccl.collectives")
-            if self.fast_path == "event":
-                self._emit_intra_steps("hier-reduce-scatter", array,
-                                       start, rs_end, wire_bytes)
-                self._emit_inter_steps(array, rs_end, inter_end, wire_bytes)
-                self._emit_intra_steps("hier-allgather", array,
-                                       inter_end, inter_end + t_ag,
-                                       wire_bytes)
-            elif self._wants(RingStepEvent):
-                # Analytic mode: one summary window, no per-step fan-out.
-                self.profiler.publish(RingStepEvent(
-                    collective="hier-analytic", array=array.name, step=0,
-                    src=self.server.index, dst=self.server.index + 1,
-                    link_type="infiniband", nbytes=wire_bytes,
-                    start=start, end=start + duration,
-                ))
-            self._record_transfer("nccl", self.server.index, -1, wire_bytes,
-                                  start, self.env.now)
+            windows = (analytic,)
+        start, ends = yield from self._launch("allreduce", array,
+                                              wire_bytes, windows)
+        self._check_hierarchical(wire_bytes, ends[-1] - start, analytic,
+                                 phases)

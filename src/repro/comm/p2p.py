@@ -201,12 +201,7 @@ class P2PCommunicator(Communicator):
         route = self.router.gpu_to_gpu(
             self.fabric.topology.gpu(src), self.fabric.topology.gpu(dst)
         )
-        req = self._dispatch[src].request()
-        yield req
-        try:
-            yield self.env.timeout(self.constants.p2p_copy_setup)
-        finally:
-            self._dispatch[src].release(req)
+        yield from self._dispatch[src].hold(self.constants.p2p_copy_setup)
         start = self.env.now
         yield from self.fabric.pipelined_transfer(route, nbytes, P2P_CHUNK_BYTES)
         self._record_transfer("p2p", src, dst, nbytes, start, self.env.now)
@@ -257,12 +252,7 @@ class P2PCommunicator(Communicator):
         route = self.router.gpu_to_gpu(
             self.fabric.topology.gpu(src), self.fabric.topology.gpu(dst)
         )
-        req = self._dispatch[src].request()
-        yield req
-        try:
-            yield self.env.timeout(self.constants.p2p_copy_setup)
-        finally:
-            self._dispatch[src].release(req)
+        yield from self._dispatch[src].hold(self.constants.p2p_copy_setup)
         start = self.env.now
         for c, chunk_bytes in enumerate(chunks):
             yield ready[src][c]
@@ -323,12 +313,7 @@ class P2PCommunicator(Communicator):
         route = self.router.gpu_to_gpu(
             self.fabric.topology.gpu(src), self.fabric.topology.gpu(dst)
         )
-        req = self._dispatch[src].request()
-        yield req
-        try:
-            yield self.env.timeout(self.constants.p2p_copy_setup)
-        finally:
-            self._dispatch[src].release(req)
+        yield from self._dispatch[src].hold(self.constants.p2p_copy_setup)
         start = self.env.now
         for c, chunk_bytes in enumerate(chunks):
             yield have[src][c]

@@ -9,7 +9,7 @@ for CUDA stream work queues).
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, List, Optional, TYPE_CHECKING
+from typing import Any, Deque, Generator, List, Optional, TYPE_CHECKING
 
 from repro.core.errors import SimulationError
 from repro.sim.events import Event
@@ -39,6 +39,8 @@ class Resource:
             yield env.timeout(service_time)
         finally:
             resource.release(req)
+
+    which :meth:`hold` spells ``yield from resource.hold(service_time)``.
     """
 
     def __init__(self, env: "Environment", capacity: int = 1) -> None:
@@ -97,6 +99,15 @@ class Resource:
             nxt = self._waiting.popleft()
             self._users.append(nxt)
             nxt.succeed()
+
+    def hold(self, delay: float) -> Generator[Event, None, None]:
+        """Claim a slot, keep it for ``delay`` seconds, then release it."""
+        req = self.request()
+        yield req
+        try:
+            yield self.env.timeout(delay)
+        finally:
+            self.release(req)
 
     def cancel(self, request: Request) -> None:
         """Withdraw a not-yet-granted request."""

@@ -148,24 +148,7 @@ def build_dgx1v_cluster(num_nodes: int) -> SystemTopology:
     ib_switch = SwitchNode(name="ibswitch", kind=NodeKind.PCIE_SWITCH)
 
     for k in range(num_nodes):
-        base = k * GPUS_PER_NODE
-        gpus = [GpuNode.named(base + i) for i in range(GPUS_PER_NODE)]
-        cpus = [CpuNode.named(2 * k + s) for s in range(2)]
-        switches = [
-            SwitchNode(name=f"plx{k}_{i}", kind=NodeKind.PCIE_SWITCH)
-            for i, _, _ in DGX1_PCIE_SWITCHES
-        ]
-        nodes.extend([*gpus, *cpus, *switches])
-
-        for a, b, width in DGX1V_NVLINKS:
-            links.append(Link(gpus[a], gpus[b], LinkType.NVLINK, width=width))
-        for idx, gpu_pair, socket in DGX1_PCIE_SWITCHES:
-            switch = switches[idx]
-            for g in gpu_pair:
-                links.append(Link(gpus[g], switch, LinkType.PCIE))
-            links.append(Link(switch, cpus[socket], LinkType.PCIE))
-        links.append(Link(cpus[0], cpus[1], LinkType.QPI))
-
+        _, cpus, _ = _add_dgx1_node(k, nodes, links)
         # Aggregated IB attachment on socket 0.
         nic = SwitchNode(name=f"nic{k}", kind=NodeKind.PCIE_SWITCH)
         nodes.append(nic)

@@ -184,12 +184,16 @@ class ReductionStrategy:
     # ------------------------------------------------------------------
     # System construction
     # ------------------------------------------------------------------
-    def build_communicator(self, trainer, env, fabric, devices, profiler):
+    def build_communicator(self, trainer, env, fabric, devices, profiler,
+                           cluster_nodes=None, rail_scales=None):
         """Build this strategy's communicator for one assembled system.
 
         A non-compat ``cluster_collective`` reroutes the NCCL strategies
         onto the hierarchical rail-aware communicator (docs/SCALING.md);
-        everything else keeps the flat per-method factory key.
+        everything else keeps the flat per-method factory key.  A faulted
+        cluster segment passes ``cluster_nodes`` (a crashed node shrinks
+        the rank space) and ``rail_scales`` (degraded rails); ``None``
+        keeps the configured cluster and healthy rails.
         """
         # Imported lazily: repro.comm itself imports the train package
         # (optimizer specs), so a module-level import would be circular.
@@ -202,22 +206,17 @@ class ReductionStrategy:
             from repro.topology.cluster import IB_LANE_BANDWIDTH
 
             key = "nccl-hierarchical"
-            # The faulted segment loop narrows the cluster (a crashed
-            # node shrinks the rank space) and degrades rails; healthy
-            # runs leave both overrides None.
-            nodes = getattr(trainer, "_fault_cluster_nodes", None)
             kwargs = dict(
                 cluster_nodes=(
-                    nodes if nodes is not None else config.cluster_nodes
+                    cluster_nodes if cluster_nodes is not None
+                    else config.cluster_nodes
                 ),
                 rail_bandwidth=IB_LANE_BANDWIDTH,
                 inter_algorithm=config.cluster_collective.removeprefix(
                     "hierarchical-"),
                 fast_path=resolve_fast_path(config, trainer.faults),
+                rail_scales=rail_scales,
             )
-            scales = getattr(trainer, "_fault_rail_scales", None)
-            if scales is not None:
-                kwargs["rail_scales"] = scales
         return make_communicator(
             key,
             env,

@@ -133,11 +133,6 @@ class Trainer:
             raise FaultPlanError(
                 f"faults must be a FaultPlan, got {type(faults).__name__}"
             )
-        # Per-segment cluster overrides the faulted segment loop sets and
-        # the strategy's communicator construction consults; None outside
-        # a faulted cluster segment (the healthy path never touches them).
-        self._fault_cluster_nodes: Optional[int] = None
-        self._fault_rail_scales: Optional[Tuple[float, ...]] = None
         if faults is not None:
             self._validate_fault_plan(faults)
         with PERF.span("trainer.compile"):
@@ -304,13 +299,16 @@ class Trainer:
         gpu_indices: Optional[Sequence[int]] = None,
         speed_overrides: Optional[Dict[int, float]] = None,
         ecc_models: Optional[Dict[int, object]] = None,
+        cluster_nodes: Optional[int] = None,
+        rail_scales: Optional[Tuple[float, ...]] = None,
     ):
         """Assemble env, profiler, fabric, router, devices and comm.
 
         One code path for healthy and faulted construction: with no
         overrides this is the exact healthy sequence (byte-identical
         outputs); the faulted path passes a degraded topology, a survivor
-        GPU set and per-segment speed/ECC models.  The communicator
+        GPU set, per-segment speed/ECC models and, on a cluster, the
+        surviving node count and degraded rail scales.  The communicator
         itself is strategy-owned
         (:meth:`~repro.train.strategies.ReductionStrategy.build_communicator`).
         """
@@ -343,7 +341,8 @@ class Trainer:
                 for i in gpu_indices
             ]
             comm = self.strategy.build_communicator(
-                self, env, fabric, devices, profiler)
+                self, env, fabric, devices, profiler,
+                cluster_nodes=cluster_nodes, rail_scales=rail_scales)
             return env, profiler, fabric, router, devices, comm
 
     # ------------------------------------------------------------------
@@ -666,16 +665,16 @@ class Trainer:
                 if label.startswith(("link:", "rail:"))
             )
             rails_degraded = 0
+            # A crashed node narrows the cluster's rank space and rail
+            # faults degrade rails; None keeps the configured cluster.
+            fault_nodes = fault_scales = None
             if cluster:
                 scales = injector.rail_scales(rails, now)
                 rails_degraded = sum(1 for s in scales if s < 1.0)
-                self._fault_rail_scales = (
-                    scales if rails_degraded else None
-                )
-                self._fault_cluster_nodes = (
-                    active_nodes if active_nodes != cfg.cluster_nodes
-                    else None
-                )
+                if rails_degraded:
+                    fault_scales = scales
+                if active_nodes != cfg.cluster_nodes:
+                    fault_nodes = active_nodes
             speed = {
                 i: self._base_factor(i, now) * injector.gpu_factor(i, now)
                 for i in participants
@@ -689,12 +688,9 @@ class Trainer:
                 gpu_indices=participants,
                 speed_overrides=speed,
                 ecc_models=ecc,
+                cluster_nodes=fault_nodes,
+                rail_scales=fault_scales,
             )
-            # The overrides only steer communicator construction; clear
-            # them so an exception (or a later healthy run on this
-            # trainer) never sees a stale cluster narrowing.
-            self._fault_cluster_nodes = None
-            self._fault_rail_scales = None
             plan_obj = getattr(comm, "plan", None)
             if bus is not None and topo is not base:
                 bus.publish(RouteRecomputedEvent(

@@ -14,7 +14,7 @@ import pytest
 
 from repro.checks import CheckEngine
 from repro.core.config import CommMethodName, SimulationConfig, TrainingConfig
-from repro.core.errors import ConfigurationError
+from repro.core.errors import ConfigurationError, InvariantViolationError
 from repro.comm.nccl import (
     hierarchical_phase_times,
     hierarchical_phase_wire,
@@ -22,6 +22,7 @@ from repro.comm.nccl import (
     hierarchical_wire_total,
 )
 from repro.comm.nccl.hierarchical import rail_bytes
+from repro.sim import Timeout
 from repro.train import Trainer
 
 FAST = SimulationConfig(warmup_iterations=0, measure_iterations=2)
@@ -100,6 +101,21 @@ def test_event_and_analytic_paths_agree(nodes):
     assert analytic.stages.wu == pytest.approx(event.stages.wu, rel=1e-9)
     assert analytic.iteration_time == pytest.approx(
         event.iteration_time, rel=0.2)
+
+
+@pytest.mark.parametrize("fast_path", ["event", "analytic"])
+def test_agreement_checks_the_clock_the_collective_charged(fast_path):
+    """``temporal.hierarchical-agreement`` compares what the clock charged
+    with the closed form, so a clock that charges half of every window
+    must trip it."""
+    trainer = Trainer(cluster_config(2, fast_path), sim=FAST,
+                      checks=CheckEngine("strict"))
+    env, _, _, _, _, comm = trainer._build_system()
+    env.timeout = lambda delay, value=None: Timeout(env, delay / 2, value)
+    env.process(comm.sync_array(trainer._sync_arrays()[0]))
+    with pytest.raises(InvariantViolationError) as info:
+        env.run()
+    assert info.value.invariant == "temporal.hierarchical-agreement"
 
 
 def test_single_node_paths_are_byte_identical():

@@ -11,6 +11,15 @@ many events an 8-GPU AlexNet NCCL point dispatches once the warm-up is
 the steady iteration (docs/PERF.md): a ceiling the engine must not
 exceed.
 
+Every point also pins the sha256 and line count of the JSONL event stream
+an :class:`~repro.obs.session.ObsSession` records for it, so a refactor
+that keeps the answers but reorders, adds or drops an observable event
+(a ring step, a link wait, a stream wait) fails too.  The points cover
+every communicator: P2P, NCCL (ring and tree), NCCL AllReduce, the CPU
+(``ps-cpu``) and GPU (``ps-gpu``) parameter servers, and the hierarchical
+cluster AllReduce with a ring and a tree inter-node phase, event-level
+and analytic.
+
 Regenerate the answers only from a commit whose answers are the
 reference.  The pinned event count is kept; lower it by hand, on
 purpose, when a change removes events::
@@ -20,6 +29,8 @@ purpose, when a change removes events::
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
 import pathlib
 import sys
@@ -31,9 +42,12 @@ if str(ROOT) not in sys.path:
     sys.path.insert(0, str(ROOT))
 
 from perfbench.population import (  # noqa: E402
-    fastpath_point, fault_point, grid_point, rail_point,
+    fastpath_point, fault_point, grid_point, rail_point, tuner_point,
 )
+from repro.core.config import CommMethodName, TrainingConfig  # noqa: E402
+from repro.obs import ObsSession  # noqa: E402
 from repro.perf.spans import PERF  # noqa: E402
+from repro.runner import SweepPoint  # noqa: E402
 from repro.train.trainer import Trainer  # noqa: E402
 
 FIXTURE = pathlib.Path(__file__).parent / "data" / "engine_agreement.json"
@@ -52,6 +66,21 @@ def _points():
     out.append(fault_point("alexnet", "nccl", 8, 3))
     out.append(rail_point("alexnet", 1, 2, 0.5))
     out.append(fastpath_point(16))
+    out.extend(grid_point("alexnet", 16, gpus, "nccl-allreduce")
+               for gpus in (2, 8))
+    out.append(grid_point("alexnet", 16, 8, "local"))
+    out.append(("strategy/alexnet/b16/g4/ps-gpu", SweepPoint(
+        config=TrainingConfig("alexnet", 16, 4, comm_method=CommMethodName.P2P,
+                              strategy="ps-gpu"))))
+    out.append(tuner_point("alexnet", 8, "tree", "auto"))
+    for fast_path in ("event", "analytic"):
+        out.append((f"cluster/alexnet/n2/hierarchical-tree/{fast_path}",
+                    SweepPoint(config=TrainingConfig(
+                        "alexnet", 16, 16,
+                        comm_method=CommMethodName.NCCL_ALLREDUCE,
+                        cluster_nodes=2, cluster_fabric="single-switch",
+                        cluster_collective="hierarchical-tree",
+                        cluster_fast_path=fast_path))))
     return dict(out)
 
 
@@ -77,6 +106,16 @@ def _simulate(point):
     return answer, events
 
 
+def _stream(point):
+    """The sha256 and line count of one point's JSONL event stream."""
+    obs = ObsSession()
+    Trainer(point.config, obs=obs, **point.override_dict()).run()
+    buf = io.StringIO()
+    lines = obs.recorder.write(buf)
+    return {"sha256": hashlib.sha256(buf.getvalue().encode()).hexdigest(),
+            "lines": lines}
+
+
 @pytest.fixture(scope="module")
 def fixture():
     return json.loads(FIXTURE.read_text())
@@ -84,12 +123,18 @@ def fixture():
 
 def test_fixture_covers_every_point(fixture):
     assert sorted(fixture["answers"]) == sorted(POINTS)
+    assert sorted(fixture["streams"]) == sorted(POINTS)
 
 
 @pytest.mark.parametrize("label", sorted(POINTS))
 def test_answers_are_unchanged(label, fixture):
     answer, _ = _simulate(POINTS[label])
     assert answer == fixture["answers"][label]
+
+
+@pytest.mark.parametrize("label", sorted(POINTS))
+def test_event_streams_are_unchanged(label, fixture):
+    assert _stream(POINTS[label]) == fixture["streams"][label]
 
 
 def test_alexnet_8gpu_nccl_dispatches_fewer_events(fixture):
@@ -100,14 +145,16 @@ def test_alexnet_8gpu_nccl_dispatches_fewer_events(fixture):
 
 def _record() -> None:
     events = json.loads(FIXTURE.read_text())["events"] if FIXTURE.exists() else {}
-    answers = {}
+    answers, streams = {}, {}
     for label in sorted(POINTS):
         answers[label], count = _simulate(POINTS[label])
+        streams[label] = _stream(POINTS[label])
         if label == EVENTS_LABEL:
             events.setdefault(label, count)
     FIXTURE.parent.mkdir(exist_ok=True)
     FIXTURE.write_text(json.dumps(
-        {"answers": answers, "events": events}, indent=1, sort_keys=True) + "\n")
+        {"answers": answers, "events": events, "streams": streams},
+        indent=1, sort_keys=True) + "\n")
     print(f"{len(answers)} points recorded -> {FIXTURE}")
 
 

@@ -42,6 +42,37 @@ def test_capacity_two_allows_two_concurrent():
     assert acquires == [("u0", 0.0), ("u1", 0.0), ("u2", 1.0), ("u3", 1.0)]
 
 
+def test_hold_matches_the_request_timeout_release_idiom():
+    """``hold`` grants FIFO, dispatches the same events as the hand-written
+    idiom and leaves the resource idle."""
+
+    def held(env, resource, name, delay, log):
+        yield from resource.hold(delay)
+        log.append((name, env.now))
+
+    def by_hand(env, resource, name, delay, log):
+        req = resource.request()
+        yield req
+        try:
+            yield env.timeout(delay)
+        finally:
+            resource.release(req)
+        log.append((name, env.now))
+
+    runs = {}
+    for user in (held, by_hand):
+        env = Environment()
+        r = Resource(env)
+        log = []
+        for i, delay in enumerate((1.0, 0.5, 2.0)):
+            env.process(user(env, r, f"u{i}", delay, log))
+        env.run()
+        assert r.count == 0 and r.queue_length == 0
+        runs[user] = (log, env.dispatched)
+    assert runs[held] == runs[by_hand]
+    assert runs[held][0] == [("u0", 1.0), ("u1", 1.5), ("u2", 3.5)]
+
+
 def test_invalid_capacity_rejected():
     with pytest.raises(SimulationError):
         Resource(Environment(), capacity=0)
