@@ -71,7 +71,8 @@ def _ne(a: float, b: float) -> bool:
 
 
 # ----------------------------------------------------------------------
-# sim.event — fired by the Environment's event loop for every popped event
+# sim.event — fired by the Environment's event loop for an event popped below
+# the clock; the loop counts every event that passes in bulk
 # ----------------------------------------------------------------------
 @invariant("sim.event", name="event-monotone", category="temporal",
            description="sim-event timestamps never run backwards")

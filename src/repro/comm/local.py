@@ -56,9 +56,9 @@ class LocalCommunicator(Communicator):
             for dev in self.devices
         ]
         yield self.env.all_of(pushes)
-        # Phase 2: sum N gradients and apply SGD on the host cores.
+        # Phase 2: sum N gradients and apply the optimizer on the host cores.
         reduce_bytes = array.nbytes * (self.num_gpus + 1)
-        update_bytes = 5 * array.nbytes
+        update_bytes = self.optimizer.memory_passes * array.nbytes
         yield self.env.process(self._cpu.hold(
             (reduce_bytes + update_bytes) / HOST_REDUCE_BANDWIDTH))
         # Phase 3: HtoD back to every GPU.

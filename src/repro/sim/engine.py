@@ -11,6 +11,12 @@ is what lets the trainer stop after one measured iteration
 module: :attr:`Environment.now`, :meth:`Environment.peek`,
 ``run(until=...)``, the observer callback and the ``sim.event``
 checkpoint all speak seconds since start.
+
+The event loop is also the proof of ``temporal.event-monotone``: it
+refuses to pop an event below the clock, so an attached check engine is
+only told how many events passed that test (one bulk count per loop
+run), and the ``sim.event`` checkpoint fires only on the event that
+fails it (docs/INVARIANTS.md).
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ import heapq
 from typing import Any, Generator, List, Optional, Tuple
 
 from repro.core.errors import SimulationError
+from repro.perf.spans import PERF
 from repro.sim.events import AllOf, AnyOf, Event, Process, Timeout
 
 #: Absolute heap time of simulated instant 0.  A module constant, not an
@@ -26,6 +33,10 @@ from repro.sim.events import AllOf, AnyOf, Event, Process, Timeout
 #: 2 * ORIGIN)``, far finer than any modelled duration (the longest
 #: simulated horizon of the paper's sweeps is a few seconds).
 ORIGIN = 64.0
+
+#: The invariant the event loop's ordering test proves (the checker
+#: registered at the ``sim.event`` checkpoint).
+EVENT_MONOTONE = "temporal.event-monotone"
 
 
 class Environment:
@@ -50,9 +61,11 @@ class Environment:
     def set_checks(self, checks) -> None:
         """Attach a :class:`~repro.checks.CheckEngine` (or ``None``).
 
-        When attached and enabled, every dispatched event fires the
-        ``sim.event`` checkpoint (``temporal.event-monotone``) before the
-        clock advances.
+        When attached and enabled, every dispatched event counts as one
+        evaluation of ``temporal.event-monotone`` (the loop's own
+        ordering test is the proof; see :meth:`_dispatch`), and an event
+        popped below the clock fires the ``sim.event`` checkpoint before
+        the loop raises.
         """
         self._checks = checks if checks is not None and checks.enabled else None
 
@@ -166,39 +179,63 @@ class Environment:
         ``until`` has been processed, the next event lies beyond
         ``deadline``, or ``limit`` events ran (``-1``: no limit).  Running
         out of events before ``until`` fires is an error.  Each event
-        fires the ``sim.event`` checkpoint (when a check engine is
-        attached) before the clock advances, counts once towards
-        :attr:`dispatched`, and every ``observer_every``-th one is
-        reported to the observer.
+        counts once towards :attr:`dispatched`, and every
+        ``observer_every``-th one is reported to the observer.
+
+        An event below the clock raises :class:`SimulationError`; that
+        test is ``temporal.event-monotone``.  With a check engine
+        attached, every event that passed it is counted as one
+        evaluation in a single add when the loop ends (also when a
+        callback raises), and the failing event fires the ``sim.event``
+        checkpoint before the loop raises.
         """
+        checks = self._checks
+        start = self._dispatched
+        # The stats entry opens with the first dispatched event, where a
+        # per-event checkpoint would open it, so the key order holds.
+        opening = (checks.stats if checks is not None
+                   and EVENT_MONOTONE not in checks.stats else None)
         queue = self._queue
         pop = heapq.heappop
-        check = self._checks.check if self._checks is not None else None
         observer = self._observer
         now = self._now
-        while until is None or not until._processed:
-            if not queue:
-                if until is None:
+        try:
+            while until is None or not until._processed:
+                if not queue:
+                    if until is None:
+                        return
+                    raise SimulationError(
+                        "event queue drained before target event fired")
+                if queue[0][0] > deadline or limit == 0:
                     return
-                raise SimulationError("event queue drained before target event fired")
-            if queue[0][0] > deadline or limit == 0:
-                return
-            limit -= 1
-            when, _, event = pop(queue)
-            if when < now:
-                raise SimulationError("event scheduled in the past")
-            if check is not None:
-                check("sim.event", when=when - ORIGIN, now=now - ORIGIN)
-            self._now = now = when
-            self._dispatched += 1
-            callbacks, event.callbacks = event.callbacks, []
-            event._processed = True
-            for callback in callbacks:
-                callback(event)
-            if observer is not None:
-                self._steps += 1
-                if self._steps % self._observer_every == 0:
-                    observer(now - ORIGIN, len(queue))
+                limit -= 1
+                when, _, event = pop(queue)
+                if when < now:
+                    if checks is not None:
+                        # Recorded, published, and raised under strict,
+                        # like any violation; the clock still cannot run
+                        # backwards, so the loop raises whatever the mode.
+                        checks.check("sim.event", when=when - ORIGIN,
+                                     now=now - ORIGIN)
+                    raise SimulationError("event scheduled in the past")
+                if opening is not None:
+                    opening.setdefault(EVENT_MONOTONE, [0, 0])
+                    opening = None
+                self._now = now = when
+                self._dispatched += 1
+                callbacks, event.callbacks = event.callbacks, []
+                event._processed = True
+                for callback in callbacks:
+                    callback(event)
+                if observer is not None:
+                    self._steps += 1
+                    if self._steps % self._observer_every == 0:
+                        observer(now - ORIGIN, len(queue))
+        finally:
+            passed = self._dispatched - start
+            if checks is not None and passed:
+                checks.stats[EVENT_MONOTONE][0] += passed
+                PERF.count("checks.evaluations", passed)
 
     def peek(self) -> float:
         """Timestamp of the next scheduled event, or ``inf`` if none."""

@@ -39,6 +39,7 @@ from repro.dnn.stats import DTYPE_BYTES, NetworkStats
 from repro.gpu import KernelCostModel
 from repro.gpu.spec import TESLA_V100, GpuSpec
 from repro.topology import Router, SystemTopology, build_dgx1v
+from repro.train.optimizers import get_optimizer
 
 
 @dataclass(frozen=True)
@@ -167,6 +168,7 @@ class ModelParallelEstimator:
             )
         self.config = config
         self.constants = constants
+        self.optimizer = get_optimizer(config.optimizer)
         self.pipeline_microbatches = pipeline_microbatches
         self.cost_model = KernelCostModel(spec, constants)
         if network is None:
@@ -209,14 +211,17 @@ class ModelParallelEstimator:
         return times
 
     def _local_update_time(self) -> float:
-        """The slowest segment's local SGD update (runs in parallel)."""
+        """The slowest segment's local optimizer update (runs in parallel)."""
+        optimizer = self.optimizer
         worst = 0.0
         for numel in self.plan.segment_params:
             if numel:
                 worst = max(
                     worst,
                     self.cost_model.kernel_time(
-                        4.0 * numel, 5 * numel * DTYPE_BYTES, matmul=False
+                        optimizer.flops_per_param * numel,
+                        optimizer.memory_passes * numel * DTYPE_BYTES,
+                        matmul=False,
                     ),
                 )
         return worst

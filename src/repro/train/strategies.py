@@ -505,16 +505,17 @@ class AsyncUpdateStrategy(ReductionStrategy):
             yield env.timeout(c.stream_sync_overhead)
 
     def _update_kernel(self, trainer) -> KernelSpec:
-        numel = trainer.stats.total_params
-        nbytes = trainer.stats.model_bytes
+        """The server's whole-model update, costed by the trainer's optimizer."""
+        optimizer = trainer.optimizer
+        flops = optimizer.flops_per_param * trainer.stats.total_params
+        nbytes = optimizer.memory_passes * trainer.stats.model_bytes
         return KernelSpec(
             name="asgd_update",
             layer="@server",
             stage="wu",
-            duration=trainer.cost_model.kernel_time(4.0 * numel, 5 * nbytes,
-                                                    False),
-            flops=4.0 * numel,
-            bytes_moved=5 * nbytes,
+            duration=trainer.cost_model.kernel_time(flops, nbytes, False),
+            flops=flops,
+            bytes_moved=nbytes,
         )
 
 

@@ -36,6 +36,7 @@ path is byte-identical to a faultless build (golden-tested).
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
@@ -67,7 +68,15 @@ from repro.profile import MemoryMonitor, Profiler, summarize_apis, summarize_sta
 from repro.profile.summary import gpu_busy_fractions
 from repro.sim import Environment
 from repro.sim.events import Event
-from repro.topology import Fabric, Route, Router, build_dgx1v
+from repro.topology import (
+    ClusterSpec,
+    Fabric,
+    Route,
+    Router,
+    SystemTopology,
+    build_cluster,
+    build_dgx1v,
+)
 from repro.train.optimizers import get_optimizer
 from repro.train.results import TrainingResult
 from repro.train.steady import extrapolate_epoch
@@ -76,6 +85,19 @@ from repro.train.strategies import strategy_for
 
 def _fault_kind(label: str) -> str:
     return label.split(":", 1)[0]
+
+
+@functools.lru_cache(maxsize=8)
+def _shared_topology(spec: Optional[ClusterSpec]) -> SystemTopology:
+    """The default DGX-1V (``spec=None``) or one cluster fabric, built once.
+
+    A :class:`~repro.topology.SystemTopology` never changes after
+    construction and fault segments derive degraded copies from it, so
+    one instance (with its ``route_cache``) serves every trainer in the
+    process.  The bound keeps a sweep over many cluster sizes from
+    holding every graph it ever built.
+    """
+    return build_dgx1v() if spec is None else build_cluster(spec)
 
 
 class Trainer:
@@ -256,11 +278,16 @@ class Trainer:
     # ------------------------------------------------------------------
     # System assembly and steady-state measurement
     # ------------------------------------------------------------------
-    def _base_topology(self):
+    def _base_topology(self) -> SystemTopology:
+        """The pristine topology this run assembles its systems over.
+
+        The default builder and the cluster fabrics are built once per
+        process (:func:`_shared_topology`), so every trainer and every
+        fault segment over them shares one graph and its memoized
+        routes; a custom ``topology_builder`` is called every time.
+        """
         cfg = self.config
         if cfg.cluster_nodes > 1 or cfg.cluster_fabric != "compat":
-            from repro.topology import ClusterSpec, build_cluster
-
             # "compat" keeps the aggregated width-4 attachment (the
             # pre-cluster-tier graph, byte-identical); the rail fabrics
             # go through the parameterized ClusterSpec (docs/SCALING.md).
@@ -269,9 +296,10 @@ class Trainer:
                 if cfg.cluster_fabric != "compat"
                 else "aggregated"
             )
-            return build_cluster(
-                ClusterSpec(cfg.cluster_nodes, interconnect=interconnect)
-            )
+            return _shared_topology(
+                ClusterSpec(cfg.cluster_nodes, interconnect=interconnect))
+        if self.topology_builder is build_dgx1v:
+            return _shared_topology(None)
         return self.topology_builder()
 
     @property

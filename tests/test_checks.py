@@ -436,3 +436,72 @@ def test_event_monotone_evaluates_every_dispatched_event():
     assert stats["temporal.event-monotone"] == (events, 0)
     assert evaluations == sum(checked for checked, _ in stats.values())
     assert payloads < evaluations
+
+
+#: ``stats_dict()`` of strict runs, in order, as recorded when every
+#: dispatched event still fired the ``sim.event`` checkpoint.  The event
+#: loop's bulk count must reproduce them key for key.
+_STRICT_STATS = [
+    ("structural.ring-permutation", (1, 0)),
+    ("structural.ring-links", (1, 0)),
+    ("temporal.event-monotone", (1296, 0)),
+    ("capacity.link-bandwidth", (6, 0)),
+    ("temporal.link-serialization", (6, 0)),
+    ("conservation.collective-wire", (60, 0)),
+    ("capacity.collective-bandwidth", (60, 0)),
+    ("temporal.periodic", (1, 0)),
+    ("temporal.spans-nested", (1, 0)),
+    ("temporal.iterations-monotone", (1, 0)),
+    ("temporal.step-accounting", (1, 0)),
+    ("capacity.gpu-busy", (1, 0)),
+    ("conservation.gradient-traffic", (1, 0)),
+    ("capacity.link-busy", (1, 0)),
+    ("conservation.link-accounting", (1, 0)),
+    ("temporal.dag-lower-bound", (1, 0)),
+    ("conservation.epoch-accounting", (1, 0)),
+    ("capacity.memory-budget", (1, 0)),
+]
+_STRICT_FAULTED_STATS = [
+    ("structural.ring-permutation", (2, 0)),
+    ("structural.ring-links", (2, 0)),
+    ("temporal.event-monotone", (5464, 0)),
+    ("capacity.link-bandwidth", (32, 0)),
+    ("temporal.link-serialization", (32, 0)),
+    ("conservation.collective-wire", (160, 0)),
+    ("capacity.collective-bandwidth", (160, 0)),
+    ("temporal.periodic", (2, 0)),
+    ("temporal.spans-nested", (2, 0)),
+    ("temporal.iterations-monotone", (2, 0)),
+    ("temporal.step-accounting", (2, 0)),
+    ("capacity.gpu-busy", (2, 0)),
+    ("conservation.gradient-traffic", (2, 0)),
+    ("capacity.link-busy", (2, 0)),
+    ("conservation.link-accounting", (2, 0)),
+    ("temporal.dag-lower-bound", (2, 0)),
+    ("conservation.epoch-accounting", (1, 0)),
+    ("capacity.memory-budget", (1, 0)),
+]
+
+
+def test_strict_train_stats_match_per_event_checkpoints():
+    from repro import CommMethodName, SimulationConfig, TrainingConfig
+    from repro.train import train
+
+    engine = CheckEngine("strict")
+    train(TrainingConfig("lenet", 16, 2, comm_method=CommMethodName.NCCL),
+          sim=SimulationConfig(warmup_iterations=1, measure_iterations=2),
+          checks=engine)
+    assert list(engine.stats_dict().items()) == _STRICT_STATS
+
+
+def test_strict_faulted_train_stats_match_per_event_checkpoints():
+    from repro import CommMethodName, TrainingConfig
+    from repro.faults import FaultPlan
+    from repro.topology import build_dgx1v
+    from repro.train import train
+
+    engine = CheckEngine("strict")
+    train(TrainingConfig("lenet", 16, 4, comm_method=CommMethodName.NCCL),
+          checks=engine,
+          faults=FaultPlan.isolate_gpu(build_dgx1v(), 0, at=0.05))
+    assert list(engine.stats_dict().items()) == _STRICT_FAULTED_STATS

@@ -3,8 +3,9 @@
 import pytest
 
 from repro.checks import CheckEngine
-from repro.core.errors import SimulationError
+from repro.core.errors import InvariantViolationError, SimulationError
 from repro.sim import AllOf, AnyOf, Environment, Event, Interrupt, Resource
+from repro.sim.engine import ORIGIN
 
 
 # ----------------------------------------------------------------------
@@ -308,6 +309,70 @@ def test_strict_checks_see_one_sim_event_per_dispatched_event():
     checked, violated = engine.stats_dict()["temporal.event-monotone"]
     assert checked == env.dispatched == 1 + 4 + 1 + 1
     assert violated == 0
+
+
+def test_strict_checks_count_every_event_across_step_deadline_and_raise():
+    env = Environment()
+    engine = CheckEngine("strict")
+    env.set_checks(engine)
+    env.process(_chain(env, 6))
+    env.step()
+    env.step()
+    assert engine.stats_dict()["temporal.event-monotone"] == (2, 0)
+    env.run(until=3.5)
+    assert engine.stats_dict()["temporal.event-monotone"] == (env.dispatched, 0)
+    # A checkpoint failing inside a callback raises out of the loop; the
+    # events dispatched up to and including that one are still counted.
+    bad = env.timeout(0.25)
+    bad.callbacks.append(lambda _: engine.check(
+        "comm.p2p.plan", num_gpus=4, stages=[[(1, 0)]]))
+    with pytest.raises(InvariantViolationError):
+        env.run()
+    assert env.now == 3.75
+    assert engine.stats_dict()["temporal.event-monotone"] == (env.dispatched, 0)
+    env.run()
+    assert engine.stats_dict()["temporal.event-monotone"] == (env.dispatched, 0)
+    assert env.dispatched == 1 + 6 + 1 + 1
+
+
+def _backwards_env(mode):
+    """An environment at t=1 with an event forced below the clock."""
+    env = Environment()
+    engine = CheckEngine(mode)
+    env.set_checks(engine)
+    env.timeout(1.0)
+    env.run()
+    # schedule() refuses a negative delay, so go round it.
+    env._queue.append((ORIGIN + 0.5, 0, env.event()))
+    return env, engine
+
+
+def test_event_below_the_clock_raises_with_checks_off():
+    env, engine = _backwards_env("off")
+    with pytest.raises(SimulationError, match="in the past"):
+        env.run()
+    assert engine.violation_records() == ()
+    assert engine.stats_dict() == {}
+
+
+def test_event_below_the_clock_warns_then_raises():
+    env, engine = _backwards_env("warn")
+    with pytest.raises(SimulationError, match="in the past"):
+        env.run()
+    (record,) = engine.violation_records()
+    assert record.invariant == "temporal.event-monotone"
+    assert record.checkpoint == "sim.event"
+    assert record.at == 1.0
+    assert engine.stats_dict()["temporal.event-monotone"] == (1 + 1, 1)
+
+
+def test_event_below_the_clock_is_a_strict_violation():
+    env, engine = _backwards_env("strict")
+    with pytest.raises(InvariantViolationError) as exc:
+        env.run()
+    assert exc.value.invariant == "temporal.event-monotone"
+    assert exc.value.checkpoint == "sim.event"
+    assert env.now == 1.0
 
 
 def test_observer_sees_every_nth_dispatched_event():

@@ -310,7 +310,10 @@ def test_checked_run_searches_each_pcie_path_once(monkeypatch):
     import networkx as nx
 
     from repro.checks import CheckEngine
+    from repro.train.trainer import _shared_topology
 
+    # The default topology is shared per process; start from an unsearched one.
+    _shared_topology.cache_clear()
     searches = []
     original = nx.shortest_path
 
@@ -325,3 +328,53 @@ def test_checked_run_searches_each_pcie_path_once(monkeypatch):
     assert r.violations == ()
     assert 0 < len(searches) <= 8
     assert len(set(searches)) == len(searches)
+
+
+def test_default_builder_trainers_share_one_topology():
+    from repro.topology import build_dgx1v
+
+    config = TrainingConfig("alexnet", 16, 4, comm_method=CommMethodName.NCCL)
+    first, second = Trainer(config, sim=FAST), Trainer(config, sim=FAST)
+    assert first._base_topology() is second._base_topology()
+    a, b = first.run(), second.run()
+    assert a.iteration_times == b.iteration_times
+    assert a.epoch_time == b.epoch_time
+    # The shared graph answers exactly like a freshly built one.
+    fresh = Trainer(config, sim=FAST,
+                    topology_builder=lambda: build_dgx1v()).run()
+    assert fresh.iteration_times == a.iteration_times
+    assert fresh.epoch_time == a.epoch_time
+
+
+def test_cluster_topology_shared_per_spec_and_custom_builders_rebuild():
+    import functools
+
+    from repro.topology import build_dgx1v
+
+    def cluster(nodes, fabric):
+        return Trainer(TrainingConfig(
+            "lenet", 16, 8 * nodes, comm_method=CommMethodName.NCCL_ALLREDUCE,
+            cluster_nodes=nodes, cluster_fabric=fabric), sim=FAST)
+
+    assert (cluster(2, "single-switch")._base_topology()
+            is cluster(2, "single-switch")._base_topology())
+    assert (cluster(2, "single-switch")._base_topology()
+            is not cluster(2, "fat-tree")._base_topology())
+    custom = Trainer(TrainingConfig("lenet", 16, 2), sim=FAST,
+                     topology_builder=functools.partial(build_dgx1v, nvlink=False))
+    assert custom._base_topology() is not custom._base_topology()
+
+
+def test_fault_segments_leave_the_shared_topology_intact():
+    from repro.faults import FaultPlan
+    from repro.topology import build_dgx1v
+
+    config = TrainingConfig("lenet", 16, 4, comm_method=CommMethodName.NCCL)
+    trainer = Trainer(config, sim=FAST,
+                      faults=FaultPlan.isolate_gpu(build_dgx1v(), 0, at=0.05))
+    shared = trainer._base_topology()
+    links = shared.links
+    r = trainer.run()
+    assert r.faults is not None and len(r.faults.segments) > 1
+    assert trainer._base_topology() is shared
+    assert shared.links == links
