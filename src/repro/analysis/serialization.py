@@ -7,7 +7,9 @@ for ``json.dump``.  The persistent sweep cache
 (:mod:`repro.runner.store`) stores exactly these dicts, so
 ``SCHEMA_VERSION`` doubles as the cache format version: bump it whenever
 a field is added, removed or reinterpreted, and loads of mismatched data
-are refused with :class:`SchemaMismatchError`.
+are refused with :class:`SchemaMismatchError`.  Cache keys hash the
+inputs of a point, not the model code, so any change to a modeled number
+bumps ``SCHEMA_VERSION`` too.
 
 Schema history
 --------------
@@ -45,6 +47,10 @@ Schema history
   gone, and sweep fingerprints no longer hash a point mode; an
   ``async-update`` run is a :class:`TrainingResult` with
   ``async_stats`` like any other strategy's.
+* 11 -- the update cost of ``ps-cpu``, ``async-update`` and
+  ``model-parallel`` follows the configured optimizer (entries written
+  earlier hold stale non-default-optimizer answers), and the unread
+  ``SimulationConfig.seed`` left the fingerprinted simulation settings.
 """
 
 from __future__ import annotations
@@ -61,7 +67,7 @@ from repro.train.results import AsyncStats, TrainingResult
 
 #: Schema version stamped into every exported dict (and hashed into every
 #: persistent-cache key).
-SCHEMA_VERSION = 10
+SCHEMA_VERSION = 11
 
 
 class SchemaMismatchError(ValueError):

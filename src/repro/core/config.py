@@ -93,7 +93,6 @@ class SimulationConfig:
 
     warmup_iterations: int = 1
     measure_iterations: int = 3
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.warmup_iterations < 0:

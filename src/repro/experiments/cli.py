@@ -94,7 +94,7 @@ def _run_experiment(name: str, cache: SweepRunner, fast: bool) -> str:
         kwargs = dict(batch_sizes=FAST_BATCHES, gpu_counts=FAST_GPUS) if fast else {}
         return table3_sync_overhead.render(table3_sync_overhead.run(cache, **kwargs))
     if name == "table4":
-        return table4_memory.render(table4_memory.run(runner=cache))
+        return table4_memory.render(table4_memory.run())
     if name == "fig5":
         kwargs = dict(batch_sizes=FAST_BATCHES, gpu_counts=FAST_GPUS) if fast else {}
         return fig5_weak_scaling.render(fig5_weak_scaling.run(cache, **kwargs))
@@ -475,11 +475,6 @@ class _ProgressPrinter:
                   else f"{event.elapsed:.2f}s")
         print(f"  [{event.sweep} {event.index + 1}/{event.total}] "
               f"{event.label}: {status}{self._pace(event)}", file=sys.stderr)
-
-
-def _print_progress(event) -> None:
-    """One stateless progress line (kept for ad-hoc bus subscribers)."""
-    _ProgressPrinter()(event)
 
 
 if __name__ == "__main__":

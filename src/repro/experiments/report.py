@@ -66,7 +66,7 @@ def generate(
     blocks.append(
         table3_sync_overhead.render(table3_sync_overhead.run(cache, **kwargs))
     )
-    blocks.append(table4_memory.render(table4_memory.run(runner=cache)))
+    blocks.append(table4_memory.render(table4_memory.run()))
     blocks.append(fig5_weak_scaling.render(fig5_weak_scaling.run(cache, **kwargs)))
     nccl_kwargs = dict(networks=("alexnet",)) if fast else {}
     blocks.append(nccl_ablation.render(nccl_ablation.run(runner=cache, **nccl_kwargs)))

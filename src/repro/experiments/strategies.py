@@ -9,9 +9,12 @@ model-parallel placement estimator -- all through the same
 runner and cache (tensorpack's trainer matrix, measured instead of
 documented).
 
-Every point runs in ``mode="sync"``: the strategy field on the config
-selects the execution model inside the trainer, so caching, invariant
-enforcement and fault handling are uniform across the matrix.
+Every point is a plain :class:`~repro.runner.SweepPoint`: the strategy
+field on the config selects the execution model inside the trainer, so
+caching and invariant enforcement are uniform across the matrix (every
+strategy that simulates events, ``async-update`` included, runs its
+checkpoints), and the strategies without fault-recovery semantics refuse
+a fault plan when the trainer is constructed.
 """
 
 from __future__ import annotations

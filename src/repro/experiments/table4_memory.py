@@ -7,14 +7,12 @@ batch size 16.  The maximum trainable batch size per network reproduces
 the OOM findings (Inception-v3/ResNet stop above 64).
 
 This sweep evaluates the analytic memory model rather than running the
-trainer, so it goes through :meth:`~repro.runner.SweepRunner.map`: the
-declarative grid supplies the points, the runner supplies (optional)
-parallelism.
+trainer: the declarative grid supplies the points and each is evaluated
+in place, without the runner's cache or process pool.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -23,7 +21,7 @@ from repro.dnn import build_network, compile_network, network_input_shape
 from repro.dnn.zoo import PAPER_NETWORKS
 from repro.experiments.tables import render_table
 from repro.gpu.memory import MemoryModel
-from repro.runner import SweepRunner, SweepSpec
+from repro.runner import SweepSpec
 
 #: The paper measures Table IV on a 4-GPU NCCL run.
 TABLE4_GPU_COUNT = 4
@@ -77,9 +75,8 @@ def sweep_spec(
     )
 
 
-def _evaluate(config: TrainingConfig, memory_model: Optional[MemoryModel]) -> Table4Row:
-    """Memory-model evaluation of one grid point (picklable pool worker)."""
-    model = memory_model or MemoryModel()
+def _evaluate(config: TrainingConfig, model: MemoryModel) -> Table4Row:
+    """Memory-model evaluation of one grid point."""
     stats = compile_network(
         build_network(config.network), network_input_shape(config.network)
     )
@@ -100,13 +97,12 @@ def run(
     networks: Tuple[str, ...] = PAPER_NETWORKS,
     batch_sizes: Tuple[int, ...] = PAPER_BATCH_SIZES,
     memory_model: Optional[MemoryModel] = None,
-    runner: Optional[SweepRunner] = None,
 ) -> Table4Result:
-    runner = runner if runner is not None else SweepRunner()
-    rows = runner.map(
-        sweep_spec(networks, batch_sizes),
-        functools.partial(_evaluate, memory_model=memory_model),
-    )
+    model = memory_model or MemoryModel()
+    rows = [
+        _evaluate(point.config, model)
+        for point in sweep_spec(networks, batch_sizes).points
+    ]
     max_batch = {row.network: row.max_batch for row in rows}
     return Table4Result(rows=tuple(rows), max_batch=max_batch)
 

@@ -495,33 +495,6 @@ class SweepRunner:
             final = [o for o in final if o.failure is None]
         return SweepResults(name=spec.name, outcomes=tuple(final))
 
-    def map(self, spec: SweepSpec, fn: Any) -> List[Any]:
-        """Apply picklable ``fn(config)`` to every point, in spec order.
-
-        For analyses that iterate a declarative grid without running the
-        trainer (Table IV's memory-model sweep).  Parallelized like
-        :meth:`run` but never cached -- ``fn``'s output has no schema.
-        """
-        configs = [point.config for point in spec.points]
-        total = len(configs)
-        for index, point in enumerate(spec.points):
-            self._publish(SweepPointStart(
-                sweep=spec.name, index=index, total=total, label=point.describe(),
-            ))
-        if self.jobs > 1 and total > 1:
-            with concurrent.futures.ProcessPoolExecutor(
-                max_workers=min(self.jobs, total)
-            ) as pool:
-                values = list(pool.map(fn, configs))
-        else:
-            values = [fn(config) for config in configs]
-        for index, point in enumerate(spec.points):
-            self._publish(SweepPointDone(
-                sweep=spec.name, index=index, total=total,
-                label=point.describe(), source="executed", elapsed=0.0,
-            ))
-        return values
-
     # ------------------------------------------------------------------
     # Single-point interface
     # ------------------------------------------------------------------

@@ -8,7 +8,9 @@ between those trainers -- which communicator to build, how gradient-ready
 events map onto weight-update work, which execution model drives the
 epoch, and what the fault/resilience layer may assume about recovery --
 while :class:`~repro.train.trainer.Trainer` keeps the parts they share
-(network compilation, kernel schedules, measurement, extrapolation).
+(network compilation, kernel schedules, system assembly through
+``Trainer._build_system``, measurement, extrapolation, and the one
+result constructor ``Trainer._result``).
 
 The split follows the DAG model of synchronous SGD (Shi et al.): the
 iteration is a stage DAG whose compute stages are strategy-independent
@@ -46,8 +48,6 @@ from repro.core.errors import ConfigurationError, FaultPlanError
 from repro.gpu import GpuDevice
 from repro.gpu.kernel import KernelSpec
 from repro.perf.spans import PERF
-from repro.profile import MemoryMonitor
-from repro.profile.summary import ApiSummary, StageBreakdown
 from repro.sim import Environment
 from repro.sim.events import Event
 from repro.topology import Fabric, Router
@@ -110,7 +110,8 @@ class RecoverySemantics:
     ``supports_faults``
         The segment-based faulted epoch assembly
         (:meth:`~repro.train.trainer.Trainer._run_faulted`) applies: the
-        strategy rebuilds its communicator per degraded segment.
+        strategy rebuilds its communicator per degraded segment.  When
+        false, ``Trainer.__init__`` rejects a non-empty fault plan.
     ``ring_rebuild``
         Recovering from a link fault or crash additionally pays the NCCL
         communicator re-init cost (ring-based collectives only); tree and
@@ -119,7 +120,6 @@ class RecoverySemantics:
 
     supports_faults: bool
     ring_rebuild: bool
-    description: str
 
 
 class ReductionStrategy:
@@ -175,11 +175,7 @@ class ReductionStrategy:
     # ------------------------------------------------------------------
     def recovery_semantics(self) -> RecoverySemantics:
         """Default: segment-rebuild recovery without a ring re-init."""
-        return RecoverySemantics(
-            supports_faults=True,
-            ring_rebuild=False,
-            description="re-plans the reduction schedule per degraded segment",
-        )
+        return RecoverySemantics(supports_faults=True, ring_rebuild=False)
 
     # ------------------------------------------------------------------
     # System construction
@@ -270,14 +266,6 @@ class ReductionStrategy:
         """Drive one epoch for ``trainer`` and return its result."""
         raise NotImplementedError
 
-    def _check_no_faults(self, trainer) -> None:
-        if trainer.faults is not None and not trainer.faults.empty:
-            raise FaultPlanError(
-                f"strategy {self.name!r} declares no fault-recovery "
-                "semantics: fault plans apply to the synchronous "
-                "strategies only (see docs/TRAINING.md)"
-            )
-
 
 class SyncStrategy(ReductionStrategy):
     """Shared execution model of the synchronous data-parallel strategies.
@@ -290,12 +278,6 @@ class SyncStrategy(ReductionStrategy):
     def run(self, trainer) -> TrainingResult:
         from repro.faults.injector import FaultInjector
 
-        if trainer.check_memory:
-            trainer.memory_model.check_fits(
-                trainer.stats,
-                trainer.config.batch_size,
-                is_server=trainer.config.num_gpus > 1,
-            )
         if trainer.faults is None or trainer.faults.empty:
             return trainer._run_healthy()
         return trainer._run_faulted(FaultInjector(trainer.faults))
@@ -316,11 +298,7 @@ class NcclCollectiveStrategy(SyncStrategy):
     multi_node = True
 
     def recovery_semantics(self) -> RecoverySemantics:
-        return RecoverySemantics(
-            supports_faults=True,
-            ring_rebuild=True,
-            description="pays an NCCL communicator re-init per topology change",
-        )
+        return RecoverySemantics(supports_faults=True, ring_rebuild=True)
 
 
 class NcclAllReduceReplicatedStrategy(SyncStrategy):
@@ -331,11 +309,7 @@ class NcclAllReduceReplicatedStrategy(SyncStrategy):
     multi_node = True
 
     def recovery_semantics(self) -> RecoverySemantics:
-        return RecoverySemantics(
-            supports_faults=True,
-            ring_rebuild=True,
-            description="pays an NCCL communicator re-init per topology change",
-        )
+        return RecoverySemantics(supports_faults=True, ring_rebuild=True)
 
 
 class PsCpuStrategy(SyncStrategy):
@@ -370,29 +344,20 @@ class AsyncUpdateStrategy(ReductionStrategy):
     comm_method = CommMethodName.P2P
 
     def recovery_semantics(self) -> RecoverySemantics:
-        return RecoverySemantics(
-            supports_faults=False,
-            ring_rebuild=False,
-            description="asynchronous workers have no segment semantics yet",
-        )
+        return RecoverySemantics(supports_faults=False, ring_rebuild=False)
+
+    def build_communicator(self, trainer, env, fabric, devices, profiler,
+                           cluster_nodes=None, rail_scales=None):
+        """No reduction schedule, so no communicator: the workers pull and
+        push the model over the fabric themselves (:meth:`_worker`)."""
+        return None
 
     def run(self, trainer) -> TrainingResult:
-        self._check_no_faults(trainer)
         config = trainer.config
-        if trainer.check_memory:
-            trainer.memory_model.check_fits(
-                trainer.stats, config.batch_size,
-                is_server=config.num_gpus > 1,
-            )
-        env = Environment()
-        topology = trainer._base_topology()
-        fabric = Fabric(env, topology, trainer.constants)
-        router = Router(topology)
-        devices = [
-            GpuDevice(env, topology.gpu(i), trainer.spec,
-                      speed_factor=trainer.gpu_speed_factors.get(i, 1.0))
-            for i in range(config.num_gpus)
-        ]
+        env, profiler, fabric, router, devices, _ = trainer._build_system()
+        # The result keeps no nvprof view of an async run, so the profiler
+        # records only for an obs session, over every worker iteration.
+        profiler.enabled = trainer.obs is not None
         state = _ServerState()
         warmup = trainer.sim.warmup_iterations
         iterations = warmup + ASYNC_MEASURE_ITERATIONS
@@ -423,25 +388,9 @@ class AsyncUpdateStrategy(ReductionStrategy):
             config.total_images / images_per_second
             + trainer.constants.run_startup_overhead
         )
-        monitor = MemoryMonitor(trainer.spec, trainer.constants,
-                                optimizer=trainer.optimizer)
-        memory = tuple(
-            monitor.sample(trainer.stats, config.batch_size, config.num_gpus)
-        )
-        return TrainingResult(
-            config=config,
-            iteration_time=mean_iteration,
-            iteration_times=measured,
-            epoch_time=epoch_time,
-            fixed_overhead=trainer.constants.run_startup_overhead,
-            stages=StageBreakdown(fp=0.0, bp=0.0, wu=0.0,
-                                  iteration=mean_iteration),
-            apis=ApiSummary(totals=()),
-            gpu_busy={},
-            compute_utilization=trainer.cost_model.compute_utilization(
-                trainer.stats, config.batch_size
-            ),
-            memory=memory,
+        return trainer._result(
+            measured, mean_iteration, epoch_time,
+            trainer.constants.run_startup_overhead,
             async_stats=AsyncStats(
                 staleness_mean=(statistics.mean(staleness)
                                 if staleness else 0.0),
@@ -544,40 +493,18 @@ class ModelParallelStrategy(ReductionStrategy):
     comm_method = CommMethodName.P2P
 
     def recovery_semantics(self) -> RecoverySemantics:
-        return RecoverySemantics(
-            supports_faults=False,
-            ring_rebuild=False,
-            description="the analytic pipeline estimator has no fault model",
-        )
+        return RecoverySemantics(supports_faults=False, ring_rebuild=False)
 
     def run(self, trainer) -> TrainingResult:
         from repro.train.model_parallel import ModelParallelEstimator
 
-        self._check_no_faults(trainer)
-        config = trainer.config
         estimator = ModelParallelEstimator(
-            config, constants=trainer.constants, spec=trainer.spec,
+            trainer.config, constants=trainer.constants, spec=trainer.spec,
             topology=trainer._base_topology())
         mp = estimator.run()
-        monitor = MemoryMonitor(trainer.spec, trainer.constants,
-                                optimizer=trainer.optimizer)
-        memory = tuple(
-            monitor.sample(trainer.stats, config.batch_size, config.num_gpus)
-        )
-        return TrainingResult(
-            config=config,
-            iteration_time=mp.iteration_time,
-            iteration_times=(mp.iteration_time,),
-            epoch_time=mp.epoch_time,
-            fixed_overhead=trainer.constants.run_startup_overhead,
-            stages=StageBreakdown(fp=0.0, bp=0.0, wu=0.0,
-                                  iteration=mp.iteration_time),
-            apis=ApiSummary(totals=()),
-            gpu_busy={},
-            compute_utilization=trainer.cost_model.compute_utilization(
-                trainer.stats, config.batch_size
-            ),
-            memory=memory,
+        return trainer._result(
+            (mp.iteration_time,), mp.iteration_time, mp.epoch_time,
+            trainer.constants.run_startup_overhead,
         )
 
 

@@ -65,7 +65,7 @@ from repro.dnn.stats import NetworkStats
 from repro.gpu import GpuDevice, KernelCostModel, MemoryModel
 from repro.gpu.spec import TESLA_V100, GpuSpec
 from repro.profile import MemoryMonitor, Profiler, summarize_apis, summarize_stages
-from repro.profile.summary import gpu_busy_fractions
+from repro.profile.summary import ApiSummary, StageBreakdown, gpu_busy_fractions
 from repro.sim import Environment
 from repro.sim.events import Event
 from repro.topology import (
@@ -151,6 +151,7 @@ class Trainer:
         self.checks = checks
         if checks is not None and obs is not None:
             checks.bind_bus(obs.bus)
+        self.strategy = strategy_for(config)
         if faults is not None and not isinstance(faults, FaultPlan):
             raise FaultPlanError(
                 f"faults must be a FaultPlan, got {type(faults).__name__}"
@@ -185,7 +186,6 @@ class Trainer:
                 sum(k.duration for k in self._fwd)
                 + sum(k.duration for _, ks in self._bwd for k in ks)
             )
-        self.strategy = strategy_for(config)
 
     def _validate_fault_plan(self, plan: FaultPlan) -> None:
         """Reject a plan this run cannot execute, before any simulation.
@@ -193,8 +193,10 @@ class Trainer:
         Every fault target is bounds-checked against the configuration
         eagerly (a bad plan must fail at construction, not minutes into
         a sweep), cluster-tier primitives require the hierarchical
-        collective, and an explicit analytic fast path must be able to
-        represent the plan (:func:`~repro.train.strategies.resolve_fast_path`).
+        collective, the strategy must declare fault-recovery semantics
+        (:meth:`~repro.train.strategies.ReductionStrategy.recovery_semantics`),
+        and an explicit analytic fast path must be able to represent the
+        plan (:func:`~repro.train.strategies.resolve_fast_path`).
         """
         cfg = self.config
         for f in plan.crashes:
@@ -251,6 +253,12 @@ class Trainer:
         if not plan.empty:
             from repro.train.strategies import resolve_fast_path
 
+            if not self.strategy.recovery_semantics().supports_faults:
+                raise FaultPlanError(
+                    f"strategy {self.strategy.name!r} declares no "
+                    "fault-recovery semantics: fault plans apply to the "
+                    "synchronous strategies only (see docs/TRAINING.md)"
+                )
             # Raises under an explicit analytic fast path the plan's
             # faults cannot be represented on.
             resolve_fast_path(cfg, plan)
@@ -273,6 +281,13 @@ class Trainer:
         crashes a worker under the ``FAIL_FAST`` policy.
         """
         with PERF.span(f"strategy.{self.strategy.name}"):
+            # Every data-parallel strategy replicates the model on each
+            # GPU; a model-parallel placement holds one partition each.
+            if self.check_memory and self.strategy.execution != "model-parallel":
+                self.memory_model.check_fits(
+                    self.stats, self.config.batch_size,
+                    is_server=self.config.num_gpus > 1,
+                )
             return self.strategy.run(self)
 
     # ------------------------------------------------------------------
@@ -336,9 +351,12 @@ class Trainer:
         overrides this is the exact healthy sequence (byte-identical
         outputs); the faulted path passes a degraded topology, a survivor
         GPU set, per-segment speed/ECC models and, on a cluster, the
-        surviving node count and degraded rail scales.  The communicator
-        itself is strategy-owned
-        (:meth:`~repro.train.strategies.ReductionStrategy.build_communicator`).
+        surviving node count and degraded rail scales.  Every strategy
+        that simulates events builds here, so the check engine and the
+        obs session reach all of them.  The communicator itself is
+        strategy-owned
+        (:meth:`~repro.train.strategies.ReductionStrategy.build_communicator`;
+        ``None`` for a strategy without a reduction schedule).
         """
         with PERF.span("trainer.build"):
             env = Environment()
@@ -488,17 +506,35 @@ class Trainer:
                 now=env.now,
             )
 
-    def _result_checks(self, epoch_time: float, iterations: int,
-                       mean_iteration: float, fixed: float, memory) -> tuple:
-        """Fire the run-level checkpoints; return the violation records."""
+    def _result(
+        self,
+        iteration_times: Sequence[float],
+        mean_iteration: float,
+        epoch_time: float,
+        fixed: float,
+        profiler: Optional[Profiler] = None,
+        epoch_iterations: Optional[int] = None,
+        **extra,
+    ) -> TrainingResult:
+        """The run's :class:`TrainingResult`; every strategy returns here.
+
+        Samples per-GPU memory and summarizes ``profiler`` into stages,
+        API totals and busy fractions (without one, the zero breakdown of
+        a run with no nvprof view).  A measured-and-extrapolated run
+        passes ``epoch_iterations``, which fires the run-level
+        ``trainer.epoch``/``trainer.memory`` checkpoints.  The violations
+        are the attached check engine's records; ``extra`` carries the
+        strategy-specific blocks (``faults``, ``async_stats``).
+        """
+        cfg = self.config
+        monitor = MemoryMonitor(self.spec, self.constants, optimizer=self.optimizer)
+        memory = tuple(monitor.sample(self.stats, cfg.batch_size, cfg.num_gpus))
         checks = self.checks
-        if checks is None:
-            return ()
-        if checks.enabled:
+        if epoch_iterations is not None and checks is not None and checks.enabled:
             checks.check(
                 "trainer.epoch",
                 epoch_time=epoch_time,
-                iterations=iterations,
+                iterations=epoch_iterations,
                 mean_iteration=mean_iteration,
                 fixed=fixed,
             )
@@ -508,7 +544,31 @@ class Trainer:
                 capacity=self.spec.memory_bytes,
                 check_memory=self.check_memory,
             )
-        return checks.violation_records()
+        if profiler is None:
+            stages = StageBreakdown(fp=0.0, bp=0.0, wu=0.0,
+                                    iteration=mean_iteration)
+            apis, gpu_busy = ApiSummary(totals=()), {}
+        else:
+            stages = summarize_stages(profiler)
+            apis = summarize_apis(profiler)
+            gpu_busy = gpu_busy_fractions(profiler)
+        return TrainingResult(
+            config=cfg,
+            iteration_time=mean_iteration,
+            iteration_times=tuple(iteration_times),
+            epoch_time=epoch_time,
+            fixed_overhead=fixed,
+            stages=stages,
+            apis=apis,
+            gpu_busy=gpu_busy,
+            compute_utilization=self.cost_model.compute_utilization(
+                self.stats, cfg.batch_size
+            ),
+            memory=memory,
+            profiler=profiler if self.keep_profiler else None,
+            violations=checks.violation_records() if checks is not None else (),
+            **extra,
+        )
 
     @staticmethod
     def _steady_boundary(env, devices, input_ready) -> bool:
@@ -599,29 +659,10 @@ class Trainer:
         mean_iteration = sum(iteration_times) / len(iteration_times)
         fixed = comm.epoch_fixed_overhead() + self.constants.run_startup_overhead
         epoch_time = extrapolate_epoch(self.config, mean_iteration, fixed)
-        monitor = MemoryMonitor(self.spec, self.constants, optimizer=self.optimizer)
-        memory = tuple(
-            monitor.sample(self.stats, self.config.batch_size, self.config.num_gpus)
-        )
-        violations = self._result_checks(
-            epoch_time, self.config.iterations_per_epoch, mean_iteration,
-            fixed, memory,
-        )
-        return TrainingResult(
-            config=self.config,
-            iteration_time=mean_iteration,
-            iteration_times=tuple(iteration_times),
-            epoch_time=epoch_time,
-            fixed_overhead=fixed,
-            stages=summarize_stages(profiler),
-            apis=summarize_apis(profiler),
-            gpu_busy=gpu_busy_fractions(profiler),
-            compute_utilization=self.cost_model.compute_utilization(
-                self.stats, self.config.batch_size
-            ),
-            memory=memory,
-            profiler=profiler if self.keep_profiler else None,
-            violations=violations,
+        return self._result(
+            iteration_times, mean_iteration, epoch_time, fixed,
+            profiler=profiler,
+            epoch_iterations=self.config.iterations_per_epoch,
         )
 
     # ------------------------------------------------------------------
@@ -888,29 +929,9 @@ class Trainer:
             survivors=len(participants),
             crashed_node=crashed_node,
         )
-        monitor = MemoryMonitor(self.spec, self.constants, optimizer=self.optimizer)
-        memory = tuple(
-            monitor.sample(self.stats, cfg.batch_size, cfg.num_gpus)
-        )
-        violations = self._result_checks(
-            epoch_time, done_iters, mean_iteration, fixed + overhead, memory,
-        )
-        return TrainingResult(
-            config=cfg,
-            iteration_time=mean_iteration,
-            iteration_times=tuple(iteration_times),
-            epoch_time=epoch_time,
-            fixed_overhead=fixed + overhead,
-            stages=summarize_stages(dom_profiler),
-            apis=summarize_apis(dom_profiler),
-            gpu_busy=gpu_busy_fractions(dom_profiler),
-            compute_utilization=self.cost_model.compute_utilization(
-                self.stats, cfg.batch_size
-            ),
-            memory=memory,
-            profiler=dom_profiler if self.keep_profiler else None,
-            faults=summary,
-            violations=violations,
+        return self._result(
+            iteration_times, mean_iteration, epoch_time, fixed + overhead,
+            profiler=dom_profiler, epoch_iterations=done_iters, faults=summary,
         )
 
     def _base_factor(self, gpu: int, now: float) -> float:

@@ -380,13 +380,14 @@ def test_store_rejects_stale_schema_entries(tmp_path):
     (schema 3), the ``strategy``/``async_stats`` fields (schema 4), the
     cluster-tier config fields (schema 5), the cluster-tier fault
     fields (schema 6), the periodic-exit ``iteration_times`` (schema 7),
-    the later-window ``apis`` rounding (schema 8) or the separate
-    ``"async"`` entry kind and fingerprinted point mode (schema 9) must
-    be refused loudly, not deserialized without them."""
-    assert SCHEMA_VERSION == 10
+    the later-window ``apis`` rounding (schema 8), the separate
+    ``"async"`` entry kind and fingerprinted point mode (schema 9) or
+    the optimizer-blind update costs (schema 10) must be refused loudly,
+    not deserialized without them."""
+    assert SCHEMA_VERSION == 11
     store = ResultStore(tmp_path)
     store.root.mkdir(parents=True, exist_ok=True)
-    for stale in (3, 4, 5, 6, 7, 8, 9):
+    for stale in (3, 4, 5, 6, 7, 8, 9, 10):
         key = f"v{stale}"
         store.path_for(key).write_text(json.dumps({
             "schema": stale, "kind": "training",

@@ -6,7 +6,11 @@ from repro.analysis.serialization import result_from_dict, result_to_dict
 from repro.core.config import CommMethodName, SimulationConfig, TrainingConfig
 from repro.core.errors import ConfigurationError, FaultPlanError
 from repro.faults import FaultPlan, StragglerFault
+from repro.checks import CheckEngine
+from repro.obs import ObsSession
+from repro.obs.events import LinkBusyEvent
 from repro.train import (
+    Trainer,
     available_strategies,
     get_strategy,
     strategy_for,
@@ -138,6 +142,45 @@ def test_every_strategy_round_trips_through_the_v5_schema(strategy):
 
 
 # ----------------------------------------------------------------------
+# One run skeleton: async-update builds through Trainer._build_system
+# ----------------------------------------------------------------------
+#: lenet b16 g4 ``async-update`` iteration time, recorded before the
+#: strategy assembled its system through the trainer (bit-identical).
+ASYNC_LENET_G4_ITERATION = 0.0007969525525801657
+
+
+def test_strict_async_run_is_checked():
+    engine = CheckEngine("strict")
+    result = Trainer(_config("async-update"), checks=engine).run()
+    assert result.iteration_time == ASYNC_LENET_G4_ITERATION
+    stats = engine.stats_dict()
+    for invariant in ("temporal.event-monotone", "capacity.link-bandwidth",
+                      "temporal.link-serialization"):
+        checked, violated = stats[invariant]
+        assert checked > 0, invariant
+        assert violated == 0, invariant
+    assert result.violations == ()
+
+
+def test_warn_async_run_carries_the_engine_violations():
+    engine = CheckEngine("warn")
+    engine.check("sim.event", when=0.4, now=0.5)
+    result = Trainer(_config("async-update"), checks=engine).run()
+    assert [v.invariant for v in result.violations] == [
+        "temporal.event-monotone"]
+
+
+def test_obs_session_sees_async_link_traffic():
+    obs = ObsSession()
+    busy = []
+    obs.bus.subscribe(LinkBusyEvent, busy.append)
+    result = Trainer(_config("async-update"), obs=obs).run()
+    assert result.iteration_time == ASYNC_LENET_G4_ITERATION
+    assert busy
+    assert all(e.end >= e.start for e in busy)
+
+
+# ----------------------------------------------------------------------
 # Fault contract: sync strategies recover, the others refuse loudly
 # ----------------------------------------------------------------------
 PLAN = FaultPlan(stragglers=(StragglerFault(gpu=1, factor=1.5, at=0.0),))
@@ -162,6 +205,16 @@ def test_non_segment_strategies_reject_fault_plans(strategy):
     assert not semantics.supports_faults
     with pytest.raises(FaultPlanError, match="no fault-recovery semantics"):
         train(_config(strategy), sim=FAST, faults=PLAN)
+
+
+@pytest.mark.parametrize("strategy", ["async-update", "model-parallel"])
+def test_non_segment_strategies_reject_fault_plans_at_construction(strategy):
+    """The fault contract is checked with the rest of the plan, in
+    ``Trainer.__init__``: nothing is built or simulated first."""
+    with pytest.raises(FaultPlanError, match="no fault-recovery semantics"):
+        Trainer(_config(strategy), sim=FAST, faults=PLAN)
+    # An empty plan is the healthy path for every strategy.
+    Trainer(_config(strategy), sim=FAST, faults=FaultPlan())
 
 
 def test_model_parallel_strategy_matches_the_estimator():
