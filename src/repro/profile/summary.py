@@ -82,11 +82,9 @@ def summarize_stages(profiler: Profiler) -> StageBreakdown:
 
 
 def summarize_apis(profiler: Profiler) -> ApiSummary:
-    """Total wall time per API name, descending."""
-    totals: Dict[str, float] = defaultdict(float)
-    for api in profiler.apis:
-        totals[api.name] += api.duration
-    ordered = tuple(sorted(totals.items(), key=lambda kv: kv[1], reverse=True))
+    """Total wall time per API name, descending (ties in first-call order)."""
+    ordered = tuple(sorted(profiler.api_totals.items(),
+                           key=lambda kv: kv[1], reverse=True))
     return ApiSummary(totals=ordered)
 
 
@@ -97,7 +95,5 @@ def gpu_busy_fractions(profiler: Profiler) -> Dict[int, float]:
     window = window_end - window_start
     if window <= 0:
         return {}
-    busy: Dict[int, float] = defaultdict(float)
-    for k in profiler.kernels:
-        busy[k.gpu] += k.duration
-    return {gpu: t / window for gpu, t in sorted(busy.items())}
+    return {gpu: t / window
+            for gpu, t in sorted(profiler.kernel_busy.items())}
