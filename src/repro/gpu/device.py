@@ -65,13 +65,15 @@ class GpuDevice:
 
     def run_kernel(self, kernel: KernelSpec) -> Generator[Event, None, None]:
         """Process: execute one kernel on this GPU's SM array."""
-        issued = self.env.now
-        # An idle engine is held at once; a busy one queues FIFO.
+        env = self.env
+        # An idle engine is held at once, with no wait; a busy one
+        # queues FIFO.
+        issued = start = env.now
         req = self.engine.request_now()
         if req is None:
             req = self.engine.request()
             yield req
-        start = self.env.now
+            start = env.now
         if self.slowdown is not None:
             duration = kernel.duration * self.slowdown.at(start)
         else:
@@ -79,9 +81,9 @@ class GpuDevice:
         if self.ecc is not None:
             duration += self.ecc.delay(kernel)
         try:
-            yield self.env.timeout(duration)
+            yield env.timeout(duration)
         finally:
-            end = self.env.now
+            end = env.now
             self.busy_time += end - start
             self.engine.release(req)
             if self.profiler is not None:

@@ -229,7 +229,7 @@ class CollectiveChunkEvent(ObsEvent):
 
 @dataclass(frozen=True)
 class QueueDepthEvent(ObsEvent):
-    """Sampled depth of the simulation engine's event heap."""
+    """Sampled number of pending engine events (heap plus same-instant FIFO)."""
 
     now: float
     depth: int

@@ -2,8 +2,8 @@
 
 A small, deterministic, generator-based engine in the style of SimPy:
 
-* :class:`~repro.sim.engine.Environment` owns the virtual clock and the
-  event heap.
+* :class:`~repro.sim.engine.Environment` owns the virtual clock, the
+  event heap for later instants and the FIFO of events due now.
 * Processes are plain Python generators that ``yield`` events
   (:class:`~repro.sim.events.Timeout`, other processes, ``AllOf``/``AnyOf``
   combinators, or bare :class:`~repro.sim.events.Event` instances).

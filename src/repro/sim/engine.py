@@ -1,4 +1,12 @@
-"""The simulation environment: virtual clock plus event heap.
+"""The simulation environment: clock, event heap and same-instant FIFO.
+
+Pending events live in two places: an event due at the current instant
+(``succeed``, ``fail``, a zero-delay ``schedule``, a process start, an
+interrupt poke, a timeout too short to move the clock) waits in a FIFO
+and draws no insertion number; only a later one goes onto the heap as
+``(time, eid, event)``.  :meth:`Environment._dispatch` still runs them
+in exactly ``(time, insertion)`` order (docs/PERF.md, "Same-instant
+events skip the heap").
 
 The clock is translation-invariant.  The heap stores absolute instants
 ``ORIGIN + t`` rather than ``t``: every instant below ``ORIGIN`` seconds
@@ -13,16 +21,18 @@ module: :attr:`Environment.now`, :meth:`Environment.peek`,
 checkpoint all speak seconds since start.
 
 The event loop is also the proof of ``temporal.event-monotone``: it
-refuses to pop an event below the clock, so an attached check engine is
-only told how many events passed that test (one bulk count per loop
-run), and the ``sim.event`` checkpoint fires only on the event that
-fails it (docs/INVARIANTS.md).
+refuses to advance the clock to a heap entry below it, and FIFO entries
+are at the current instant by construction, so an attached check engine
+is only told how many events were dispatched (one bulk count per loop
+run), and the ``sim.event`` checkpoint fires only on the heap entry that
+fails the test (docs/INVARIANTS.md).
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, Generator, List, Optional, Tuple
+from collections import deque
+from typing import Any, Deque, Generator, List, Optional, Tuple
 
 from repro.core.errors import SimulationError
 from repro.perf.spans import PERF
@@ -49,7 +59,10 @@ class Environment:
     def __init__(self, initial_time: float = 0.0) -> None:
         self._now = ORIGIN + initial_time
         self._eid = 0
+        # Events at later instants, as (absolute time, eid, event).
         self._queue: List[Tuple[float, int, Event]] = []
+        # Events at the current instant, in dispatch order.
+        self._fifo: Deque[Event] = deque()
         self._observer = None
         self._observer_every = 1
         self._steps = 0
@@ -73,7 +86,8 @@ class Environment:
         """Attach an ``observer(now, queue_depth)`` callback.
 
         Called after every ``every``-th dispatched event with the current
-        simulated time and event-heap depth; used by the observability
+        simulated time and the number of pending events (heap plus
+        same-instant FIFO); used by the observability
         layer to sample ``sim_event_queue_depth``.  Pass ``None`` to
         detach.
         """
@@ -90,13 +104,13 @@ class Environment:
     def quiescent(self) -> bool:
         """Whether replaying from here is translation-invariant.
 
-        True when no event is scheduled, every
+        True when no event is pending (heap and FIFO empty), every
         :class:`~repro.sim.resources.Resource` on this environment is
         idle with nobody queued, and the clock is still inside the
         origin's binade.  From such a state a deterministic process runs
         the same way, bit for bit, whenever it starts.
         """
-        if self._queue or self._now >= 2 * ORIGIN:
+        if self._queue or self._fifo or self._now >= 2 * ORIGIN:
             return False
         return not any(r._users or r._waiting for r in self._resources)
 
@@ -135,15 +149,23 @@ class Environment:
     # Scheduling and execution
     # ------------------------------------------------------------------
     def schedule(self, event: Event, delay: float = 0.0) -> None:
-        """Queue a triggered event for processing at ``now + delay``."""
+        """Queue a triggered event for processing at ``now + delay``.
+
+        An event at the current instant (also a delay too small to move
+        the clock) joins the FIFO; a later one goes onto the heap.
+        """
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        self._eid += 1
-        heapq.heappush(self._queue, (self._now + delay, self._eid, event))
+        when = self._now + delay
+        if when == self._now:
+            self._fifo.append(event)
+        else:
+            self._eid += 1
+            heapq.heappush(self._queue, (when, self._eid, event))
 
     def step(self) -> None:
         """Process the single next event."""
-        if not self._queue:
+        if not self._queue and not self._fifo:
             raise SimulationError("step() on an empty event queue")
         self._dispatch(None, float("inf"), 1)
 
@@ -175,18 +197,25 @@ class Environment:
     def _dispatch(self, until: Optional[Event], deadline: float, limit: int) -> None:
         """The event loop behind :meth:`step` and :meth:`run`.
 
-        Pops and processes events in ``(time, insertion)`` order until
-        ``until`` has been processed, the next event lies beyond
-        ``deadline``, or ``limit`` events ran (``-1``: no limit).  Running
-        out of events before ``until`` fires is an error.  Each event
-        counts once towards :attr:`dispatched`, and every
-        ``observer_every``-th one is reported to the observer.
+        Processes events in ``(time, insertion)`` order until ``until``
+        has been processed, the next event lies beyond ``deadline``, or
+        ``limit`` events ran (``-1``: no limit).  Running out of events
+        before ``until`` fires is an error.  Each event counts once
+        towards :attr:`dispatched`, and every ``observer_every``-th one
+        is reported to the observer.
 
-        An event below the clock raises :class:`SimulationError`; that
-        test is ``temporal.event-monotone``.  With a check engine
-        attached, every event that passed it is counted as one
-        evaluation in a single add when the loop ends (also when a
-        callback raises), and the failing event fires the ``sim.event``
+        The FIFO holds the current instant's events in order.  Only when
+        it is empty does the clock advance: the heap top must not lie
+        below the clock, and it and every other heap entry at its
+        instant move into the FIFO in heap order.  The order is exact: a
+        heap entry at instant T was pushed before the clock reached T,
+        so it was inserted before every event triggered at T.
+
+        The clock-advance comparison is ``temporal.event-monotone``; a
+        heap top below the clock raises :class:`SimulationError`.  With
+        a check engine attached, every dispatched event counts as one
+        evaluation, in a single add when the loop ends (also when a
+        callback raises), and a failing heap top fires the ``sim.event``
         checkpoint before the loop raises.
         """
         checks = self._checks
@@ -196,32 +225,42 @@ class Environment:
         opening = (checks.stats if checks is not None
                    and EVENT_MONOTONE not in checks.stats else None)
         queue = self._queue
+        fifo = self._fifo
+        append = fifo.append
+        popleft = fifo.popleft
         pop = heapq.heappop
         observer = self._observer
         now = self._now
         try:
             while until is None or not until._processed:
-                if not queue:
-                    if until is None:
-                        return
-                    raise SimulationError(
-                        "event queue drained before target event fired")
-                if queue[0][0] > deadline or limit == 0:
+                if limit == 0:
                     return
+                if not fifo:
+                    if not queue:
+                        if until is None:
+                            return
+                        raise SimulationError(
+                            "event queue drained before target event fired")
+                    when = queue[0][0]
+                    if when > deadline:
+                        return
+                    if when < now:
+                        if checks is not None:
+                            # Recorded, published, and raised under
+                            # strict, like any violation; the clock still
+                            # cannot run backwards, so the loop raises
+                            # whatever the mode.
+                            checks.check("sim.event", when=when - ORIGIN,
+                                         now=now - ORIGIN)
+                        raise SimulationError("event scheduled in the past")
+                    self._now = now = when
+                    while queue and queue[0][0] == when:
+                        append(pop(queue)[2])
                 limit -= 1
-                when, _, event = pop(queue)
-                if when < now:
-                    if checks is not None:
-                        # Recorded, published, and raised under strict,
-                        # like any violation; the clock still cannot run
-                        # backwards, so the loop raises whatever the mode.
-                        checks.check("sim.event", when=when - ORIGIN,
-                                     now=now - ORIGIN)
-                    raise SimulationError("event scheduled in the past")
+                event = popleft()
                 if opening is not None:
                     opening.setdefault(EVENT_MONOTONE, [0, 0])
                     opening = None
-                self._now = now = when
                 self._dispatched += 1
                 callbacks, event.callbacks = event.callbacks, []
                 event._processed = True
@@ -230,7 +269,7 @@ class Environment:
                 if observer is not None:
                     self._steps += 1
                     if self._steps % self._observer_every == 0:
-                        observer(now - ORIGIN, len(queue))
+                        observer(now - ORIGIN, len(queue) + len(fifo))
         finally:
             passed = self._dispatched - start
             if checks is not None and passed:
@@ -238,5 +277,7 @@ class Environment:
                 PERF.count("checks.evaluations", passed)
 
     def peek(self) -> float:
-        """Timestamp of the next scheduled event, or ``inf`` if none."""
+        """Timestamp of the next pending event, or ``inf`` if none."""
+        if self._fifo:
+            return self._now - ORIGIN
         return self._queue[0][0] - ORIGIN if self._queue else float("inf")

@@ -1,9 +1,10 @@
 """Event types for the discrete-event engine.
 
 Events move through three states: *pending* (created), *triggered*
-(scheduled on the environment's heap with a value) and *processed*
-(callbacks ran).  Processes are events too, so a process can ``yield``
-another process to join on its completion.
+(given a value and queued on the environment: on its same-instant FIFO
+when due now, on its heap when due later) and *processed* (callbacks
+ran).  Processes are events too, so a process can ``yield`` another
+process to join on its completion.
 
 Every event class declares ``__slots__``: events are the engine's most
 allocated objects, and a slotted event is smaller and faster to touch.
@@ -17,7 +18,7 @@ Two ways to run sub-work from a process generator:
   for sequential work that only the caller waits on, such as one GPU's
   FP/BP kernel chain.
 * ``yield env.process(sub(...))`` starts a process and joins it.  Its
-  start and completion events take heap positions among other events
+  start and completion events take queue positions among other events
   at the same simulated time, so keep it wherever the tie order among
   same-time grants matters.  The communicators keep it: their
   collective and accumulate kernels contend for GPU engines with BP
@@ -74,13 +75,11 @@ class Event:
 
     def succeed(self, value: Any = None) -> "Event":
         """Trigger the event successfully with ``value``."""
-        if self.triggered:
+        if self._value is not _PENDING:
             raise SimulationError(f"{self!r} already triggered")
         self._ok = True
         self._value = value
-        env = self.env
-        env._eid += 1
-        heapq.heappush(env._queue, (env._now, env._eid, self))
+        self.env._fifo.append(self)
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -107,12 +106,21 @@ class Timeout(Event):
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
         if delay < 0:
             raise SimulationError(f"negative timeout delay: {delay}")
-        super().__init__(env)
-        self.delay = delay
-        self._ok = True
+        self.env = env
+        self.callbacks = []
         self._value = value
-        env._eid += 1
-        heapq.heappush(env._queue, (env._now + delay, env._eid, self))
+        self._ok = True
+        self._processed = False
+        self.delay = delay
+        # Environment.schedule, inlined: a delay too small to move the
+        # clock is due now.
+        now = env._now
+        when = now + delay
+        if when == now:
+            env._fifo.append(self)
+        else:
+            env._eid += 1
+            heapq.heappush(env._queue, (when, env._eid, self))
 
 
 class Interrupt(Exception):
@@ -134,15 +142,23 @@ class Process(Event):
     __slots__ = ("_generator", "_target")
 
     def __init__(self, env: "Environment", generator: Generator[Event, Any, Any]) -> None:
-        super().__init__(env)
         if not hasattr(generator, "send"):
             raise SimulationError(f"process target must be a generator, got {generator!r}")
+        self.env = env
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = None
+        self._processed = False
         self._generator = generator
-        self._target: Optional[Event] = None
-        # Kick the process off at the current simulation time.
+        # Kick the process off at the current simulation time.  The start
+        # event is the first target, so an interrupt before it fires
+        # detaches it.
         init = Event(env)
+        init._ok = True
+        init._value = None
         init.callbacks.append(self._resume)
-        init.succeed()
+        env._fifo.append(init)
+        self._target: Optional[Event] = init
 
     @property
     def is_alive(self) -> bool:
@@ -184,16 +200,18 @@ class Process(Event):
         if next_event.env is not self.env:
             self.fail(SimulationError("process yielded event from another environment"))
             return
-        self._target = next_event
         if next_event._processed:
             # Already-processed event: resume immediately (zero delay).
+            # The poke is the target, so interrupt() can detach it.
             poke = Event(self.env)
             poke._ok = next_event._ok
             poke._value = next_event._value
             poke.callbacks.append(self._resume)
             self.env.schedule(poke)
+            self._target = poke
         else:
             next_event.callbacks.append(self._resume)
+            self._target = next_event
 
 
 class AllOf(Event):

@@ -660,10 +660,11 @@ class Trainer:
     def _steady_boundary(env, devices, input_ready) -> bool:
         """Whether an iteration boundary is the canonical steady state.
 
-        That state is unique up to a translation of the clock: an empty
-        heap, idle resources and a clock inside the origin's binade
+        That state is unique up to a translation of the clock: no
+        pending event (empty heap and same-instant FIFO), idle resources
+        and a clock inside the origin's binade
         (:meth:`~repro.sim.engine.Environment.quiescent`), no input
-        prefetch in flight (with the heap empty, a triggered event has
+        prefetch in flight (with nothing pending, a triggered event has
         been processed; :meth:`_gpu_compute` takes the same branch for a
         missing prefetch as for a fired one), and no device whose speed
         varies with time.  A fresh environment without such a device is

@@ -189,6 +189,42 @@ def test_unhandled_interrupt_fails_process():
     assert v.triggered and not v.ok
 
 
+def test_interrupt_detaches_the_resume_from_a_processed_event():
+    # Yielding an already-processed event queues a poke that resumes the
+    # process; an interrupt before the poke fires must replace it.
+    env = Environment()
+    done = env.timeout(1.0, value="done")
+    env.run()
+
+    def victim(env):
+        try:
+            yield done
+        except Interrupt as intr:
+            return ("interrupted", intr.cause, env.now)
+        return "resumed"
+
+    v = env.process(victim(env))
+    env.step()  # the start event: the victim now waits on the poke
+    v.interrupt("stop")
+    env.run()
+    assert v.value == ("interrupted", "stop", 1.0)
+
+
+def test_interrupt_before_the_process_starts_detaches_its_start():
+    env = Environment()
+    started = []
+
+    def victim(env):
+        started.append(env.now)
+        yield env.timeout(1.0)
+
+    v = env.process(victim(env))
+    v.interrupt("early")
+    env.run()
+    assert started == []
+    assert v.triggered and not v.ok
+
+
 # ----------------------------------------------------------------------
 # AllOf / AnyOf
 # ----------------------------------------------------------------------
