@@ -51,6 +51,10 @@ Schema history
   ``model-parallel`` follows the configured optimizer (entries written
   earlier hold stale non-default-optimizer answers), and the unread
   ``SimulationConfig.seed`` left the fingerprinted simulation settings.
+* 12 -- ``TrainingConfig`` coerces ``scaling`` and ``comm_method``
+  strings to their enums.  A config built with ``scaling="weak"`` used
+  to run strong scaling under the same key as the enum weak config, so
+  an earlier store may hold a strong-scaling answer under a weak key.
 """
 
 from __future__ import annotations
@@ -67,7 +71,7 @@ from repro.train.results import AsyncStats, TrainingResult
 
 #: Schema version stamped into every exported dict (and hashed into every
 #: persistent-cache key).
-SCHEMA_VERSION = 11
+SCHEMA_VERSION = 12
 
 
 class SchemaMismatchError(ValueError):

@@ -158,6 +158,19 @@ class TrainingConfig:
     cluster_fast_path: str = "auto"
 
     def __post_init__(self) -> None:
+        # The enum fields also accept their string values ("weak",
+        # "p2p"); everything downstream compares members by identity.
+        for name, kind in (("comm_method", CommMethodName),
+                           ("scaling", ScalingMode)):
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                try:
+                    object.__setattr__(self, name, kind(value))
+                except (TypeError, ValueError):
+                    raise ConfigurationError(
+                        f"{name} must be one of "
+                        f"{[member.value for member in kind]}, got {value!r}"
+                    ) from None
         if self.batch_size < 1:
             raise ConfigurationError(f"batch_size must be positive, got {self.batch_size}")
         if self.num_gpus < 1:

@@ -32,7 +32,7 @@ import json
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.core.config import CommMethodName, ScalingMode, TrainingConfig
+from repro.core.config import TrainingConfig
 from repro.core.errors import ConfigurationError, ReproError
 from repro.runner.spec import FailureInfo, OomInfo, SweepPoint
 
@@ -40,11 +40,14 @@ from repro.runner.spec import FailureInfo, OomInfo, SweepPoint
 #: the server buffer unbounded input).
 MAX_LINE_BYTES = 1 << 20
 
-#: TrainingConfig fields a point object may carry, with their coercions.
+#: TrainingConfig fields a point object may carry, with their wire types
+#: (``TrainingConfig`` coerces the enum fields' strings itself).
 CONFIG_FIELDS: Dict[str, type] = {
     "network": str,
     "batch_size": int,
     "num_gpus": int,
+    "comm_method": str,
+    "scaling": str,
     "dataset_images": int,
     "overlap_bp_wu": bool,
     "cluster_nodes": int,
@@ -84,16 +87,8 @@ def point_from_dict(raw: Any) -> SweepPoint:
     """
     if not isinstance(raw, dict):
         raise ProtocolError(f"point must be an object, got {type(raw).__name__}")
-    data = dict(raw)
     kwargs: Dict[str, Any] = {}
-    try:
-        if "comm_method" in data:
-            kwargs["comm_method"] = CommMethodName(data.pop("comm_method"))
-        if "scaling" in data:
-            kwargs["scaling"] = ScalingMode(data.pop("scaling"))
-    except ValueError as exc:
-        raise ProtocolError(str(exc)) from exc
-    for name, value in data.items():
+    for name, value in raw.items():
         if name not in CONFIG_FIELDS:
             raise ProtocolError(f"unknown point field {name!r}")
         want = CONFIG_FIELDS[name]

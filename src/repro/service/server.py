@@ -2,7 +2,8 @@
 
 :class:`SweepService` accepts newline-delimited JSON requests
 (:mod:`repro.service.protocol`) and serves each sweep point from, in
-order: the sharded crash-safe store
+order: the store entries it has already served (a bounded in-memory
+LRU), the sharded crash-safe store
 (:class:`~repro.runner.ShardedResultStore`), the in-flight registry
 (:class:`~repro.service.dedup.InflightRegistry` -- concurrent identical
 points simulate once), or the process pool
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import collections
 import contextlib
 import pathlib
 import signal
@@ -45,7 +47,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.runner.fingerprint import point_fingerprint
 from repro.runner.runner import derive_value, steady_twin_point
 from repro.runner.spec import FailureInfo, SweepPoint
-from repro.runner.store import ResultStore, ShardedResultStore
+from repro.runner.store import CacheEntry, ResultStore, ShardedResultStore
 from repro.service import protocol
 from repro.service.admission import AdmissionController, CircuitBreaker
 from repro.service.analytic import (
@@ -139,6 +141,10 @@ class _Tally:
 class SweepService:
     """One resilient sweep server (see the module docstring)."""
 
+    #: Points whose store entries the service keeps in memory.  A decoded
+    #: entry is ~4 KB, so a full LRU stays under ~5 MB.
+    SERVED_POINTS = 1024
+
     def __init__(
         self,
         config: ServiceConfig = ServiceConfig(),
@@ -174,6 +180,14 @@ class SweepService:
             breaker=self.breaker,
         )
         self.dedup = InflightRegistry()
+        #: Store entries already served, by point, most recently used
+        #: last.  A point's key hashes its config with this service's
+        #: fixed simulation settings, constants and schema, and the entry
+        #: under a key never changes, so a kept entry cannot go stale.
+        #: Misses stay out: another process sharing the store may commit
+        #: them later.
+        self._served: collections.OrderedDict[SweepPoint, CacheEntry] = (
+            collections.OrderedDict())
         self.draining = False
         self._server: Optional[asyncio.AbstractServer] = None
         self._stopped: Optional[asyncio.Event] = None
@@ -378,22 +392,29 @@ class SweepService:
         tally = _Tally()
         results: List[Optional[Dict[str, Any]]] = [None] * len(request.points)
 
-        # Pass 1: committed results from the sharded store.
+        # Pass 1: committed results, from memory or the sharded store.
         misses: List[Tuple[int, SweepPoint, Optional[str]]] = []
         for index, point in enumerate(request.points):
-            key = point_fingerprint(point, cfg.sim, cfg.constants)
-            entry = (
-                self.store.load_entry(key)
-                if self.store is not None and key is not None else None
-            )
+            entry = self._served.get(point)
             if entry is not None:
-                results[index] = protocol.value_payload(
-                    point.describe(), entry.value)
-                tally.disk_hits += 1
-                tally.saved_seconds += entry.elapsed
-                self.metrics["points"].labels(source="disk").inc()
+                self._served.move_to_end(point)
             else:
-                misses.append((index, point, key))
+                key = point_fingerprint(point, cfg.sim, cfg.constants)
+                entry = (
+                    self.store.load_entry(key)
+                    if self.store is not None and key is not None else None
+                )
+                if entry is None:
+                    misses.append((index, point, key))
+                    continue
+                self._served[point] = entry
+                if len(self._served) > self.SERVED_POINTS:
+                    self._served.popitem(last=False)
+            results[index] = protocol.value_payload(
+                point.describe(), entry.value)
+            tally.disk_hits += 1
+            tally.saved_seconds += entry.elapsed
+            self.metrics["points"].labels(source="disk").inc()
 
         # Pass 2: budget classification.  Points beyond the simulation
         # budget degrade to the analytic fast path; if any of them

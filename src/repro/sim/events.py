@@ -175,8 +175,19 @@ class Process(Event):
         poke = Event(self.env)
         poke._ok = False
         poke._value = Interrupt(cause)
-        poke.callbacks.append(self._resume)
+        poke.callbacks.append(self._interrupted)
         self.env.schedule(poke)
+
+    def _interrupted(self, poke: Event) -> None:
+        if self.triggered:
+            return  # an earlier poke ended the process, as interrupt() would
+        # A poke scheduled while the process ran (it interrupted itself)
+        # or while an earlier poke was pending finds the process waiting
+        # on a newer event: detach it, or that event resumes it again.
+        target = self._target
+        if target is not None and self._resume in target.callbacks:
+            target.callbacks.remove(self._resume)
+        self._resume(poke)
 
     def _resume(self, trigger: Event) -> None:
         self._target = None

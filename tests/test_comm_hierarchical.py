@@ -192,7 +192,7 @@ def test_schema_v7_roundtrips_cluster_fields():
         SCHEMA_VERSION, result_from_dict, result_to_dict,
     )
 
-    assert SCHEMA_VERSION == 11
+    assert SCHEMA_VERSION == 12
     result = Trainer(cluster_config(2, "analytic"), sim=FAST).run()
     clone = result_from_dict(result_to_dict(result))
     assert clone.config.cluster_fabric == "single-switch"

@@ -140,3 +140,22 @@ def test_nonpositive_batch_and_gpus_rejected():
         TrainingConfig("lenet", -4, 1)
     with pytest.raises(ConfigurationError):
         TrainingConfig("lenet", 16, 0)
+
+
+def test_enum_strings_coerce_to_their_members():
+    c = TrainingConfig("lenet", 16, 2, comm_method="p2p", scaling="weak")
+    assert c.comm_method is CommMethodName.P2P
+    assert c.scaling is ScalingMode.WEAK
+    assert c == TrainingConfig("lenet", 16, 2,
+                               comm_method=CommMethodName.P2P,
+                               scaling=ScalingMode.WEAK)
+    assert c.total_images == 2 * PAPER_DATASET_IMAGES
+
+
+@pytest.mark.parametrize("field, value", [
+    ("scaling", "huge"), ("comm_method", "pigeon"), ("scaling", None),
+    ("comm_method", 3),
+])
+def test_unknown_enum_value_raises_configuration_error(field, value):
+    with pytest.raises(ConfigurationError, match=field):
+        TrainingConfig("lenet", 16, 2, **{field: value})

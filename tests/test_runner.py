@@ -384,7 +384,7 @@ def test_store_rejects_stale_schema_entries(tmp_path):
     ``"async"`` entry kind and fingerprinted point mode (schema 9) or
     the optimizer-blind update costs (schema 10) must be refused loudly,
     not deserialized without them."""
-    assert SCHEMA_VERSION == 11
+    assert SCHEMA_VERSION == 12
     store = ResultStore(tmp_path)
     store.root.mkdir(parents=True, exist_ok=True)
     for stale in (3, 4, 5, 6, 7, 8, 9, 10):

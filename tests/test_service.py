@@ -16,10 +16,13 @@ import pathlib
 import pytest
 
 from repro.core.config import CommMethodName, SimulationConfig, TrainingConfig
+from repro.core.constants import CALIBRATION
 from repro.obs.bus import EventBus
 from repro.obs.events import ServiceRequestEvent
 from repro.obs.export import JsonlRecorder, event_to_dict, write_events_jsonl
 from repro.runner import ShardedResultStore, SweepPoint, SweepRunner
+from repro.runner.fingerprint import point_fingerprint
+from repro.runner.spec import OomInfo
 from repro.service import (
     AdmissionController,
     CircuitBreaker,
@@ -30,6 +33,7 @@ from repro.service import (
     analytic_estimate,
 )
 from repro.service import protocol
+from repro.service import server as server_module
 from repro.service.analytic import AnalyticUnsupported
 from repro.train.trainer import Trainer
 
@@ -732,3 +736,142 @@ def test_service_publishes_request_events_on_its_bus():
     assert ok.shed_reason == "" and ok.elapsed > 0
     assert shed.client == "late" and shed.status == "rejected"
     assert shed.shed_reason == "draining"
+
+
+# ----------------------------------------------------------------------
+# The service's LRU of served store entries
+# ----------------------------------------------------------------------
+async def _request_line(port, message):
+    """The raw response line, for byte-for-byte comparisons."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    writer.write((json.dumps(message) + "\n").encode())
+    await writer.drain()
+    line = await reader.readline()
+    writer.close()
+    return line
+
+
+def _commit(root, points, value):
+    """Store ``value`` under each point's key, as another process would."""
+    store = ShardedResultStore(root)
+    for point in points:
+        store.store(point_fingerprint(point, TINY, CALIBRATION), value,
+                    elapsed=0.5)
+    store.close()
+
+
+def _count_reads(monkeypatch):
+    """Count the fingerprints and store loads the service makes."""
+    counts = {"fingerprint": 0, "load_entry": 0}
+    real_fingerprint = server_module.point_fingerprint
+    real_load = ShardedResultStore.load_entry
+
+    def fingerprint(*args, **kwargs):
+        counts["fingerprint"] += 1
+        return real_fingerprint(*args, **kwargs)
+
+    def load_entry(self, key):
+        counts["load_entry"] += 1
+        return real_load(self, key)
+
+    monkeypatch.setattr(server_module, "point_fingerprint", fingerprint)
+    monkeypatch.setattr(ShardedResultStore, "load_entry", load_entry)
+    return counts
+
+
+def test_repeated_warm_request_reads_neither_hash_nor_disk(
+        tmp_path, monkeypatch):
+    message = {"op": "sweep", "client": "t",
+               "points": [_wire_point(16), _wire_point(32)]}
+
+    async def go():
+        service = SweepService(_config(cache_dir=tmp_path / "cache"))
+        await service.start()
+        await _request(service.port, message)
+        first = await _request_line(service.port, message)
+        counts = _count_reads(monkeypatch)
+        second = await _request_line(service.port, message)
+        await _drained(service)
+        return first, second, counts
+
+    first, second, counts = asyncio.run(go())
+    assert counts == {"fingerprint": 0, "load_entry": 0}
+    assert second == first
+    sourcing = json.loads(second)["sourcing"]
+    assert sourcing["disk_hits"] == 2 and sourcing["executed"] == 0
+    assert sourcing["saved_seconds"] > 0
+
+
+def test_a_miss_is_never_kept_in_memory(tmp_path):
+    root = tmp_path / "cache"
+    point = _point(16)
+    message = {"op": "sweep", "client": "t", "points": [_wire_point(16)]}
+
+    async def go():
+        service = SweepService(_config(cache_dir=root))
+        await service.start()
+        calls = _count_executions(service)
+        # Budget 0 answers the absent point analytically: nothing stored.
+        shed = await _request(service.port, dict(message, budget=0))
+        _commit(root, [point], SweepRunner(sim=TINY).run_point(point))
+        served = await _request(service.port, message)
+        await _drained(service)
+        return shed, served, calls
+
+    shed, served, calls = asyncio.run(go())
+    assert shed["sourcing"]["degraded"] == 1
+    assert served["status"] == "ok" and calls == []
+    assert served["sourcing"]["disk_hits"] == 1
+    assert served["sourcing"]["executed"] == 0
+    assert served["results"][0]["degraded"] is False
+
+
+def test_lru_holds_the_bound_and_evicts_least_recently_used(
+        tmp_path, monkeypatch):
+    monkeypatch.setattr(SweepService, "SERVED_POINTS", 4)
+    root = tmp_path / "cache"
+    batches = (8, 16, 32, 64, 128, 256)
+    points = {b: _point(b) for b in batches}
+    _commit(root, points.values(), _stored_value())
+
+    async def sweep(service, *wanted):
+        response = await _request(service.port, {
+            "op": "sweep", "client": "t",
+            "points": [_wire_point(b) for b in wanted]})
+        assert response["sourcing"]["disk_hits"] == len(wanted)
+
+    async def go():
+        service = SweepService(_config(cache_dir=root))
+        await service.start()
+        await sweep(service, 8, 16, 32, 64)
+        await sweep(service, 8)             # 8 becomes most recently used
+        await sweep(service, 128, 256)      # evicts 16, then 32
+        held = list(service._served)
+        await _drained(service)
+        return held
+
+    held = asyncio.run(go())
+    assert held == [points[b] for b in (64, 8, 128, 256)]
+
+
+def test_stored_oom_entry_is_served_from_memory(tmp_path, monkeypatch):
+    root = tmp_path / "cache"
+    oom = OomInfo(device=0, requested=2 ** 34, free=2 ** 33,
+                  message="out of memory")
+    _commit(root, [_point(16)], oom)
+    message = {"op": "sweep", "client": "t", "points": [_wire_point(16)]}
+
+    async def go():
+        service = SweepService(_config(cache_dir=root))
+        await service.start()
+        first = await _request_line(service.port, message)
+        counts = _count_reads(monkeypatch)
+        second = await _request_line(service.port, message)
+        await _drained(service)
+        return first, second, counts
+
+    first, second, counts = asyncio.run(go())
+    assert counts == {"fingerprint": 0, "load_entry": 0}
+    assert second == first
+    [result] = json.loads(second)["results"]
+    assert result["kind"] == "oom" and result["message"] == "out of memory"

@@ -225,6 +225,73 @@ def test_interrupt_before_the_process_starts_detaches_its_start():
     assert v.triggered and not v.ok
 
 
+def test_self_interrupt_does_not_leave_the_next_wait_attached():
+    env = Environment()
+    gate = env.event()
+    log = []
+
+    def victim(env):
+        me.interrupt("self")
+        try:
+            yield gate
+        except Interrupt as intr:
+            log.append(("interrupt", intr.cause, env.now))
+        yield env.timeout(2.0)
+        log.append(("done", env.now))
+
+    me = env.process(victim(env))
+    env.run(until=1.0)
+    gate.fail(ValueError("late"))   # nobody waits on the gate any more
+    env.run()
+    assert log == [("interrupt", "self", 0.0), ("done", 2.0)]
+    assert me.ok
+
+
+def test_two_interrupts_at_one_instant_are_both_delivered_once():
+    env = Environment()
+    log = []
+
+    def victim(env):
+        for _ in range(3):
+            try:
+                yield env.timeout(10.0)
+                log.append(("tick", env.now))
+            except Interrupt as intr:
+                log.append(("interrupt", intr.cause, env.now))
+
+    def attacker(env):
+        yield env.timeout(1.0)
+        v.interrupt("a")
+        v.interrupt("b")
+
+    v = env.process(victim(env))
+    env.process(attacker(env))
+    env.run()
+    assert log == [("interrupt", "a", 1.0), ("interrupt", "b", 1.0),
+                   ("tick", 11.0)]
+    assert v.ok
+
+
+def test_interrupt_pending_when_the_process_ends_is_dropped():
+    env = Environment()
+
+    def victim(env):
+        try:
+            yield env.timeout(10.0)
+        except Interrupt as intr:
+            return ("caught", intr.cause)
+
+    def attacker(env):
+        yield env.timeout(1.0)
+        v.interrupt("a")
+        v.interrupt("b")
+
+    v = env.process(victim(env))
+    env.process(attacker(env))
+    env.run()
+    assert v.value == ("caught", "a")
+
+
 # ----------------------------------------------------------------------
 # AllOf / AnyOf
 # ----------------------------------------------------------------------

@@ -98,6 +98,17 @@ def test_weak_scaling_runs_more_iterations():
     assert weak.iterations_per_epoch == 4 * strong.iterations_per_epoch
 
 
+def test_string_enum_config_trains_like_the_enum_config():
+    by_string = train(TrainingConfig("lenet", 16, 2, comm_method="p2p",
+                                     scaling="weak"), sim=FAST)
+    by_enum = train(TrainingConfig("lenet", 16, 2,
+                                   comm_method=CommMethodName.P2P,
+                                   scaling=ScalingMode.WEAK), sim=FAST)
+    assert by_string.epoch_time == by_enum.epoch_time
+    assert by_string.iteration_time == by_enum.iteration_time
+    assert by_string.iterations_per_epoch == by_enum.iterations_per_epoch
+
+
 def test_nccl_has_fixed_overhead_p2p_does_not():
     p2p = _train(method=CommMethodName.P2P)
     nccl = _train(method=CommMethodName.NCCL)
