@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.config import TrainingConfig
 from repro.core.errors import ConfigurationError, ReproError
@@ -77,17 +77,35 @@ class SweepRequest:
     degrade: bool = True
 
 
+#: A wire point after :func:`point_fields`: its validated fields, sorted
+#: by name, with ``num_gpus`` filled in.
+PointFields = Tuple[Tuple[str, Any], ...]
+
+
 def point_from_dict(raw: Any) -> SweepPoint:
     """Build a :class:`SweepPoint` from one wire-format point object.
 
     Only whitelisted scalar :class:`TrainingConfig` fields are accepted
     (no overrides: clients cannot inject arbitrary trainer kwargs into
     the server process); enum fields coerce from their string values and
-    the config's own eager validation rejects bad combinations.
+    the config's own eager validation rejects bad combinations.  The two
+    steps are :func:`point_fields` and :func:`point_from_fields`.
+    """
+    return point_from_fields(point_fields(raw))
+
+
+def point_fields(raw: Any) -> PointFields:
+    """The whitelist and type checks of one wire point: its fields.
+
+    The result is sorted by field name and carries ``num_gpus``
+    (default 1), so two objects that differ only in key order or in an
+    explicit ``num_gpus: 1`` give equal tuples.  Each value has passed
+    its field's type check (a boolean is never an integer field), so
+    equal tuples always build equal points: the tuple is a safe memo key
+    for :func:`point_from_fields`.
     """
     if not isinstance(raw, dict):
         raise ProtocolError(f"point must be an object, got {type(raw).__name__}")
-    kwargs: Dict[str, Any] = {}
     for name, value in raw.items():
         if name not in CONFIG_FIELDS:
             raise ProtocolError(f"unknown point field {name!r}")
@@ -101,12 +119,18 @@ def point_from_dict(raw: Any) -> SweepPoint:
         elif not isinstance(value, want):
             raise ProtocolError(
                 f"point field {name!r} must be a {want.__name__}")
-        kwargs[name] = value
-    if "network" not in kwargs or "batch_size" not in kwargs:
+    if "network" not in raw or "batch_size" not in raw:
         raise ProtocolError("a point needs at least 'network' and 'batch_size'")
-    kwargs.setdefault("num_gpus", 1)
+    fields = dict(raw)
+    fields.setdefault("num_gpus", 1)
+    return tuple(sorted(fields.items()))
+
+
+def point_from_fields(fields: PointFields) -> SweepPoint:
+    """The point of :func:`point_fields`' output, through the config's
+    own validation (a rejected config is a :class:`ProtocolError`)."""
     try:
-        config = TrainingConfig(**kwargs)
+        config = TrainingConfig(**dict(fields))
     except (ConfigurationError, TypeError, ValueError) as exc:
         raise ProtocolError(f"invalid point: {exc}") from exc
     return SweepPoint(config=config)
@@ -146,15 +170,22 @@ def parse_request(line: str) -> Dict[str, Any]:
     return data
 
 
-def parse_sweep(data: Dict[str, Any]) -> SweepRequest:
-    """Validate a raw ``sweep`` request object into a :class:`SweepRequest`."""
+def parse_sweep(
+    data: Dict[str, Any],
+    point_of: Callable[[Any], SweepPoint] = point_from_dict,
+) -> SweepRequest:
+    """Validate a raw ``sweep`` request object into a :class:`SweepRequest`.
+
+    ``point_of`` turns each wire point into a :class:`SweepPoint`; the
+    service passes one that memoizes :func:`point_from_fields`.
+    """
     client = data.get("client", "anonymous")
     if not isinstance(client, str) or not client:
         raise ProtocolError("'client' must be a non-empty string")
     raw_points = data.get("points")
     if not isinstance(raw_points, list) or not raw_points:
         raise ProtocolError("'points' must be a non-empty list")
-    points = tuple(point_from_dict(p) for p in raw_points)
+    points = tuple(point_of(p) for p in raw_points)
     budget = data.get("budget")
     if budget is not None:
         if isinstance(budget, bool) or not isinstance(budget, int) or budget < 0:

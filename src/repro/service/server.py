@@ -9,8 +9,8 @@ LRU), the sharded crash-safe store
 points simulate once), or the process pool
 (:class:`~repro.service.executor.PoolExecutor`).  A miss that differs
 from its steady-state twin only in epoch size is derived from the twin
-(:mod:`repro.train.steady`), which goes through the same store, dedup
-and pool path under its own key.  Around that sit the
+(:mod:`repro.train.steady`), which goes through the same served
+entries, store, dedup and pool path under its own key.  Around that sit the
 admission controller (quotas + queue watermarks -> ``busy``), the
 circuit breaker (crash loops -> analytic answers while OPEN), budget
 and deadline load-shedding (over-limit points degrade to
@@ -138,11 +138,39 @@ class _Tally:
         }
 
 
+class _Lru(collections.OrderedDict):
+    """A dict of at most ``bound`` entries, least recently used first."""
+
+    def __init__(self, bound: int) -> None:
+        super().__init__()
+        self.bound = bound
+
+    def hit(self, key: Any, default: Any = None) -> Any:
+        """The value under ``key`` (now most recently used), or ``default``."""
+        value = self.get(key, default)
+        if value is not default:
+            self.move_to_end(key)
+        return value
+
+    def keep(self, key: Any, value: Any) -> None:
+        """Add ``key``, evicting the least recently used entry if full."""
+        self[key] = value
+        if len(self) > self.bound:
+            self.popitem(last=False)
+
+
+#: What :meth:`_Lru.hit` returns for a key the memo does not hold, where
+#: ``None`` is a value (an unfingerprintable point's store key).
+_ABSENT = object()
+
+
 class SweepService:
     """One resilient sweep server (see the module docstring)."""
 
-    #: Points whose store entries the service keeps in memory.  A decoded
-    #: entry is ~4 KB, so a full LRU stays under ~5 MB.
+    #: The bound of each per-point memo: points whose store entries the
+    #: service keeps in memory, and the wire points and store keys it
+    #: remembers.  A decoded entry is ~4 KB and a parsed point or key
+    #: ~1 KB, so the three memos stay under ~7 MB when full.
     SERVED_POINTS = 1024
 
     def __init__(
@@ -181,13 +209,16 @@ class SweepService:
         )
         self.dedup = InflightRegistry()
         #: Store entries already served, by point, most recently used
-        #: last.  A point's key hashes its config with this service's
-        #: fixed simulation settings, constants and schema, and the entry
-        #: under a key never changes, so a kept entry cannot go stale.
-        #: Misses stay out: another process sharing the store may commit
-        #: them later.
-        self._served: collections.OrderedDict[SweepPoint, CacheEntry] = (
-            collections.OrderedDict())
+        #: last, each with its response payload.  A point's key hashes its
+        #: config with this service's fixed simulation settings, constants
+        #: and schema, and the entry under a key never changes, so a kept
+        #: entry cannot go stale.  Misses stay out: another process
+        #: sharing the store may commit them later.
+        self._served = _Lru(self.SERVED_POINTS)
+        #: Wire points already parsed, by :func:`protocol.point_fields`.
+        self._parsed = _Lru(self.SERVED_POINTS)
+        #: Store keys already computed, by point.
+        self._keys = _Lru(self.SERVED_POINTS)
         self.draining = False
         self._server: Optional[asyncio.AbstractServer] = None
         self._stopped: Optional[asyncio.Event] = None
@@ -315,7 +346,7 @@ class SweepService:
             self.request_drain()
             return {"status": "ok", "draining": True}
         try:
-            request = protocol.parse_sweep(data)
+            request = protocol.parse_sweep(data, self._wire_point)
         except protocol.ProtocolError as exc:
             self.metrics["requests"].labels(status="error").inc()
             return protocol.error_response("error", error=str(exc))
@@ -349,6 +380,45 @@ class SweepService:
             "store_entries": len(self.store) if self.store is not None else 0,
             "draining": self.draining,
         }
+
+    # ------------------------------------------------------------------
+    # Per-point memos
+    # ------------------------------------------------------------------
+    def _wire_point(self, raw: Any) -> SweepPoint:
+        """:func:`protocol.point_from_dict`, building each point once.
+
+        The field checks run on every call; only a point that passed the
+        config's validation is kept, so a bad point fails every time.
+        """
+        fields = protocol.point_fields(raw)
+        point = self._parsed.hit(fields)
+        if point is None:
+            point = protocol.point_from_fields(fields)
+            self._parsed.keep(fields, point)
+        return point
+
+    def _store_key(self, point: SweepPoint) -> Optional[str]:
+        """``point``'s store key, hashed once per point."""
+        key = self._keys.hit(point, _ABSENT)
+        if key is _ABSENT:
+            key = point_fingerprint(point, self.config.sim,
+                                    self.config.constants)
+            self._keys.keep(point, key)
+        return key
+
+    def _load_served(
+        self, point: SweepPoint, key: Optional[str],
+    ) -> Optional[Tuple[CacheEntry, Dict[str, Any]]]:
+        """``point``'s store entry and payload, kept in ``_served``; ``None``
+        on a miss, which is not kept."""
+        if self.store is None or key is None:
+            return None
+        entry = self.store.load_entry(key)
+        if entry is None:
+            return None
+        served = (entry, protocol.value_payload(point.describe(), entry.value))
+        self._served.keep(point, served)
+        return served
 
     # ------------------------------------------------------------------
     # Sweep serving
@@ -393,28 +463,22 @@ class SweepService:
         results: List[Optional[Dict[str, Any]]] = [None] * len(request.points)
 
         # Pass 1: committed results, from memory or the sharded store.
+        # A kept payload is shared by every response that serves it;
+        # responses are only encoded, never changed.
         misses: List[Tuple[int, SweepPoint, Optional[str]]] = []
         for index, point in enumerate(request.points):
-            entry = self._served.get(point)
-            if entry is not None:
-                self._served.move_to_end(point)
-            else:
-                key = point_fingerprint(point, cfg.sim, cfg.constants)
-                entry = (
-                    self.store.load_entry(key)
-                    if self.store is not None and key is not None else None
-                )
-                if entry is None:
+            served = self._served.hit(point)
+            if served is None:
+                key = self._store_key(point)
+                served = self._load_served(point, key)
+                if served is None:
                     misses.append((index, point, key))
                     continue
-                self._served[point] = entry
-                if len(self._served) > self.SERVED_POINTS:
-                    self._served.popitem(last=False)
-            results[index] = protocol.value_payload(
-                point.describe(), entry.value)
+            entry, results[index] = served
             tally.disk_hits += 1
             tally.saved_seconds += entry.elapsed
-            self.metrics["points"].labels(source="disk").inc()
+        if tally.disk_hits:
+            self.metrics["points"].labels(source="disk").inc(tally.disk_hits)
 
         # Pass 2: budget classification.  Points beyond the simulation
         # budget degrade to the analytic fast path; if any of them
@@ -524,20 +588,20 @@ class SweepService:
     ) -> Optional[Any]:
         """The point's value from its twin, or ``None`` to run it itself.
 
-        The twin comes from the store, from another request's in-flight
-        execution of the same key, or from executing it here; a twin
-        that fails leaves the point to the normal path.
+        The twin comes from the entries already served, the store,
+        another request's in-flight execution of the same key, or from
+        executing it here; a twin that fails leaves the point to the
+        normal path.
         """
         cfg = self.config
         twin = steady_twin_point(point, self.executor.trainer_kwargs,
                                  cfg.invariants)
         if twin is None:
             return None
-        twin_key = point_fingerprint(twin, cfg.sim, cfg.constants)
-        entry = (self.store.load_entry(twin_key)
-                 if self.store is not None else None)
-        if entry is not None:
-            value, elapsed = entry.value, entry.elapsed
+        twin_key = self._store_key(twin)
+        served = self._served.hit(twin) or self._load_served(twin, twin_key)
+        if served is not None:
+            value, elapsed = served[0].value, served[0].elapsed
             tally.saved_seconds += elapsed
         else:
             try:

@@ -19,7 +19,13 @@ from repro.core.config import CommMethodName, SimulationConfig, TrainingConfig
 from repro.core.constants import CALIBRATION
 from repro.obs.bus import EventBus
 from repro.obs.events import ServiceRequestEvent
-from repro.obs.export import JsonlRecorder, event_to_dict, write_events_jsonl
+from repro.obs.export import (
+    JsonlRecorder,
+    event_to_dict,
+    render_prometheus,
+    write_events_jsonl,
+)
+from repro.obs.metrics import MetricsRegistry
 from repro.runner import ShardedResultStore, SweepPoint, SweepRunner
 from repro.runner.fingerprint import point_fingerprint
 from repro.runner.spec import OomInfo
@@ -34,6 +40,7 @@ from repro.service import (
 )
 from repro.service import protocol
 from repro.service import server as server_module
+from repro.service.server import install_service_metrics
 from repro.service.analytic import AnalyticUnsupported
 from repro.train.trainer import Trainer
 
@@ -875,3 +882,239 @@ def test_stored_oom_entry_is_served_from_memory(tmp_path, monkeypatch):
     assert second == first
     [result] = json.loads(second)["results"]
     assert result["kind"] == "oom" and result["message"] == "out of memory"
+
+
+# ----------------------------------------------------------------------
+# Per-point memos: wire points, store keys, served payloads
+# ----------------------------------------------------------------------
+def _count_work(monkeypatch):
+    """Count configs built, keys hashed, payloads made and store loads,
+    plus the keys each load asked for."""
+    counts = _count_reads(monkeypatch)
+    counts.update(configs=0, payloads=0)
+    loaded = []
+    real_config = protocol.TrainingConfig
+    real_payload = protocol.value_payload
+    counting_load = ShardedResultStore.load_entry
+
+    def config(*args, **kwargs):
+        counts["configs"] += 1
+        return real_config(*args, **kwargs)
+
+    def payload(*args, **kwargs):
+        counts["payloads"] += 1
+        return real_payload(*args, **kwargs)
+
+    def load_entry(self, key):
+        loaded.append(key)
+        return counting_load(self, key)
+
+    monkeypatch.setattr(protocol, "TrainingConfig", config)
+    monkeypatch.setattr(protocol, "value_payload", payload)
+    monkeypatch.setattr(ShardedResultStore, "load_entry", load_entry)
+    return counts, loaded
+
+
+def _memos(service):
+    return {"parsed": len(service._parsed), "keys": len(service._keys),
+            "served": len(service._served)}
+
+
+def test_memoized_wire_points_are_still_validated():
+    service = SweepService(_config())
+    good = {"network": "lenet", "batch_size": 16}
+    point = service._wire_point(good)
+    assert point == protocol.point_from_dict(good)
+    # True == 1 and hash(True) == hash(1): a key taken before the type
+    # checks would hand the boolean the memoized point of batch 1.
+    service._wire_point(dict(good, batch_size=1))
+    assert len(service._parsed) == 2
+    for bad, match in (
+            (dict(good, batch_size=True), "must be an integer"),
+            (dict(good, batch_size="16"), "must be an integer"),
+            (dict(good, topology_builder="evil"), "unknown point field"),
+            ({"batch_size": 16}, "at least"),
+    ):
+        with pytest.raises(ProtocolError, match=match):
+            service._wire_point(bad)
+    # A config the trainer refuses is refused on every request: an
+    # exception is never kept.
+    for _ in range(3):
+        with pytest.raises(ProtocolError, match="invalid point"):
+            service._wire_point(dict(good, batch_size=0))
+    assert len(service._parsed) == 2
+    # Key order and an explicit default do not make a new point.
+    assert service._wire_point({"batch_size": 16, "network": "lenet"}) is point
+    assert service._wire_point(dict(good, num_gpus=1)) is point
+
+
+def test_memoized_wire_points_refuse_whole_requests():
+    async def go():
+        service = SweepService(_config())
+        ok = await service._dispatch(json.dumps({
+            "op": "sweep", "budget": 0, "points": [_wire_point(16)]}))
+        bad = [await service._dispatch(json.dumps({
+            "op": "sweep", "budget": 0,
+            "points": [_wire_point(16), dict(_wire_point(16), **extra)]}))
+            for extra in ({"batch_size": True}, {"batch_size": 0},
+                          {"batch_size": 0})]
+        return ok, bad
+
+    ok, bad = asyncio.run(go())
+    assert ok["status"] == "ok" and ok["sourcing"]["degraded"] == 1
+    assert [r["status"] for r in bad] == ["error"] * 3
+    assert "must be an integer" in bad[0]["error"]
+    assert bad[1]["error"] == bad[2]["error"]
+    assert "invalid point" in bad[2]["error"]
+
+
+def test_parse_sweep_defaults_to_point_from_dict():
+    message = {"op": "sweep", "points": [_wire_point(16), _wire_point(32)]}
+    seen = []
+
+    def point_of(raw):
+        seen.append(raw)
+        return protocol.point_from_dict(raw)
+
+    assert protocol.parse_sweep(message, point_of) == protocol.parse_sweep(
+        message)
+    assert seen == message["points"]
+
+
+def test_repeated_warm_request_does_no_per_point_work(tmp_path, monkeypatch):
+    message = {"op": "sweep", "client": "t",
+               "points": [_wire_point(16), _wire_point(32)]}
+
+    async def go():
+        service = SweepService(_config(cache_dir=tmp_path / "cache"))
+        await service.start()
+        await _request(service.port, message)
+        first = await _request_line(service.port, message)
+        counts, _ = _count_work(monkeypatch)
+        second = await _request_line(service.port, message)
+        await _drained(service)
+        return first, second, counts
+
+    first, second, counts = asyncio.run(go())
+    assert counts == {"fingerprint": 0, "load_entry": 0, "configs": 0,
+                      "payloads": 0}
+    assert second == first
+
+
+def test_repeated_degraded_request_rehashes_nothing(tmp_path, monkeypatch):
+    message = {"op": "sweep", "client": "t", "budget": 0,
+               "points": [_wire_point(16), _wire_point(32)]}
+
+    async def go():
+        service = SweepService(_config(cache_dir=tmp_path / "cache"))
+        await service.start()
+        first = await _request(service.port, message)
+        counts, _ = _count_work(monkeypatch)
+        second = await _request(service.port, message)
+        await _drained(service)
+        return first, second, counts
+
+    first, second, counts = asyncio.run(go())
+    assert first == second and second["sourcing"]["degraded"] == 2
+    # Each miss still probes the store: another process may fill it.
+    assert counts == {"fingerprint": 0, "load_entry": 2, "configs": 0,
+                      "payloads": 0}
+
+
+def test_a_writes_twin_is_read_from_the_store_once(tmp_path, monkeypatch):
+    root = tmp_path / "cache"
+    twin = protocol.point_from_dict(_wire_point(16, 2))
+    _commit(root, [twin], SweepRunner(sim=TINY).run_point(twin))
+    twin_key = point_fingerprint(twin, TINY, CALIBRATION)
+    writes = [dict(_weak_wire_point(), dataset_images=images)
+              for images in (1000, 2000, 3000)]
+
+    async def go():
+        service = SweepService(_config(cache_dir=root))
+        await service.start()
+        calls = _count_executions(service)
+        counts, loaded = _count_work(monkeypatch)
+        responses = [await _request(service.port, {
+            "op": "sweep", "client": "t", "points": [write]})
+            for write in writes]
+        await _drained(service)
+        return responses, counts, loaded, calls
+
+    responses, counts, loaded, calls = asyncio.run(go())
+    assert calls == []
+    assert [r["sourcing"]["derived"] for r in responses] == [1, 1, 1]
+    assert loaded.count(twin_key) == 1
+    assert counts["load_entry"] == 4       # each write's own miss + twin
+    assert counts["fingerprint"] == 4      # three writes and one twin
+
+
+def test_a_new_service_starts_with_empty_memos(tmp_path):
+    first = SweepService(_config(cache_dir=tmp_path / "cache"))
+    first._wire_point(_wire_point(16))
+    assert _memos(SweepService(_config(cache_dir=tmp_path / "cache"))) == {
+        "parsed": 0, "keys": 0, "served": 0}
+
+
+def test_every_memo_holds_the_bound(tmp_path, monkeypatch):
+    monkeypatch.setattr(SweepService, "SERVED_POINTS", 4)
+    root = tmp_path / "cache"
+    batches = (8, 16, 32, 64, 128, 256)
+    _commit(root, [_point(b) for b in batches], _stored_value())
+
+    async def go():
+        service = SweepService(_config(cache_dir=root))
+        await service.start()
+        response = await _request(service.port, {
+            "op": "sweep", "client": "t",
+            "points": [_wire_point(b) for b in batches]})
+        memos = _memos(service)
+        await _drained(service)
+        return response, memos
+
+    response, memos = asyncio.run(go())
+    assert response["sourcing"]["disk_hits"] == len(batches)
+    assert memos == {"parsed": 4, "keys": 4, "served": 4}
+
+
+def _points_lines(registry):
+    return [line for line in render_prometheus(registry).splitlines()
+            if line.startswith("service_points_total")]
+
+
+def test_points_metric_matches_per_point_increments(tmp_path):
+    root = tmp_path / "cache"
+    _commit(root, [_point(16), _point(32)], _stored_value())
+    requests = (
+        {"budget": 0, "points": [_wire_point(16), _wire_point(32),
+                                 _wire_point(64)]},
+        {"budget": 0, "points": [_wire_point(64)]},         # zero hits
+        {"points": [_wire_point(16), _wire_point(8)]},      # one executes
+        {"points": [_weak_wire_point()]},                   # derived
+    )
+
+    async def go(cache_dir, messages):
+        service = SweepService(_config(cache_dir=cache_dir))
+        await service.start()
+        responses = [await _request(service.port, dict(m, op="sweep"))
+                     for m in messages]
+        await _drained(service)
+        return service, responses
+
+    service, responses = asyncio.run(go(root, requests))
+    reference = MetricsRegistry()
+    points = install_service_metrics(reference)["points"]
+    sources = {"executed": "executed", "disk_hits": "disk",
+               "deduped": "dedup", "degraded": "degraded",
+               "derived": "derived"}
+    for response in responses:
+        for field, source in sources.items():
+            for _ in range(response["sourcing"][field]):
+                points.labels(source=source).inc()
+    lines = _points_lines(service.registry)
+    assert lines == _points_lines(reference)
+    assert 'service_points_total{source="disk"} 3' in lines
+    assert 'service_points_total{source="derived"} 1' in lines
+
+    cold, _ = asyncio.run(go(tmp_path / "empty", requests[:2]))
+    assert not any('source="disk"' in line
+                   for line in _points_lines(cold.registry))
