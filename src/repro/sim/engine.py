@@ -1,9 +1,9 @@
 """The simulation environment: clock, event heap and same-instant FIFO.
 
 Pending events live in two places: an event due at the current instant
-(``succeed``, ``fail``, a zero-delay ``schedule``, a process start, an
-interrupt poke, a timeout too short to move the clock) waits in a FIFO
-and draws no insertion number; only a later one goes onto the heap as
+(``succeed``, ``fail``, a zero-delay ``schedule``, a process start, a
+timeout too short to move the clock) waits in a FIFO and draws no
+insertion number; only a later one goes onto the heap as
 ``(time, eid, event)``.  :meth:`Environment._dispatch` still runs them
 in exactly ``(time, insertion)`` order (docs/PERF.md, "Same-instant
 events skip the heap").
@@ -36,7 +36,7 @@ from typing import Any, Deque, Generator, List, Optional, Tuple
 
 from repro.core.errors import SimulationError
 from repro.perf.spans import PERF
-from repro.sim.events import AllOf, AnyOf, Event, Process, Timeout
+from repro.sim.events import AllOf, Event, Process, Timeout
 
 #: Absolute heap time of simulated instant 0.  A module constant, not an
 #: option: the instants ``[0, ORIGIN)`` share the ulp of ``[ORIGIN,
@@ -142,9 +142,6 @@ class Environment:
     def all_of(self, events) -> AllOf:
         return AllOf(self, events)
 
-    def any_of(self, events) -> AnyOf:
-        return AnyOf(self, events)
-
     # ------------------------------------------------------------------
     # Scheduling and execution
     # ------------------------------------------------------------------
@@ -163,12 +160,6 @@ class Environment:
             self._eid += 1
             heapq.heappush(self._queue, (when, self._eid, event))
 
-    def step(self) -> None:
-        """Process the single next event."""
-        if not self._queue and not self._fifo:
-            raise SimulationError("step() on an empty event queue")
-        self._dispatch(None, float("inf"), 1)
-
     def run(self, until: Optional[float | Event] = None) -> Any:
         """Run until the queue drains, a deadline passes, or an event fires.
 
@@ -181,7 +172,7 @@ class Environment:
         if deadline < self._now:
             raise SimulationError(
                 f"deadline {until} is in the past (now={self.now})")
-        self._dispatch(None, deadline, -1)
+        self._dispatch(None, deadline)
         if deadline != float("inf"):
             self._now = deadline
         return None
@@ -189,20 +180,19 @@ class Environment:
     def _run_until_event(self, until: Event) -> Any:
         if until.env is not self:
             raise SimulationError("run(until=...) got an event from another environment")
-        self._dispatch(until, float("inf"), -1)
+        self._dispatch(until, float("inf"))
         if not until.ok:
             raise until.value
         return until.value
 
-    def _dispatch(self, until: Optional[Event], deadline: float, limit: int) -> None:
-        """The event loop behind :meth:`step` and :meth:`run`.
+    def _dispatch(self, until: Optional[Event], deadline: float) -> None:
+        """The event loop behind :meth:`run`.
 
         Processes events in ``(time, insertion)`` order until ``until``
-        has been processed, the next event lies beyond ``deadline``, or
-        ``limit`` events ran (``-1``: no limit).  Running out of events
-        before ``until`` fires is an error.  Each event counts once
-        towards :attr:`dispatched`, and every ``observer_every``-th one
-        is reported to the observer.
+        has been processed or the next event lies beyond ``deadline``.
+        Running out of events before ``until`` fires is an error.  Each
+        event counts once towards :attr:`dispatched`, and every
+        ``observer_every``-th one is reported to the observer.
 
         The FIFO holds the current instant's events in order.  Only when
         it is empty does the clock advance: the heap top must not lie
@@ -233,8 +223,6 @@ class Environment:
         now = self._now
         try:
             while until is None or not until._processed:
-                if limit == 0:
-                    return
                 if not fifo:
                     if not queue:
                         if until is None:
@@ -256,7 +244,6 @@ class Environment:
                     self._now = now = when
                     while queue and queue[0][0] == when:
                         append(pop(queue)[2])
-                limit -= 1
                 event = popleft()
                 if opening is not None:
                     opening.setdefault(EVENT_MONOTONE, [0, 0])

@@ -101,7 +101,7 @@ class Event:
 class Timeout(Event):
     """An event that fires ``delay`` time units after creation."""
 
-    __slots__ = ("delay",)
+    __slots__ = ()
 
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
         if delay < 0:
@@ -111,7 +111,6 @@ class Timeout(Event):
         self._value = value
         self._ok = True
         self._processed = False
-        self.delay = delay
         # Environment.schedule, inlined: a delay too small to move the
         # clock is due now.
         now = env._now
@@ -123,14 +122,6 @@ class Timeout(Event):
             heapq.heappush(env._queue, (when, env._eid, self))
 
 
-class Interrupt(Exception):
-    """Raised inside a process that another process interrupted."""
-
-    @property
-    def cause(self) -> Any:
-        return self.args[0] if self.args else None
-
-
 class Process(Event):
     """Wraps a generator; completion of the generator triggers the event.
 
@@ -139,7 +130,7 @@ class Process(Event):
     generator, letting simulation code use ordinary ``try``/``except``.
     """
 
-    __slots__ = ("_generator", "_target")
+    __slots__ = ("_generator",)
 
     def __init__(self, env: "Environment", generator: Generator[Event, Any, Any]) -> None:
         if not hasattr(generator, "send"):
@@ -150,47 +141,14 @@ class Process(Event):
         self._ok = None
         self._processed = False
         self._generator = generator
-        # Kick the process off at the current simulation time.  The start
-        # event is the first target, so an interrupt before it fires
-        # detaches it.
+        # Kick the process off at the current simulation time.
         init = Event(env)
         init._ok = True
         init._value = None
         init.callbacks.append(self._resume)
         env._fifo.append(init)
-        self._target: Optional[Event] = init
-
-    @property
-    def is_alive(self) -> bool:
-        return not self.triggered
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time."""
-        if self.triggered:
-            return
-        # Detach from whatever the process currently waits for.
-        if self._target is not None and self._resume in self._target.callbacks:
-            self._target.callbacks.remove(self._resume)
-        self._target = None
-        poke = Event(self.env)
-        poke._ok = False
-        poke._value = Interrupt(cause)
-        poke.callbacks.append(self._interrupted)
-        self.env.schedule(poke)
-
-    def _interrupted(self, poke: Event) -> None:
-        if self.triggered:
-            return  # an earlier poke ended the process, as interrupt() would
-        # A poke scheduled while the process ran (it interrupted itself)
-        # or while an earlier poke was pending finds the process waiting
-        # on a newer event: detach it, or that event resumes it again.
-        target = self._target
-        if target is not None and self._resume in target.callbacks:
-            target.callbacks.remove(self._resume)
-        self._resume(poke)
 
     def _resume(self, trigger: Event) -> None:
-        self._target = None
         try:
             # A dispatched trigger always carries its outcome, so read the
             # fields directly rather than through the checking properties.
@@ -201,10 +159,6 @@ class Process(Event):
         except StopIteration as stop:
             self.succeed(stop.value)
             return
-        except Interrupt:
-            # Process chose not to handle the interrupt; treat as failure.
-            self.fail(SimulationError("process terminated by unhandled interrupt"))
-            return
         if not isinstance(next_event, Event):
             self.fail(SimulationError(f"process yielded non-event {next_event!r}"))
             return
@@ -213,16 +167,13 @@ class Process(Event):
             return
         if next_event._processed:
             # Already-processed event: resume immediately (zero delay).
-            # The poke is the target, so interrupt() can detach it.
             poke = Event(self.env)
             poke._ok = next_event._ok
             poke._value = next_event._value
             poke.callbacks.append(self._resume)
             self.env.schedule(poke)
-            self._target = poke
         else:
             next_event.callbacks.append(self._resume)
-            self._target = next_event
 
 
 class AllOf(Event):
@@ -260,40 +211,3 @@ class AllOf(Event):
         self._pending -= 1
         if self._pending == 0:
             self.succeed([e.value for e in self._events])
-
-
-class AnyOf(Event):
-    """Succeeds as soon as any constituent event succeeds.
-
-    An empty event list succeeds immediately with ``None``.
-    """
-
-    __slots__ = ("_events",)
-
-    def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
-        super().__init__(env)
-        self._events = list(events)
-        for event in self._events:
-            if event.env is not self.env:
-                raise SimulationError("condition spans two environments")
-        if not self._events:
-            self.succeed(None)
-            return
-        for event in self._events:
-            if self.triggered:
-                break
-            if event._processed:
-                if event.ok:
-                    self.succeed(event.value)
-                else:
-                    self.fail(event.value)
-            else:
-                event.callbacks.append(self._on_event)
-
-    def _on_event(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if event.ok:
-            self.succeed(event.value)
-        else:
-            self.fail(event.value)

@@ -109,13 +109,6 @@ class Resource:
         finally:
             self.release(req)
 
-    def cancel(self, request: Request) -> None:
-        """Withdraw a not-yet-granted request."""
-        try:
-            self._waiting.remove(request)
-        except ValueError:
-            raise SimulationError("cancel() of a request that is not waiting")
-
 
 class Store:
     """Unbounded FIFO queue; ``get`` blocks until an item is available."""

@@ -306,6 +306,8 @@ DRIVER = textwrap.dedent("""\
         CommMethodName, SimulationConfig, TrainingConfig,
     )
     from repro.core.errors import SweepInterrupted
+    from repro.obs import EventBus
+    from repro.obs.events import SweepPointDone
     from repro.runner import SweepPoint, SweepRunner, SweepSpec
 
     def _hang():
@@ -317,9 +319,16 @@ DRIVER = textwrap.dedent("""\
         TrainingConfig("lenet", 32, 1, comm_method=CommMethodName.P2P),
         overrides={"topology_builder": _hang},
     )
+    bus = EventBus()
+
+    def _done(event):
+        if event.label == good.describe():
+            print("done", flush=True)
+
+    bus.subscribe(SweepPointDone, _done)
     runner = SweepRunner(
         sim=SimulationConfig(warmup_iterations=0, measure_iterations=1),
-        jobs=2,
+        jobs=2, bus=bus,
     )
     print("running", flush=True)
     try:
@@ -338,16 +347,29 @@ def test_runner_sigterm_with_hung_pool_worker_reports_partials(tmp_path):
         [sys.executable, "-u", str(driver)], cwd=REPO, env=ENV, text=True,
         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
     )
+    lines, done = [], threading.Event()
+
+    def _read_stdout():
+        for line in proc.stdout:
+            lines.append(line)
+            if line.strip() == "done":
+                done.set()
+
     try:
         assert proc.stdout.readline().strip() == "running"
-        # Let the good point finish; the hung one is asleep in a worker.
-        time.sleep(5.0)
+        reader = threading.Thread(target=_read_stdout, daemon=True)
+        reader.start()
+        # Signal only once the good point has finished; the hung one is
+        # asleep in a worker.
+        assert done.wait(timeout=120), f"good point never finished: {lines}"
         proc.send_signal(signal.SIGTERM)
         proc.wait(timeout=30)                          # no atexit hang
     except BaseException:
         proc.kill()
         raise
-    stdout, stderr = proc.stdout.read(), proc.stderr.read()
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    stdout, stderr = "".join(lines), proc.stderr.read()
     assert proc.returncode == 130
     assert "completed=1/2" in stdout
     assert "interrupted: 1/2 point(s) finished and flushed" in stderr

@@ -105,11 +105,6 @@ def test_run_until_event_queue_drained_is_error():
         env.run(until=never)
 
 
-def test_step_on_empty_queue_is_error():
-    with pytest.raises(SimulationError):
-        Environment().step()
-
-
 def test_peek_reports_next_event_time():
     env = Environment()
     assert env.peek() == float("inf")

@@ -1,10 +1,10 @@
-"""Tests for events, processes and the AllOf/AnyOf combinators."""
+"""Tests for events, processes and the AllOf combinator."""
 
 import pytest
 
 from repro.checks import CheckEngine
 from repro.core.errors import InvariantViolationError, SimulationError
-from repro.sim import AllOf, AnyOf, Environment, Event, Interrupt, Resource
+from repro.sim import AllOf, Environment, Event, Resource
 from repro.sim.engine import ORIGIN
 
 
@@ -52,9 +52,8 @@ def _idle(env):
     lambda env: env.timeout(1.0),
     lambda env: env.process(_idle(env)),
     lambda env: env.all_of([]),
-    lambda env: env.any_of([]),
     lambda env: Resource(env).request(),
-], ids=["event", "timeout", "process", "all_of", "any_of", "request"])
+], ids=["event", "timeout", "process", "all_of", "request"])
 def test_events_reject_unknown_attributes(make):
     """Events are slotted: per-event bookkeeping cannot ride on them."""
     event = make(Environment())
@@ -140,160 +139,8 @@ def test_yield_already_processed_event_resumes_immediately():
     assert p.value == 1.0  # no extra delay
 
 
-def test_interrupt_raises_inside_process():
-    env = Environment()
-
-    def victim(env):
-        try:
-            yield env.timeout(100.0)
-        except Interrupt as intr:
-            return ("interrupted", intr.cause, env.now)
-
-    v = env.process(victim(env))
-
-    def attacker(env, victim):
-        yield env.timeout(1.0)
-        victim.interrupt("stop")
-
-    env.process(attacker(env, v))
-    env.run()
-    assert v.value == ("interrupted", "stop", 1.0)
-
-
-def test_interrupt_on_finished_process_is_noop():
-    env = Environment()
-
-    def quick(env):
-        yield env.timeout(0.5)
-
-    p = env.process(quick(env))
-    env.run()
-    p.interrupt()  # must not raise
-    env.run()
-
-
-def test_unhandled_interrupt_fails_process():
-    env = Environment()
-
-    def victim(env):
-        yield env.timeout(100.0)
-
-    v = env.process(victim(env))
-
-    def attacker(env):
-        yield env.timeout(1.0)
-        v.interrupt()
-
-    env.process(attacker(env))
-    env.run()
-    assert v.triggered and not v.ok
-
-
-def test_interrupt_detaches_the_resume_from_a_processed_event():
-    # Yielding an already-processed event queues a poke that resumes the
-    # process; an interrupt before the poke fires must replace it.
-    env = Environment()
-    done = env.timeout(1.0, value="done")
-    env.run()
-
-    def victim(env):
-        try:
-            yield done
-        except Interrupt as intr:
-            return ("interrupted", intr.cause, env.now)
-        return "resumed"
-
-    v = env.process(victim(env))
-    env.step()  # the start event: the victim now waits on the poke
-    v.interrupt("stop")
-    env.run()
-    assert v.value == ("interrupted", "stop", 1.0)
-
-
-def test_interrupt_before_the_process_starts_detaches_its_start():
-    env = Environment()
-    started = []
-
-    def victim(env):
-        started.append(env.now)
-        yield env.timeout(1.0)
-
-    v = env.process(victim(env))
-    v.interrupt("early")
-    env.run()
-    assert started == []
-    assert v.triggered and not v.ok
-
-
-def test_self_interrupt_does_not_leave_the_next_wait_attached():
-    env = Environment()
-    gate = env.event()
-    log = []
-
-    def victim(env):
-        me.interrupt("self")
-        try:
-            yield gate
-        except Interrupt as intr:
-            log.append(("interrupt", intr.cause, env.now))
-        yield env.timeout(2.0)
-        log.append(("done", env.now))
-
-    me = env.process(victim(env))
-    env.run(until=1.0)
-    gate.fail(ValueError("late"))   # nobody waits on the gate any more
-    env.run()
-    assert log == [("interrupt", "self", 0.0), ("done", 2.0)]
-    assert me.ok
-
-
-def test_two_interrupts_at_one_instant_are_both_delivered_once():
-    env = Environment()
-    log = []
-
-    def victim(env):
-        for _ in range(3):
-            try:
-                yield env.timeout(10.0)
-                log.append(("tick", env.now))
-            except Interrupt as intr:
-                log.append(("interrupt", intr.cause, env.now))
-
-    def attacker(env):
-        yield env.timeout(1.0)
-        v.interrupt("a")
-        v.interrupt("b")
-
-    v = env.process(victim(env))
-    env.process(attacker(env))
-    env.run()
-    assert log == [("interrupt", "a", 1.0), ("interrupt", "b", 1.0),
-                   ("tick", 11.0)]
-    assert v.ok
-
-
-def test_interrupt_pending_when_the_process_ends_is_dropped():
-    env = Environment()
-
-    def victim(env):
-        try:
-            yield env.timeout(10.0)
-        except Interrupt as intr:
-            return ("caught", intr.cause)
-
-    def attacker(env):
-        yield env.timeout(1.0)
-        v.interrupt("a")
-        v.interrupt("b")
-
-    v = env.process(victim(env))
-    env.process(attacker(env))
-    env.run()
-    assert v.value == ("caught", "a")
-
-
 # ----------------------------------------------------------------------
-# AllOf / AnyOf
+# AllOf
 # ----------------------------------------------------------------------
 def test_all_of_waits_for_every_event():
     env = Environment()
@@ -336,31 +183,11 @@ def test_all_of_fails_when_member_fails():
     assert isinstance(combo.value, ValueError)
 
 
-def test_any_of_fires_on_first_event():
-    env = Environment()
-    combo = env.any_of([env.timeout(5.0, "slow"), env.timeout(1.0, "fast")])
-
-    def proc(env):
-        value = yield combo
-        return (env.now, value)
-
-    p = env.process(proc(env))
-    env.run()
-    assert p.value == (1.0, "fast")
-
-
-def test_any_of_empty_succeeds_immediately():
-    env = Environment()
-    assert env.any_of([]).triggered
-
-
 def test_condition_rejects_foreign_environment():
     env1, env2 = Environment(), Environment()
     foreign = env2.event()
     with pytest.raises(SimulationError):
         AllOf(env1, [foreign])
-    with pytest.raises(SimulationError):
-        AnyOf(env1, [foreign])
 
 
 # ----------------------------------------------------------------------
@@ -392,16 +219,6 @@ def test_run_until_event_counts_events_before_a_drained_queue():
     assert env.dispatched == 1 + 2 + 1
 
 
-def test_step_dispatches_exactly_one_event():
-    env = Environment()
-    env.timeout(1.0)
-    env.timeout(1.0)
-    env.step()
-    assert env.dispatched == 1 and env.now == 1.0
-    env.step()
-    assert env.dispatched == 2
-
-
 def test_strict_checks_see_one_sim_event_per_dispatched_event():
     env = Environment()
     engine = CheckEngine("strict")
@@ -419,8 +236,7 @@ def test_strict_checks_count_every_event_across_step_deadline_and_raise():
     engine = CheckEngine("strict")
     env.set_checks(engine)
     env.process(_chain(env, 6))
-    env.step()
-    env.step()
+    env.run(until=1.0)  # the start event and the first timeout
     assert engine.stats_dict()["temporal.event-monotone"] == (2, 0)
     env.run(until=3.5)
     assert engine.stats_dict()["temporal.event-monotone"] == (env.dispatched, 0)

@@ -5,10 +5,9 @@ instant in a FIFO beside its heap.  :class:`HeapEnvironment` below is the
 reference it must agree with: every pending event on one ``(time, eid)``
 heap, popped one at a time.  Hypothesis generates random programs --
 zero, sub-ulp and positive delays, capacity-1 and capacity-2 resources
-claimed through ``request`` and ``request_now``, ``AllOf``/``AnyOf``,
-nested joins, events triggered and failed from callbacks, interrupts,
-``run(until=event)``, ``run(until=deadline)`` and ``step()`` -- and runs
-each on both.  The dispatch trace, the ``dispatched`` count and the
+claimed through ``request`` and ``request_now``, ``AllOf``, nested
+joins, events triggered and failed from callbacks, ``run(until=event)``
+and ``run(until=deadline)`` -- and runs each on both.  The dispatch trace, the ``dispatched`` count and the
 observer's ``(now, depth)`` samples must be identical.
 """
 
@@ -21,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import SimulationError
-from repro.sim import Environment, Interrupt, Resource
+from repro.sim import Environment, Resource
 from repro.sim.engine import ORIGIN
 
 
@@ -47,7 +46,7 @@ class HeapEnvironment(Environment):
         super().__init__(initial_time)
         self._fifo = _DueNow(self)
 
-    def _dispatch(self, until, deadline, limit):
+    def _dispatch(self, until, deadline):
         queue = self._queue
         while until is None or not until._processed:
             if not queue:
@@ -55,9 +54,8 @@ class HeapEnvironment(Environment):
                     return
                 raise SimulationError(
                     "event queue drained before target event fired")
-            if queue[0][0] > deadline or limit == 0:
+            if queue[0][0] > deadline:
                 return
-            limit -= 1
             when, _, event = heapq.heappop(queue)
             if when < self._now:
                 raise SimulationError("event scheduled in the past")
@@ -88,12 +86,10 @@ def _ops(children):
         st.tuples(st.just("hold"), RES, DELAYS),
         st.tuples(st.just("grab"), RES, DELAYS),
         st.tuples(st.just("all_of"), st.lists(DELAYS, max_size=3)),
-        st.tuples(st.just("any_of"), st.lists(DELAYS, max_size=3)),
         st.tuples(st.just("signal"), st.integers(0, SHARED - 1)),
         st.tuples(st.just("fail"), st.integers(0, SHARED - 1)),
         st.tuples(st.just("wait"), st.integers(0, SHARED - 1)),
         st.tuples(st.just("relay"), st.integers(0, SHARED - 1), DELAYS),
-        st.tuples(st.just("interrupt"), st.integers(0, 5)),
     )
     return st.lists(st.one_of(
         leaf,
@@ -107,7 +103,6 @@ PROGRAM = st.recursive(st.just([]), _ops, max_leaves=12)
 DRIVER = st.lists(st.one_of(
     st.tuples(st.just("until_proc"), st.integers(0, 5)),
     st.tuples(st.just("until_time"), DELAYS),
-    st.tuples(st.just("step"), st.integers(1, 4)),
     st.tuples(st.just("spawn"), PROGRAM),
 ), max_size=5)
 
@@ -157,8 +152,6 @@ def _execute(env_cls, initial_time, programs, driver, every):
             return (yield from grab(resources[op[1]], op[2]))
         if kind == "all_of":
             return (yield env.all_of([env.timeout(d) for d in op[1]]))
-        if kind == "any_of":
-            return (yield env.any_of([env.timeout(d) for d in op[1]]))
         if kind == "signal":
             if not shared[op[1]].triggered:
                 shared[op[1]].succeed(name)
@@ -171,10 +164,6 @@ def _execute(env_cls, initial_time, programs, driver, every):
             return (yield shared[op[1]])
         if kind == "relay":
             return relay(op[1], op[2])
-        if kind == "interrupt":
-            if op[1] < len(procs):
-                procs[op[1]].interrupt(name)
-            return None
         if kind == "join":
             return (yield env.process(process(op[1], name + "/j")))
         return (yield env.all_of([env.process(process(sub, f"{name}/a{i}"))
@@ -186,7 +175,7 @@ def _execute(env_cls, initial_time, programs, driver, every):
             try:
                 got = yield from run_op(op, f"{name}.{i}")
                 note("op", name, i, _plain(repr(got)))
-            except (Interrupt, ValueError, SimulationError) as exc:
+            except (ValueError, SimulationError) as exc:
                 note("raised", name, i, type(exc).__name__, _plain(str(exc)))
         return name
 
@@ -205,11 +194,6 @@ def _execute(env_cls, initial_time, programs, driver, every):
                 act(lambda: env.run(until=procs[action[1]]))
         elif kind == "until_time":
             act(lambda: env.run(until=env.now + action[1]))
-        elif kind == "step":
-            for _ in range(action[1]):
-                if env.peek() == float("inf"):
-                    break
-                act(env.step)
         else:
             procs.append(env.process(process(action[1], f"p{len(procs)}")))
     for _ in range(4):  # a run that raised leaves the rest queued

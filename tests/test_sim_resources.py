@@ -88,19 +88,6 @@ def test_release_of_unheld_request_is_error():
         r.release(foreign)
 
 
-def test_cancel_waiting_request():
-    env = Environment()
-    r = Resource(env)
-    first = r.request()
-    second = r.request()
-    assert r.queue_length == 1
-    r.cancel(second)
-    assert r.queue_length == 0
-    with pytest.raises(SimulationError):
-        r.cancel(second)
-    r.release(first)
-
-
 def test_count_and_queue_length():
     env = Environment()
     r = Resource(env, capacity=2)
