@@ -393,21 +393,26 @@ def _render_experiments(args: argparse.Namespace, names: list,
             raise
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(f"total: {cache.stats.describe()}", file=sys.stderr)
-    timing = cache.stats.describe_timing()
-    if timing is not None:
-        print(timing, file=sys.stderr)
-    fault_line = cache.stats.describe_faults()
-    if fault_line is not None:
-        print(fault_line, file=sys.stderr)
-    if invariants != "off":
-        violated = sum(v[1] for v in cache.check_stats.values())
-        checked = sum(v[0] for v in cache.check_stats.values())
-        print(f"invariants ({invariants}): {checked} checks, "
-              f"{violated} violation(s)", file=sys.stderr)
-    if args.self_profile is not None:
-        _write_self_profile(args.self_profile)
-    return 0
+    else:
+        print(f"total: {cache.stats.describe()}", file=sys.stderr)
+        timing = cache.stats.describe_timing()
+        if timing is not None:
+            print(timing, file=sys.stderr)
+        fault_line = cache.stats.describe_faults()
+        if fault_line is not None:
+            print(fault_line, file=sys.stderr)
+        if invariants != "off":
+            violated = sum(v[1] for v in cache.check_stats.values())
+            checked = sum(v[0] for v in cache.check_stats.values())
+            print(f"invariants ({invariants}): {checked} checks, "
+                  f"{violated} violation(s)", file=sys.stderr)
+        if args.self_profile is not None:
+            _write_self_profile(args.self_profile)
+        return 0
+    finally:
+        # Checkpoints and removes the store's journal on every exit.
+        if cache.store is not None:
+            cache.store.close()
 
 
 def _write_self_profile(path: pathlib.Path) -> None:

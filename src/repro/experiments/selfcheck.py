@@ -254,6 +254,9 @@ def main(argv: Optional[list] = None) -> int:
                     )
     except (SweepInterrupted, KeyboardInterrupt):
         return 130
+    finally:
+        if runner.store is not None:
+            runner.store.close()
     report, ok = _render_report(runner, replayed, failures, ooms, points)
     print(report)
     print(f"total: {runner.stats.describe()}", file=sys.stderr)

@@ -14,9 +14,8 @@ execution path:
   the spec's :class:`FailurePolicy` instead of aborting the sweep), plus
   single-configuration ``get``/``try_get`` lookups.
 * :mod:`repro.runner.store`       -- :class:`ResultStore`: persistent
-  JSON cache keyed by content fingerprint; :class:`ShardedResultStore`
-  adds per-shard directories and a write-ahead journal for concurrent
-  writers (the :mod:`repro.service` backend).
+  JSON cache keyed by content fingerprint, in shard directories behind
+  a write-ahead journal, shared by the CLI and :mod:`repro.service`.
 * :mod:`repro.runner.fingerprint` -- the content hash over config +
   simulation fidelity + calibration constants + schema version that makes
   the disk cache self-invalidating.
@@ -43,7 +42,6 @@ from repro.runner.store import (
     CacheCorruptionWarning,
     CacheSchemaError,
     ResultStore,
-    ShardedResultStore,
 )
 
 __all__ = [
@@ -55,7 +53,6 @@ __all__ = [
     "OomPolicy",
     "PointOutcome",
     "ResultStore",
-    "ShardedResultStore",
     "RunnerStats",
     "SweepPoint",
     "SweepResults",

@@ -402,13 +402,10 @@ class SweepRunner:
         #: point this runner executed (cache hits contribute nothing --
         #: their checks ran when the entry was first simulated).
         self.check_stats: Dict[str, List[int]] = {}
-        self._memo: Dict[str, PointValue] = {}
-        #: Wall-clock each memoized point originally cost to simulate,
-        #: so memory hits can credit :attr:`RunnerStats.saved_seconds`.
-        self._memo_cost: Dict[str, float] = {}
-        #: Recovery breakdown of each memoized fault-injected point, so
-        #: memory hits report it like disk hits do.
-        self._memo_faults: Dict[str, Optional[Dict[str, Any]]] = {}
+        #: Each memoized point's entry; its ``elapsed`` lets memory hits
+        #: credit :attr:`RunnerStats.saved_seconds` and its ``faults``
+        #: lets them report recovery like disk hits do.
+        self._memo: Dict[str, CacheEntry] = {}
 
     def __len__(self) -> int:
         """Distinct results currently held in memory."""
@@ -552,21 +549,14 @@ class SweepRunner:
     def _lookup(self, key: Optional[str]) -> Optional[CacheEntry]:
         if key is None:
             return None
-        if key in self._memo:
-            return CacheEntry(
-                value=self._memo[key],
-                elapsed=self._memo_cost.get(key, 0.0),
-                faults=self._memo_faults.get(key),
-            )
-        if self.store is not None:
-            return self.store.load_entry(key)
-        return None
+        entry = self._memo.get(key)
+        if entry is None and self.store is not None:
+            entry = self.store.load_entry(key)
+        return entry
 
     def _promote(self, key: str, entry: CacheEntry) -> None:
         """Memoize an entry loaded from the store."""
-        self._memo[key] = entry.value
-        self._memo_cost[key] = entry.elapsed
-        self._memo_faults[key] = entry.faults
+        self._memo[key] = entry
 
     def _derive(
         self,
@@ -597,10 +587,9 @@ class SweepRunner:
             # Failures are transient: caching one would make a crashed
             # point permanently "fail" from cache on every future run.
             return
-        self._memo[key] = value
-        self._memo_cost[key] = elapsed
-        self._memo_faults[key] = fault_breakdown(value)
-        self._note_faults(self._memo_faults[key])
+        entry = self._memo[key] = CacheEntry(
+            value=value, elapsed=elapsed, faults=fault_breakdown(value))
+        self._note_faults(entry.faults)
         if self.store is not None:
             self.store.store(key, value, elapsed=elapsed, check_stats=check_stats)
 

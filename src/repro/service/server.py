@@ -3,8 +3,8 @@
 :class:`SweepService` accepts newline-delimited JSON requests
 (:mod:`repro.service.protocol`) and serves each sweep point from, in
 order: the store entries it has already served (a bounded in-memory
-LRU), the sharded crash-safe store
-(:class:`~repro.runner.ShardedResultStore`), the in-flight registry
+LRU), the crash-safe store
+(:class:`~repro.runner.ResultStore`), the in-flight registry
 (:class:`~repro.service.dedup.InflightRegistry` -- concurrent identical
 points simulate once), or the process pool
 (:class:`~repro.service.executor.PoolExecutor`).  A miss that differs
@@ -47,7 +47,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.runner.fingerprint import point_fingerprint
 from repro.runner.runner import derive_value, steady_twin_point
 from repro.runner.spec import FailureInfo, SweepPoint
-from repro.runner.store import CacheEntry, ResultStore, ShardedResultStore
+from repro.runner.store import CacheEntry, ResultStore
 from repro.service import protocol
 from repro.service.admission import AdmissionController, CircuitBreaker
 from repro.service.analytic import (
@@ -67,7 +67,6 @@ class ServiceConfig:
     port: int = 0                      # 0 = ephemeral; real port is printed
     jobs: int = 2
     cache_dir: Optional[pathlib.Path] = pathlib.Path("results/service-cache")
-    shards: int = 16
     sim: SimulationConfig = field(default_factory=SimulationConfig)
     constants: CalibrationConstants = CALIBRATION
     invariants: str = "off"
@@ -187,7 +186,7 @@ class SweepService:
         if store is not None:
             self.store: Optional[ResultStore] = store
         elif config.cache_dir is not None:
-            self.store = ShardedResultStore(config.cache_dir, config.shards)
+            self.store = ResultStore(config.cache_dir)
         else:
             self.store = None
         self.admission = AdmissionController(
@@ -287,7 +286,6 @@ class SweepService:
         # (the runner's timeout path has the same abandonment contract).
         self.executor.shutdown(kill_workers=hung)
         if self.store is not None:
-            self.store.flush()
             self.store.close()
         print("drained: journal flushed, exiting", file=sys.stderr, flush=True)
         if self._stopped is not None:
@@ -680,12 +678,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--cache-dir", type=pathlib.Path,
                         default=pathlib.Path("results/service-cache"),
                         metavar="DIR",
-                        help="sharded result store root "
+                        help="result store root "
                              "(default: results/service-cache)")
     parser.add_argument("--no-cache", action="store_true",
                         help="serve without a persistent store")
-    parser.add_argument("--shards", type=int, default=16,
-                        help="store shard directories (default: 16)")
     parser.add_argument("--warmup", type=int, default=1,
                         help="simulation warm-up iterations (default: 1)")
     parser.add_argument("--iterations", type=int, default=3,
@@ -728,7 +724,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     config = ServiceConfig(
         host=args.host, port=args.port, jobs=args.jobs,
         cache_dir=None if args.no_cache else args.cache_dir,
-        shards=args.shards,
         sim=SimulationConfig(warmup_iterations=args.warmup,
                              measure_iterations=args.iterations),
         invariants=args.invariants,

@@ -71,6 +71,30 @@ def test_interrupted_sweep_exits_130(monkeypatch, capsys):
     assert "interrupted" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("raised, status", [
+    (None, 0),
+    (SweepInterrupted("fig3", 3, 10), 130),
+    (KeyboardInterrupt(), 130),
+], ids=["normal", "interrupted", "keyboard"])
+def test_cli_closes_its_store(monkeypatch, capsys, tmp_path, raised, status):
+    """No run leaves the store's write-ahead journal behind."""
+    from repro.experiments import cli
+    from repro.runner import OomInfo, ResultStore
+
+    def run(name, cache, fast):
+        cache.store.store("k", OomInfo("gpu0", 2, 1, "boom"))
+        assert list(tmp_path.glob("journal/wal-*.jsonl"))
+        if raised is not None:
+            raise raised
+        return "text"
+
+    monkeypatch.setattr(cli, "_run_experiment", run)
+    assert main(["fig3", "--cache-dir", str(tmp_path)]) == status
+    capsys.readouterr()
+    assert not list(tmp_path.glob("journal/wal-*.jsonl"))
+    assert len(ResultStore(tmp_path)) == 1
+
+
 @pytest.mark.parametrize("error, status", [
     (ReproError("boom"), 2),
     (SweepInterrupted("fig3", 3, 10), 130),

@@ -184,7 +184,7 @@ def test_store_corrupt_file_is_a_miss(tmp_path):
 
 def test_store_schema_mismatch_is_loud(tmp_path):
     store = ResultStore(tmp_path)
-    store.root.mkdir(parents=True, exist_ok=True)
+    store.path_for("old").parent.mkdir(parents=True, exist_ok=True)
     store.path_for("old").write_text(
         json.dumps({"schema": SCHEMA_VERSION - 1, "kind": "training",
                     "result": {}})
@@ -386,9 +386,9 @@ def test_store_rejects_stale_schema_entries(tmp_path):
     not deserialized without them."""
     assert SCHEMA_VERSION == 12
     store = ResultStore(tmp_path)
-    store.root.mkdir(parents=True, exist_ok=True)
     for stale in (3, 4, 5, 6, 7, 8, 9, 10):
         key = f"v{stale}"
+        store.path_for(key).parent.mkdir(parents=True, exist_ok=True)
         store.path_for(key).write_text(json.dumps({
             "schema": stale, "kind": "training",
             "result": {"schema": stale, "config": {},

@@ -218,7 +218,7 @@ def test_corrupted_cache_file_is_a_warned_miss(tmp_path):
 ])
 def test_unstamped_cache_payloads_warn_and_miss(tmp_path, payload, why):
     store = ResultStore(tmp_path)
-    store.root.mkdir(parents=True, exist_ok=True)
+    store.path_for("k").parent.mkdir(parents=True, exist_ok=True)
     store.path_for("k").write_text(payload)
     with pytest.warns(CacheCorruptionWarning, match=why):
         assert store.load("k") is None
@@ -228,7 +228,7 @@ def test_unknown_kind_and_missing_fields_warn_and_miss(tmp_path):
     from repro.analysis.serialization import SCHEMA_VERSION
 
     store = ResultStore(tmp_path)
-    store.root.mkdir(parents=True, exist_ok=True)
+    store.path_for("k").parent.mkdir(parents=True, exist_ok=True)
     store.path_for("k").write_text(
         json.dumps({"schema": SCHEMA_VERSION, "kind": "exotic", "result": {}})
     )
@@ -252,10 +252,13 @@ def test_store_write_is_atomic(tmp_path, monkeypatch):
     def boom(*args, **kwargs):
         raise KeyboardInterrupt("killed mid-write")
 
-    monkeypatch.setattr(json, "dump", boom)
+    # The journal append succeeds; the point file's rename is cut off.
+    monkeypatch.setattr(os, "replace", boom)
     with pytest.raises(KeyboardInterrupt):
         store.store("partial", result)
     monkeypatch.undo()
     assert store.load("partial") is None          # plain miss, no warning
     assert store.load("good") is not None         # neighbors untouched
-    assert not list(tmp_path.glob("*.tmp"))       # temp file cleaned up
+    shard = store.path_for("partial").parent
+    assert shard.is_dir()                         # the write got that far
+    assert not list(shard.glob("*.tmp"))          # temp file cleaned up

@@ -26,7 +26,7 @@ from repro.obs.export import (
     write_events_jsonl,
 )
 from repro.obs.metrics import MetricsRegistry
-from repro.runner import ShardedResultStore, SweepPoint, SweepRunner
+from repro.runner import ResultStore, SweepPoint, SweepRunner
 from repro.runner.fingerprint import point_fingerprint
 from repro.runner.spec import OomInfo
 from repro.service import (
@@ -270,14 +270,14 @@ def test_analytic_refuses_async_and_override_points():
 
 
 # ----------------------------------------------------------------------
-# Sharded crash-safe store
+# Crash-safe store
 # ----------------------------------------------------------------------
 def _stored_value():
     return SweepRunner(sim=FAST).run_point(_point())
 
 
 def test_sharded_store_layout_and_roundtrip(tmp_path):
-    store = ShardedResultStore(tmp_path, shards=4)
+    store = ResultStore(tmp_path)
     value = _stored_value()
     for key in ("alpha", "beta", "gamma"):
         store.store(key, value, elapsed=1.25)
@@ -291,11 +291,11 @@ def test_sharded_store_layout_and_roundtrip(tmp_path):
         assert entry.elapsed == 1.25
     store.close()
     # A fresh store (fresh process in real life) sees the same entries.
-    assert len(ShardedResultStore(tmp_path, shards=4)) == 3
+    assert len(ResultStore(tmp_path)) == 3
 
 
 def test_sharded_store_replays_journal_after_simulated_sigkill(tmp_path):
-    store = ShardedResultStore(tmp_path, shards=4)
+    store = ResultStore(tmp_path)
     data = store._encode(_stored_value(), elapsed=2.5)
     # SIGKILL between the journal append and the point-file rename:
     # the journal line exists, the point file does not, close() never ran.
@@ -303,40 +303,40 @@ def test_sharded_store_replays_journal_after_simulated_sigkill(tmp_path):
     assert store._wal_path.read_text().strip()
     assert not store.path_for("victim").exists()
 
-    recovered = ShardedResultStore(tmp_path, shards=4)
+    recovered = ResultStore(tmp_path)
     assert recovered.replayed == 1
     entry = recovered.load_entry("victim")
     assert entry is not None and entry.elapsed == 2.5
     # Consumed logs are removed; a second startup replays nothing.
-    assert ShardedResultStore(tmp_path, shards=4).replayed == 0
+    assert ResultStore(tmp_path).replayed == 0
 
 
 def test_sharded_store_skips_torn_trailing_journal_line(tmp_path):
-    store = ShardedResultStore(tmp_path, shards=2)
+    store = ResultStore(tmp_path)
     data = store._encode(_stored_value(), elapsed=1.0)
     store._append_journal("committed", data)
     # The writer died mid-append: a torn, undecodable trailing line.
     with open(store._wal_path, "a") as fp:
         fp.write('{"key": "torn", "data": {"schema"')
 
-    recovered = ShardedResultStore(tmp_path, shards=2)
+    recovered = ResultStore(tmp_path)
     assert recovered.replayed == 1
     assert recovered.load_entry("committed") is not None
     assert recovered.load_entry("torn") is None       # never acknowledged
 
 
 def test_sharded_store_does_not_replay_over_intact_entries(tmp_path):
-    store = ShardedResultStore(tmp_path, shards=2)
+    store = ResultStore(tmp_path)
     store.store("done", _stored_value(), elapsed=1.0)
     # Killed after the rename but before any flush: wal still has the line.
     assert store._wal_path.read_text().strip()
-    recovered = ShardedResultStore(tmp_path, shards=2)
+    recovered = ResultStore(tmp_path)
     assert recovered.replayed == 0                    # file was intact
     assert not list(recovered.journal_dir.glob("wal-*.jsonl"))
 
 
 def test_sharded_store_journal_is_bounded(tmp_path):
-    store = ShardedResultStore(tmp_path, shards=2)
+    store = ResultStore(tmp_path)
     store.checkpoint_every = 2
     value = _stored_value()
     store.store("one", value)
@@ -348,12 +348,7 @@ def test_sharded_store_journal_is_bounded(tmp_path):
     assert store._wal_path.stat().st_size == 0
     store.close()
     assert not store._wal_path.exists()
-    assert len(ShardedResultStore(tmp_path, shards=2)) == 3
-
-
-def test_sharded_store_validates_shards(tmp_path):
-    with pytest.raises(ValueError):
-        ShardedResultStore(tmp_path, shards=0)
+    assert len(ResultStore(tmp_path)) == 3
 
 
 def test_atomic_temp_names_embed_pid_and_monotonic_counter(tmp_path, monkeypatch):
@@ -431,6 +426,22 @@ def _config(cache_dir=None, **kwargs):
     kwargs.setdefault("jobs", 1)
     kwargs.setdefault("sim", TINY)
     return ServiceConfig(cache_dir=cache_dir, **kwargs)
+
+
+def test_service_drains_over_a_passed_store(tmp_path):
+    """A store handed in by the caller is journaled and closed on drain."""
+    async def go():
+        service = SweepService(_config(), store=ResultStore(tmp_path))
+        await service.start()
+        message = {"op": "sweep", "client": "t", "points": [_wire_point(16)]}
+        response = await _request(service.port, message)
+        assert list(tmp_path.glob("journal/wal-*.jsonl"))  # journaled
+        await asyncio.wait_for(_drained(service), timeout=60)
+        return response
+
+    assert asyncio.run(go())["status"] == "ok"
+    assert not list(tmp_path.glob("journal/wal-*.jsonl"))
+    assert len(ResultStore(tmp_path)) == 1
 
 
 def test_service_cold_then_warm_requests(tmp_path, capsys):
@@ -760,7 +771,7 @@ async def _request_line(port, message):
 
 def _commit(root, points, value):
     """Store ``value`` under each point's key, as another process would."""
-    store = ShardedResultStore(root)
+    store = ResultStore(root)
     for point in points:
         store.store(point_fingerprint(point, TINY, CALIBRATION), value,
                     elapsed=0.5)
@@ -771,7 +782,7 @@ def _count_reads(monkeypatch):
     """Count the fingerprints and store loads the service makes."""
     counts = {"fingerprint": 0, "load_entry": 0}
     real_fingerprint = server_module.point_fingerprint
-    real_load = ShardedResultStore.load_entry
+    real_load = ResultStore.load_entry
 
     def fingerprint(*args, **kwargs):
         counts["fingerprint"] += 1
@@ -782,7 +793,7 @@ def _count_reads(monkeypatch):
         return real_load(self, key)
 
     monkeypatch.setattr(server_module, "point_fingerprint", fingerprint)
-    monkeypatch.setattr(ShardedResultStore, "load_entry", load_entry)
+    monkeypatch.setattr(ResultStore, "load_entry", load_entry)
     return counts
 
 
@@ -895,7 +906,7 @@ def _count_work(monkeypatch):
     loaded = []
     real_config = protocol.TrainingConfig
     real_payload = protocol.value_payload
-    counting_load = ShardedResultStore.load_entry
+    counting_load = ResultStore.load_entry
 
     def config(*args, **kwargs):
         counts["configs"] += 1
@@ -911,7 +922,7 @@ def _count_work(monkeypatch):
 
     monkeypatch.setattr(protocol, "TrainingConfig", config)
     monkeypatch.setattr(protocol, "value_payload", payload)
-    monkeypatch.setattr(ShardedResultStore, "load_entry", load_entry)
+    monkeypatch.setattr(ResultStore, "load_entry", load_entry)
     return counts, loaded
 
 
