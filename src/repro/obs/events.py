@@ -380,3 +380,6 @@ class ServiceRequestEvent(ObsEvent):
     elapsed: float   # wall-clock request latency (s)
     #: Points answered from their steady-state twin's result.
     derived: int = field(default=0, metadata=ADDITIVE)
+    #: Seconds the request spent committing its derived entries to the
+    #: store (one :meth:`~repro.runner.store.ResultStore.store_many`).
+    store_s: float = field(default=0.0, metadata=ADDITIVE)

@@ -13,7 +13,7 @@ Layout::
 
     <root>/
         shard-XX/<sha256-fingerprint>.json  # {"schema": N, "kind": ..., "result": {...}}
-        journal/wal-<pid>.jsonl             # write-ahead log of one writer
+        journal/wal-<pid>-<n>.jsonl         # write-ahead log of one writer
 
 ``XX`` is the CRC32 of the key modulo :data:`SHARDS`, in hex, which
 bounds per-directory entry counts when a service writes tens of
@@ -22,12 +22,25 @@ thousands of points.  ``kind`` is ``"training"`` (a
 out-of-memory failure, so untrainable points are not re-attempted).
 
 Every write is first appended to the writer's journal (flushed *and*
-fsynced) and only then renamed into place; opening a store replays any
-journaled entry whose point file is missing or unreadable.  A SIGKILL
-at any instant loses at most the single entry whose journal line was
-itself torn -- which by definition had not been acknowledged -- and
-never corrupts or loses a committed one.  See ``docs/RUNNER.md`` and
-``docs/SERVICE.md``.
+fsynced) and only then renamed into place; a batch of writes
+(:meth:`ResultStore.store_many`) appends all its lines with one write and
+one fsync before its first rename.  Each writer holds an exclusive
+``flock`` on its own log while the log is open, and opening a store
+replays every log it can lock -- a dead or closed writer's, never a
+live one's -- restoring any journaled entry whose point file is missing
+or unreadable.  A SIGKILL at any instant therefore loses only entries
+whose journal write had not completed (the torn lines of the batch being
+written, which had not been acknowledged) and never corrupts or loses an
+acknowledged one.
+
+That guarantee is against a killed *process*: the kernel still holds
+what it wrote.  Point files and their renames are never fsynced, and a
+checkpoint (:meth:`ResultStore.flush`, every
+:attr:`~ResultStore.checkpoint_every` lines and on close) truncates the
+journal.  After a power loss or kernel crash, an acknowledged entry
+whose journal line a checkpoint had already dropped, and whose point
+file had not reached the disk, is lost; its point is simulated again on
+the next request.  See ``docs/RUNNER.md`` and ``docs/SERVICE.md``.
 
 Entries may additionally carry a ``"perf"`` object -- the wall-clock the
 point originally cost to simulate and its invariant-check statistics
@@ -46,14 +59,18 @@ healthy entries and pre-existing files simply load with ``faults=None``.
 
 from __future__ import annotations
 
+import fcntl
 import itertools
 import json
 import os
 import pathlib
 import warnings
+import weakref
 import zlib
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, Optional, Tuple, Union
+from typing import (
+    IO, Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union,
+)
 
 from repro.core.errors import ReproError
 from repro.runner.spec import OomInfo
@@ -74,6 +91,12 @@ class CacheCorruptionWarning(UserWarning):
 
 
 StoredValue = Union["TrainingResult", OomInfo]  # noqa: F821
+
+#: One entry to store: ``(key, value, elapsed, check_stats)``, the
+#: arguments of :meth:`ResultStore.store`.
+StoreItem = Tuple[
+    str, StoredValue, Optional[float], Optional[Dict[str, Tuple[int, int]]],
+]
 
 
 @dataclass(frozen=True)
@@ -191,7 +214,14 @@ _TMP_COUNTER = itertools.count()
 
 
 def _atomic_write_json(path: pathlib.Path, data: Any) -> None:
-    """Write ``data`` as JSON to ``path`` via an O_EXCL temp + rename.
+    """Write ``data`` as JSON to ``path`` (see :func:`_atomic_write`)."""
+    # json.dumps runs the C encoder; json.dump streams through the
+    # pure-Python one, ~4x slower on a typical entry.
+    _atomic_write(path, json.dumps(data))
+
+
+def _atomic_write(path: pathlib.Path, text: str) -> None:
+    """Write ``text`` to ``path`` via an O_EXCL temp + rename.
 
     The temp name embeds the writer's pid and a monotonic counter, so two
     concurrent writers in one directory can never race on the same temp
@@ -204,9 +234,7 @@ def _atomic_write_json(path: pathlib.Path, data: Any) -> None:
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
     try:
         with os.fdopen(fd, "w") as fp:
-            # json.dumps runs the C encoder; json.dump streams through
-            # the pure-Python one, ~4x slower on a typical entry.
-            fp.write(json.dumps(data))
+            fp.write(text)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -216,6 +244,54 @@ def _atomic_write_json(path: pathlib.Path, data: Any) -> None:
         raise
 
 
+def _journal_line(key: str, text: str) -> str:
+    """The journal line of an entry whose document encodes to ``text``.
+
+    Byte for byte ``json.dumps({"key": key, "data": data}) + "\\n"``,
+    without encoding ``data`` a second time.
+    """
+    return f'{{"key": {json.dumps(key)}, "data": {text}}}\n'
+
+
+def _names(fp: IO[Any], path: pathlib.Path) -> bool:
+    """Whether ``path`` still names the file open as ``fp``."""
+    try:
+        return os.path.samestat(os.fstat(fp.fileno()), os.stat(path))
+    except FileNotFoundError:
+        return False
+
+
+#: Per-process suffix of journal names, so that two stores in one
+#: process never share a log (nor wait on each other's lock).
+_WAL_COUNTER = itertools.count()
+
+#: Stores whose journal is open, for :func:`_forget_journals`.
+_OPEN_JOURNALS: "weakref.WeakSet[ResultStore]" = weakref.WeakSet()
+
+
+def _forget_journals() -> None:
+    """In a forked child, drop the journal handles it inherited.
+
+    A child shares its parent's open log and with it the parent's
+    ``flock``, which the kernel drops only once every process holding
+    the log has closed it.  A pool worker that kept its copy would keep
+    a killed parent's log locked, and so unreplayed, for as long as the
+    worker lived.  The child closes its copy (the parent keeps its lock)
+    and would journal under a name of its own.
+    """
+    for store in list(_OPEN_JOURNALS):
+        if store._wal_fp is None:
+            continue
+        store._wal_fp.close()
+        store._wal_fp = None
+        store._wal_entries = 0
+        store._wal_path = store._new_wal_path()
+    _OPEN_JOURNALS.clear()
+
+
+os.register_at_fork(after_in_child=_forget_journals)
+
+
 #: Shard directories the entries are spread over.
 SHARDS = 16
 
@@ -223,13 +299,14 @@ SHARDS = 16
 class ResultStore:
     """Loads and saves simulation results keyed by content fingerprint.
 
-    Entries live in ``shard-XX/`` directories and every :meth:`store` is
-    journaled before its point file is renamed into place (see the
-    module docstring).  Opening a store replays the journals earlier
-    writers left behind; :attr:`replayed` counts the entries restored.
-    The journal is bounded: it is truncated every ``checkpoint_every``
-    writes (all prior entries have durable point files by then) and on
-    :meth:`flush` / :meth:`close`.
+    Entries live in ``shard-XX/`` directories and every write
+    (:meth:`store`, :meth:`store_many`) is journaled before its point
+    files are renamed into place (see the module docstring).  Opening a
+    store replays the journals dead writers left behind; :attr:`replayed`
+    counts the entries restored.  The journal is bounded: it is
+    truncated every ``checkpoint_every`` lines (every prior entry's point
+    file has been renamed into place by then) and on :meth:`flush` /
+    :meth:`close`.
     """
 
     #: Journal lines between automatic truncations.
@@ -238,10 +315,15 @@ class ResultStore:
     def __init__(self, root: Union[str, pathlib.Path]) -> None:
         self.root = pathlib.Path(root)
         self.journal_dir = self.root / "journal"
-        self._wal_path = self.journal_dir / f"wal-{os.getpid()}.jsonl"
-        self._wal_fp = None
+        self._wal_path = self._new_wal_path()
+        self._wal_fp: Optional[IO[str]] = None
         self._wal_entries = 0
         self.replayed = self.replay_journal()
+
+    def _new_wal_path(self) -> pathlib.Path:
+        """A journal name no other store, in any process, writes under."""
+        return self.journal_dir / (
+            f"wal-{os.getpid()}-{next(_WAL_COUNTER)}.jsonl")
 
     def shard_for(self, key: str) -> pathlib.Path:
         """The shard directory holding ``key``'s entry file."""
@@ -353,10 +435,39 @@ class ResultStore:
         ``check_stats`` (its invariant statistics) are recorded in the
         additive ``"perf"`` entry field when given.  Fault-injected
         training results additionally get the ``"faults"`` breakdown
-        (see :func:`fault_breakdown`).
+        (see :func:`fault_breakdown`).  The one-entry case of
+        :meth:`store_many`.
         """
-        data = self._encode(value, elapsed=elapsed, check_stats=check_stats)
-        return self._write(key, data)
+        return self.store_many([(key, value, elapsed, check_stats)])[0]
+
+    def store_many(self, entries: Iterable[StoreItem]) -> List[pathlib.Path]:
+        """Persist ``(key, value, elapsed, check_stats)`` entries together.
+
+        Each entry is encoded once, as :meth:`store` would.  All their
+        journal lines are appended with one write, one flush and one
+        ``fsync``; only then is each point file renamed into place, in
+        order.  So a kill before the fsync returns loses at most this
+        batch, which no caller has acknowledged, and a kill during the
+        renames leaves every entry of the batch to the journal replay.
+        Returns the point files' paths.
+        """
+        encoded = [
+            (key, json.dumps(self._encode(value, elapsed, check_stats)))
+            for key, value, elapsed, check_stats in entries
+        ]
+        if not encoded:
+            return []
+        self._journal("".join(_journal_line(key, text)
+                              for key, text in encoded), len(encoded))
+        paths = []
+        for key, text in encoded:
+            path = self.path_for(key)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            _atomic_write(path, text)
+            paths.append(path)
+        if self._wal_entries >= self.checkpoint_every:
+            self.flush()
+        return paths
 
     def _encode(
         self,
@@ -397,18 +508,14 @@ class ResultStore:
         return data
 
     def _journal_entries(
-        self, wal: pathlib.Path
+        self, text: str
     ) -> Iterator[Tuple[str, Dict[str, Any]]]:
-        """Yield the committed ``(key, data)`` records in one log.
+        """Yield the committed ``(key, data)`` records of one log's text.
 
         A torn trailing line (the writer was killed mid-append) or any
         non-decodable line is skipped: the corresponding write was never
         acknowledged, so dropping it is the correct recovery.
         """
-        try:
-            text = wal.read_text()
-        except OSError:
-            return
         for line in text.splitlines():
             if not line.strip():
                 continue
@@ -431,50 +538,80 @@ class ResultStore:
     def replay_journal(self) -> int:
         """Re-apply journaled writes whose point files did not survive.
 
-        Returns the number of entries restored.  Consumed logs are
-        removed; the store's own (not-yet-opened) log is never touched by
-        other processes because log names embed the writer pid.
+        Returns the number of entries restored.  A writer holds an
+        exclusive ``flock`` on its log for as long as the log is open, so
+        a log that cannot be locked at once belongs to a live writer and
+        is skipped.  Every other log -- a closed store's, or a dead
+        writer's, whose lock the kernel dropped -- is replayed and then
+        removed while still locked.
         """
         if not self.journal_dir.is_dir():
             return 0
         restored = 0
         for wal in sorted(self.journal_dir.glob("wal-*.jsonl")):
-            for key, data in self._journal_entries(wal):
-                path = self.path_for(key)
-                if not self._entry_intact(path):
-                    path.parent.mkdir(parents=True, exist_ok=True)
-                    _atomic_write_json(path, data)
-                    restored += 1
             try:
-                wal.unlink()
+                fp = open(wal)
             except OSError:
-                pass
+                continue  # consumed by another store since the glob
+            with fp:
+                try:
+                    fcntl.flock(fp.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
+                except OSError:
+                    continue  # a live writer's log
+                if not _names(fp, wal):
+                    continue  # consumed by another store since the open
+                for key, data in self._journal_entries(fp.read()):
+                    path = self.path_for(key)
+                    if not self._entry_intact(path):
+                        path.parent.mkdir(parents=True, exist_ok=True)
+                        _atomic_write_json(path, data)
+                        restored += 1
+                try:
+                    wal.unlink()
+                except OSError:
+                    pass
         return restored
 
-    def _append_journal(self, key: str, data: Dict[str, Any]) -> None:
+    def _open_journal(self) -> IO[str]:
+        """Open this store's log and take its exclusive ``flock``.
+
+        The lock is taken once per log, before its first line.  A replay
+        that opened the new, empty file before the lock was taken may
+        have removed it; then the name no longer names the locked file,
+        and the log is created again.
+        """
+        self.journal_dir.mkdir(parents=True, exist_ok=True)
+        while True:
+            fp = open(self._wal_path, "a")
+            fcntl.flock(fp.fileno(), fcntl.LOCK_EX)
+            if _names(fp, self._wal_path):
+                _OPEN_JOURNALS.add(self)
+                return fp
+            fp.close()
+
+    def _journal(self, lines: str, count: int) -> None:
+        """Append ``count`` journal lines with one write and one fsync."""
         if self._wal_fp is None:
-            self.journal_dir.mkdir(parents=True, exist_ok=True)
-            self._wal_fp = open(self._wal_path, "a")
-        self._wal_fp.write(json.dumps({"key": key, "data": data}) + "\n")
+            self._wal_fp = self._open_journal()
+        self._wal_fp.write(lines)
         self._wal_fp.flush()
         os.fsync(self._wal_fp.fileno())
-        self._wal_entries += 1
+        self._wal_entries += count
 
-    def _write(self, key: str, data: Dict[str, Any]) -> pathlib.Path:
-        """Journal an encoded entry document, then rename it into place."""
-        self._append_journal(key, data)
-        path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        _atomic_write_json(path, data)
-        if self._wal_entries >= self.checkpoint_every:
-            self.flush()
-        return path
+    def _append_journal(self, key: str, data: Dict[str, Any]) -> None:
+        """Journal one encoded entry without renaming it into place: the
+        state a writer killed between the two leaves behind."""
+        self._journal(_journal_line(key, json.dumps(data)), 1)
 
     def flush(self) -> None:
-        """Truncate the write-ahead journal.
+        """Truncate the write-ahead journal (a checkpoint).
 
-        Safe because :meth:`_write` only returns after the point file's
-        rename, so every journaled entry already has a durable file.
+        Every journaled entry's point file has been renamed into place
+        by then (:meth:`store_many` renames before it returns), so a
+        killed process loses nothing.  The point files are not fsynced,
+        though: after a power loss or kernel crash, an entry whose file
+        had not reached the disk is lost with its journal line, even
+        though its write was acknowledged (see the module docstring).
         """
         if self._wal_fp is None:
             return
@@ -485,16 +622,18 @@ class ResultStore:
         self._wal_entries = 0
 
     def close(self) -> None:
-        """Flush and remove this process's (now empty) journal file."""
+        """Flush, then remove this store's (now empty) journal file and
+        release its lock."""
         if self._wal_fp is None:
             return
         self.flush()
-        self._wal_fp.close()
-        self._wal_fp = None
         try:
             self._wal_path.unlink()
         except OSError:
             pass
+        self._wal_fp.close()
+        self._wal_fp = None
+        _OPEN_JOURNALS.discard(self)
 
 
 # The old name of the one store class; perfbench/ still imports it.

@@ -17,7 +17,8 @@ and deadline load-shedding (over-limit points degrade to
 :func:`~repro.service.analytic.analytic_estimate`, marked
 ``degraded: true``), and a graceful SIGTERM/SIGINT drain that stops
 admitting, finishes or abandons in-flight work, flushes the store
-journal and exits 0.
+journal and exits 0 (1 if a drain step, such as the store's close,
+failed).
 
 Run it via ``repro-experiments serve`` (see :func:`main` for flags);
 the line ``listening on <host>:<port>`` on stdout marks readiness.
@@ -33,6 +34,7 @@ import pathlib
 import signal
 import sys
 import time
+import traceback
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
 
@@ -124,6 +126,9 @@ class _Tally:
     derived: int = 0
     sim_seconds: float = 0.0
     saved_seconds: float = 0.0
+    #: Derived entries, ``(key, value, elapsed, None)``, that the request
+    #: commits with one :meth:`ResultStore.store_many` before it answers.
+    writes: List[Tuple[str, Any, float, None]] = field(default_factory=list)
 
     def sourcing(self) -> Dict[str, Any]:
         return {
@@ -229,6 +234,9 @@ class SweepService:
         self._busy = 0
         self._idle: Optional[asyncio.Event] = None
         self.port: Optional[int] = None
+        #: What made the drain fail (a store close on a full disk), if
+        #: anything; :meth:`run` then exits 1.
+        self.drain_error: Optional[Exception] = None
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -246,7 +254,8 @@ class SweepService:
         self.port = self._server.sockets[0].getsockname()[1]
 
     async def run(self) -> int:
-        """Serve until drained; returns the process exit status (0)."""
+        """Serve until drained; returns the process exit status: 0, or 1
+        when the drain failed (:attr:`drain_error`)."""
         await self.start()
         print(f"listening on {self.config.host}:{self.port}", flush=True)
         loop = asyncio.get_running_loop()
@@ -255,7 +264,7 @@ class SweepService:
                 loop.add_signal_handler(sig, self.request_drain)
         assert self._stopped is not None
         await self._stopped.wait()
-        return 0
+        return 0 if self.drain_error is None else 1
 
     def request_drain(self) -> None:
         """Begin graceful shutdown (idempotent; signal-handler safe)."""
@@ -265,7 +274,28 @@ class SweepService:
                 self._drain())
 
     async def _drain(self) -> None:
-        """Stop admitting, settle in-flight work, flush, and stop."""
+        """Settle and close everything, then stop.
+
+        The service stops even when a step fails (a store close on a
+        full disk): the error is printed to stderr and kept in
+        :attr:`drain_error`.
+        """
+        try:
+            await self._settle()
+            print("drained: journal flushed, exiting", file=sys.stderr,
+                  flush=True)
+        except Exception as exc:
+            self.drain_error = exc
+            print(f"drain failed: {type(exc).__name__}: {exc}",
+                  file=sys.stderr)
+            traceback.print_exc(file=sys.stderr)
+            sys.stderr.flush()
+        finally:
+            if self._stopped is not None:
+                self._stopped.set()
+
+    async def _settle(self) -> None:
+        """Stop admitting, settle in-flight work, and close the store."""
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -287,9 +317,6 @@ class SweepService:
         self.executor.shutdown(kill_workers=hung)
         if self.store is not None:
             self.store.close()
-        print("drained: journal flushed, exiting", file=sys.stderr, flush=True)
-        if self._stopped is not None:
-            self._stopped.set()
 
     # ------------------------------------------------------------------
     # Connection handling
@@ -512,6 +539,13 @@ class SweepService:
             serve_point(rank, index, point, key)
             for rank, (index, point, key) in enumerate(misses)
         ))
+        # One journal fsync for the request's derived entries, before it
+        # answers: a response never reports a write that is not durable.
+        store_s = 0.0
+        if tally.writes and self.store is not None:
+            store_started = time.monotonic()
+            self.store.store_many(tally.writes)
+            store_s = time.monotonic() - store_started
         self.metrics["requests"].labels(status="ok").inc()
         elapsed = time.monotonic() - started
         self.metrics["request_seconds"].observe(elapsed)
@@ -521,6 +555,7 @@ class SweepService:
             executed=tally.executed, disk_hits=tally.disk_hits,
             deduped=tally.deduped, degraded=tally.degraded,
             shed_reason="", elapsed=elapsed, derived=tally.derived,
+            store_s=store_s,
         ))
         return protocol.results_response(
             [r for r in results if r is not None], tally.sourcing())
@@ -589,7 +624,9 @@ class SweepService:
         The twin comes from the entries already served, the store,
         another request's in-flight execution of the same key, or from
         executing it here; a twin that fails leaves the point to the
-        normal path.
+        normal path.  The derived entry joins ``tally.writes``, which
+        the request commits in one batch.  A concurrent request that
+        misses it before then derives it again, to the same bytes.
         """
         cfg = self.config
         twin = steady_twin_point(point, self.executor.trainer_kwargs,
@@ -614,8 +651,7 @@ class SweepService:
         if isinstance(value, FailureInfo):
             return None
         value = derive_value(value, point.config)
-        if self.store is not None:
-            self.store.store(key, value, elapsed=elapsed)
+        tally.writes.append((key, value, elapsed, None))
         tally.derived += 1
         self.metrics["points"].labels(source="derived").inc()
         return value

@@ -294,6 +294,13 @@ def test_sharded_store_layout_and_roundtrip(tmp_path):
     assert len(ResultStore(tmp_path)) == 3
 
 
+def _kill(store):
+    """What a SIGKILL leaves of a writer: its journal, not removed, and
+    unlocked, as the kernel closes a dead process's files."""
+    store._wal_fp.close()
+    store._wal_fp = None
+
+
 def test_sharded_store_replays_journal_after_simulated_sigkill(tmp_path):
     store = ResultStore(tmp_path)
     data = store._encode(_stored_value(), elapsed=2.5)
@@ -302,6 +309,7 @@ def test_sharded_store_replays_journal_after_simulated_sigkill(tmp_path):
     store._append_journal("victim", data)
     assert store._wal_path.read_text().strip()
     assert not store.path_for("victim").exists()
+    _kill(store)
 
     recovered = ResultStore(tmp_path)
     assert recovered.replayed == 1
@@ -318,6 +326,7 @@ def test_sharded_store_skips_torn_trailing_journal_line(tmp_path):
     # The writer died mid-append: a torn, undecodable trailing line.
     with open(store._wal_path, "a") as fp:
         fp.write('{"key": "torn", "data": {"schema"')
+    _kill(store)
 
     recovered = ResultStore(tmp_path)
     assert recovered.replayed == 1
@@ -330,6 +339,7 @@ def test_sharded_store_does_not_replay_over_intact_entries(tmp_path):
     store.store("done", _stored_value(), elapsed=1.0)
     # Killed after the rename but before any flush: wal still has the line.
     assert store._wal_path.read_text().strip()
+    _kill(store)
     recovered = ResultStore(tmp_path)
     assert recovered.replayed == 0                    # file was intact
     assert not list(recovered.journal_dir.glob("wal-*.jsonl"))
@@ -376,6 +386,94 @@ def test_atomic_temp_names_embed_pid_and_monotonic_counter(tmp_path, monkeypatch
     assert counters[1] > counters[0]                  # monotonic
     assert json.loads((tmp_path / "a.json").read_text()) == {"x": 2}
     assert not list(tmp_path.glob("*.tmp"))
+
+
+class _Killed(BaseException):
+    """Stands in for a SIGKILL at the point it is raised: nothing in the
+    store or the service catches it."""
+
+
+def test_store_many_writes_the_bytes_store_writes(tmp_path):
+    value = _stored_value()
+    one = ResultStore(tmp_path / "one")
+    many = ResultStore(tmp_path / "many")
+    for key in ("a", "b"):
+        one.store(key, value, elapsed=1.5, check_stats={"x": (3, 0)})
+    paths = many.store_many([(key, value, 1.5, {"x": (3, 0)})
+                             for key in ("a", "b")])
+    assert paths == [many.path_for("a"), many.path_for("b")]
+    assert many._wal_path.read_bytes() == one._wal_path.read_bytes()
+    for key in ("a", "b"):
+        assert many.path_for(key).read_bytes() == one.path_for(key).read_bytes()
+    data = one._encode(value, elapsed=1.5, check_stats={"x": (3, 0)})
+    assert one._wal_path.read_text().splitlines()[0] == json.dumps(
+        {"key": "a", "data": data})
+    assert one.path_for("a").read_text() == json.dumps(data)
+    assert many.store_many([]) == []
+
+
+def test_a_batch_cut_off_during_its_renames_is_restored_on_reopen(
+        tmp_path, monkeypatch):
+    store = ResultStore(tmp_path)
+    value = _stored_value()
+    keys = ["k0", "k1", "k2", "k3"]
+    real_replace = os.replace
+    renamed = []
+
+    def replace(src, dst):
+        if len(renamed) == 2:
+            raise _Killed("killed after the journal fsync, mid-renames")
+        renamed.append(dst)
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    with pytest.raises(_Killed):
+        store.store_many([(key, value, 1.0, None) for key in keys])
+    monkeypatch.undo()
+    assert [store.path_for(k).exists() for k in keys] == [
+        True, True, False, False]
+    _kill(store)
+
+    recovered = ResultStore(tmp_path)
+    assert recovered.replayed == 2
+    for key in keys:
+        assert recovered.load_entry(key).elapsed == 1.0
+    assert not list(recovered.journal_dir.glob("wal-*.jsonl"))
+
+
+def test_a_second_store_skips_a_live_writers_journal(tmp_path):
+    writer = ResultStore(tmp_path)
+    writer._append_journal("pending", writer._encode(_stored_value()))
+    other = ResultStore(tmp_path)                     # same process, live log
+    assert other.replayed == 0
+    assert writer._wal_path.exists()
+    assert other._wal_path != writer._wal_path
+    _kill(writer)
+    assert ResultStore(tmp_path).replayed == 1
+
+
+def test_a_forked_child_does_not_hold_its_parents_journal_lock(tmp_path):
+    store = ResultStore(tmp_path)
+    store.store("k", OomInfo("gpu0", 2, 1, "boom"))
+    ResultStore(tmp_path)                             # opened while locked
+    assert store._wal_path.exists()
+    started, forked = os.pipe()
+    stop, stopping = os.pipe()
+    pid = os.fork()
+    if pid == 0:                                      # a pool worker, say
+        os.write(forked, b"x")
+        os.read(stop, 1)
+        os._exit(0)
+    try:
+        os.read(started, 1)
+        _kill(store)                                  # the parent dies
+        assert ResultStore(tmp_path).replayed == 0    # entry intact ...
+        assert not list(tmp_path.glob("journal/wal-*.jsonl"))  # ... log gone
+    finally:
+        os.write(stopping, b"x")
+        os.waitpid(pid, 0)
+        for fd in (started, forked, stop, stopping):
+            os.close(fd)
 
 
 # ----------------------------------------------------------------------
@@ -1129,3 +1227,144 @@ def test_points_metric_matches_per_point_increments(tmp_path):
     cold, _ = asyncio.run(go(tmp_path / "empty", requests[:2]))
     assert not any('source="disk"' in line
                    for line in _points_lines(cold.registry))
+
+
+# ----------------------------------------------------------------------
+# The write path: one journal fsync per request
+# ----------------------------------------------------------------------
+def _count_fsyncs(monkeypatch):
+    """Record the file descriptor of every ``os.fsync`` call."""
+    calls = []
+    real = os.fsync
+
+    def fsync(fd):
+        calls.append(fd)
+        real(fd)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    return calls
+
+
+def _writes(count):
+    """``count`` weak points that all derive from one twin (lenet b16 g2)."""
+    return [dict(_weak_wire_point(), dataset_images=1000 * (i + 1))
+            for i in range(count)]
+
+
+def _commit_twin(root):
+    twin = protocol.point_from_dict(_wire_point(16, 2))
+    _commit(root, [twin], SweepRunner(sim=TINY).run_point(twin))
+
+
+def test_a_write_request_deriving_six_points_makes_one_fsync(
+        tmp_path, monkeypatch):
+    root = tmp_path / "cache"
+    _commit_twin(root)
+
+    async def go():
+        service = SweepService(_config(cache_dir=root))
+        await service.start()
+        fsyncs = _count_fsyncs(monkeypatch)
+        response = await _request(service.port, {
+            "op": "sweep", "client": "t", "points": _writes(6)})
+        during = len(fsyncs)
+        await _drained(service)
+        return response, during
+
+    response, fsyncs = asyncio.run(go())
+    assert response["sourcing"]["derived"] == 6
+    assert fsyncs == 1
+    assert len(ResultStore(root)) == 7
+
+    # A runner still stores, and fsyncs, once per point.
+    runner = SweepRunner(sim=TINY, store=ResultStore(tmp_path / "runner"))
+    fsyncs = _count_fsyncs(monkeypatch)
+    runner.run_point(_point())
+    assert len(fsyncs) == 1 and len(runner.store) == 1
+
+
+def test_a_torn_batch_replays_its_complete_lines_and_is_never_answered(
+        tmp_path, monkeypatch):
+    root = tmp_path / "cache"
+    _commit_twin(root)
+    writes = _writes(3)
+    keys = [point_fingerprint(protocol.point_from_dict(w), TINY, CALIBRATION)
+            for w in writes]
+    store = ResultStore(root)
+    real_journal = store._journal
+
+    def torn(lines, count):
+        # Killed mid-write: the first line and part of the second reach
+        # the log.
+        real_journal(lines[:lines.index("\n") + 41], 1)
+        raise _Killed("killed mid-journal-write")
+
+    monkeypatch.setattr(store, "_journal", torn)
+
+    async def go():
+        service = SweepService(_config(), store=store)
+        await service.start()
+        reader, writer = await asyncio.open_connection("127.0.0.1",
+                                                       service.port)
+        writer.write(protocol.encode(
+            {"op": "sweep", "client": "t", "points": writes}))
+        await writer.drain()
+        answer = await reader.readline()
+        writer.close()
+        _kill(store)
+        await asyncio.wait_for(_drained(service), timeout=60)
+        return answer
+
+    assert asyncio.run(go()) == b""                   # never answered
+    recovered = ResultStore(root)
+    assert recovered.replayed == 1
+    assert recovered.load_entry(keys[0]) is not None
+    assert recovered.load_entry(keys[1]) is None      # torn line
+    assert recovered.load_entry(keys[2]) is None      # never written
+
+
+def test_request_event_reports_store_seconds_of_writes_only(tmp_path):
+    root = tmp_path / "cache"
+    _commit_twin(root)
+
+    async def go():
+        service = SweepService(_config(cache_dir=root))
+        recorder = JsonlRecorder(service.bus)
+        await service.start()
+        for points in (_writes(3), [_wire_point(16, 2)]):
+            await _request(service.port, {
+                "op": "sweep", "client": "t", "points": points})
+        await _drained(service)
+        return recorder.events
+
+    write, read = asyncio.run(go())
+    assert write.derived == 3 and 0 < write.store_s <= write.elapsed
+    assert event_to_dict(write)["store_s"] == write.store_s
+    assert read.disk_hits == 1 and read.store_s == 0.0
+    assert "store_s" not in event_to_dict(read)
+
+
+def test_a_failing_store_close_still_drains_and_exits_nonzero(
+        tmp_path, capsys):
+    store = ResultStore(tmp_path)
+
+    def full_disk():
+        raise OSError(28, "No space left on device")
+
+    store.close = full_disk
+
+    async def go():
+        service = SweepService(_config(), store=store)
+        run = asyncio.create_task(service.run())
+        while service.port is None:
+            await asyncio.sleep(0.01)
+        service.request_drain()
+        return service, await asyncio.wait_for(run, timeout=30)
+
+    service, status = asyncio.run(go())
+    assert status == 1
+    assert isinstance(service.drain_error, OSError)
+    assert service.drain_error.errno == 28
+    err = capsys.readouterr().err
+    assert "drain failed: OSError: [Errno 28] No space left on device" in err
+    assert "drained: journal flushed" not in err

@@ -208,6 +208,55 @@ def test_sigkilled_server_loses_no_committed_entries(tmp_path):
 
 
 # ----------------------------------------------------------------------
+# Two writers on one store: a second open leaves a live journal alone
+# ----------------------------------------------------------------------
+#: Process A: stores one entry, waits for a line on stdin, then journals
+#: a second entry and hangs in that entry's rename until it is killed.
+WRITER = textwrap.dedent("""
+    import os, sys, time
+    from repro.runner import OomInfo, ResultStore
+
+    store = ResultStore(sys.argv[1])
+    store.store("first", OomInfo("gpu0", 2, 1, "first"))
+    print("stored", flush=True)
+    sys.stdin.readline()
+
+    def hang(src, dst):
+        print("journaled", flush=True)
+        time.sleep(600)
+
+    os.replace = hang
+    store.store("second", OomInfo("gpu0", 2, 1, "second"))
+""")
+
+
+def test_a_second_open_keeps_a_live_writers_journal(tmp_path):
+    from repro.runner import OomInfo, ResultStore
+
+    writer = subprocess.Popen(
+        [sys.executable, "-c", WRITER, str(tmp_path)], env=ENV, text=True,
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+    )
+    try:
+        assert writer.stdout.readline().strip() == "stored"
+        assert ResultStore(tmp_path).replayed == 0    # B opens the store
+        writer.stdin.write("go\n")
+        writer.stdin.flush()
+        assert writer.stdout.readline().strip() == "journaled"
+    finally:
+        writer.kill()
+        writer.wait(timeout=30)
+        writer.stdin.close()
+        writer.stdout.close()
+    assert not list(tmp_path.glob("shard-*/second.json"))  # never renamed
+    recovered = ResultStore(tmp_path)
+    assert recovered.replayed == 1
+    assert recovered.load("second") == OomInfo("gpu0", 2, 1, "second")
+    assert recovered.load("first") == OomInfo("gpu0", 2, 1, "first")
+    assert not list(tmp_path.glob("journal/wal-*.jsonl"))
+
+
+# ----------------------------------------------------------------------
 # Saturation: BUSY or degraded, never a hang
 # ----------------------------------------------------------------------
 def test_saturated_pool_sheds_but_never_hangs():
