@@ -380,6 +380,7 @@ class ServiceRequestEvent(ObsEvent):
     elapsed: float   # wall-clock request latency (s)
     #: Points answered from their steady-state twin's result.
     derived: int = field(default=0, metadata=ADDITIVE)
-    #: Seconds the request spent committing its derived entries to the
-    #: store (one :meth:`~repro.runner.store.ResultStore.store_many`).
+    #: Seconds the request spent journaling its derived entries (one
+    #: :meth:`~repro.runner.store.ResultStore.commit`); their point files
+    #: are placed after it answers.
     store_s: float = field(default=0.0, metadata=ADDITIVE)

@@ -21,7 +21,7 @@ import enum
 import functools
 import hashlib
 import json
-from typing import Any, Mapping, Optional
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.core.config import SimulationConfig
 from repro.core.constants import CalibrationConstants
@@ -69,6 +69,31 @@ def canonical(value: Any) -> Any:
     raise Unfingerprintable(f"cannot fingerprint {type(value).__qualname__} value")
 
 
+def _encode(value: Any) -> str:
+    """``value``'s canonical JSON, as the key's blob spells it."""
+    return json.dumps(canonical(value), sort_keys=True, separators=(",", ":"))
+
+
+#: Encoded simulation settings and constants, by object identity:
+#: ``id -> (object, text)``.  Holding the object keeps its id from being
+#: reused; identity, not equality, keys the memo, because equal objects
+#: can encode differently (``1`` and ``1.0`` compare equal).
+_FIXED: Dict[int, Tuple[Any, str]] = {}
+_FIXED_BOUND = 8
+
+
+def _encode_fixed(value: Any) -> str:
+    """:func:`_encode` of an immutable value that recurs on every call."""
+    held = _FIXED.get(id(value))
+    if held is not None and held[0] is value:
+        return held[1]
+    text = _encode(value)
+    if len(_FIXED) >= _FIXED_BOUND:
+        del _FIXED[next(iter(_FIXED))]
+    _FIXED[id(value)] = (value, text)
+    return text
+
+
 def point_fingerprint(
     point: SweepPoint,
     sim: SimulationConfig,
@@ -79,19 +104,22 @@ def point_fingerprint(
 
     The serialization schema version is folded in so a format change can
     never resurrect results written by an incompatible library version.
+    The key hashes one sorted-key JSON object; the simulation settings
+    and the constants, the same on every call of a sweep, are encoded
+    once each and spliced in.
     """
     from repro.analysis.serialization import SCHEMA_VERSION
 
     try:
-        payload = {
-            "schema": SCHEMA_VERSION,
-            "config": canonical(point.config),
-            "sim": canonical(sim),
-            "constants": canonical(constants),
-            "overrides": canonical(point.override_dict()),
-            "trainer_kwargs": canonical(dict(trainer_kwargs or {})),
-        }
+        parts = (                         # the payload's keys, sorted
+            ("config", _encode(point.config)),
+            ("constants", _encode_fixed(constants)),
+            ("overrides", _encode(point.override_dict())),
+            ("schema", _encode(SCHEMA_VERSION)),
+            ("sim", _encode_fixed(sim)),
+            ("trainer_kwargs", _encode(dict(trainer_kwargs or {}))),
+        )
     except Unfingerprintable:
         return None
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    blob = "{" + ",".join(f'"{name}":{text}' for name, text in parts) + "}"
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()

@@ -33,6 +33,18 @@ whose journal write had not completed (the torn lines of the batch being
 written, which had not been acknowledged) and never corrupts or loses an
 acknowledged one.
 
+A writer may stop at that durability point: :meth:`ResultStore.commit`
+journals a batch as ``store_many`` does and returns, and each entry
+then waits in memory for its point file, which
+:meth:`ResultStore.place` renames into place later.  Meanwhile
+:meth:`ResultStore.load_entry` answers the entry from memory, with the
+bytes its point file will hold.  A checkpoint places every waiting
+entry before it truncates the journal, so it never drops the line of an
+unplaced entry, and a commit that takes the journal to
+:attr:`~ResultStore.checkpoint_every` lines checkpoints, so placement
+never falls further behind than that.  A killed process's unplaced
+entries are restored by the replay like any other.
+
 That guarantee is against a killed *process*: the kernel still holds
 what it wrote.  Point files and their renames are never fsynced, and a
 checkpoint (:meth:`ResultStore.flush`, every
@@ -59,6 +71,7 @@ healthy entries and pre-existing files simply load with ``faults=None``.
 
 from __future__ import annotations
 
+import collections
 import fcntl
 import itertools
 import json
@@ -277,9 +290,12 @@ def _forget_journals() -> None:
     the log has closed it.  A pool worker that kept its copy would keep
     a killed parent's log locked, and so unreplayed, for as long as the
     worker lived.  The child closes its copy (the parent keeps its lock)
-    and would journal under a name of its own.
+    and would journal under a name of its own.  It also drops the
+    entries its parent had not yet placed: they are the parent's to
+    place.
     """
     for store in list(_OPEN_JOURNALS):
+        store._unplaced.clear()
         if store._wal_fp is None:
             continue
         store._wal_fp.close()
@@ -300,13 +316,13 @@ class ResultStore:
     """Loads and saves simulation results keyed by content fingerprint.
 
     Entries live in ``shard-XX/`` directories and every write
-    (:meth:`store`, :meth:`store_many`) is journaled before its point
-    files are renamed into place (see the module docstring).  Opening a
-    store replays the journals dead writers left behind; :attr:`replayed`
-    counts the entries restored.  The journal is bounded: it is
-    truncated every ``checkpoint_every`` lines (every prior entry's point
-    file has been renamed into place by then) and on :meth:`flush` /
-    :meth:`close`.
+    (:meth:`store`, :meth:`store_many`, :meth:`commit`) is journaled
+    before its point files are renamed into place (see the module
+    docstring).  Opening a store replays the journals dead writers left
+    behind; :attr:`replayed` counts the entries restored.  The journal
+    is bounded: it is truncated every ``checkpoint_every`` lines and on
+    :meth:`flush` / :meth:`close`, each time after every journaled
+    entry's point file has been placed.
     """
 
     #: Journal lines between automatic truncations.
@@ -318,6 +334,10 @@ class ResultStore:
         self._wal_path = self._new_wal_path()
         self._wal_fp: Optional[IO[str]] = None
         self._wal_entries = 0
+        #: Committed entries whose point files :meth:`place` has not yet
+        #: written, oldest first: key -> the file's text.
+        self._unplaced: "collections.OrderedDict[str, str]" = (
+            collections.OrderedDict())
         self.replayed = self.replay_journal()
 
     def _new_wal_path(self) -> pathlib.Path:
@@ -334,9 +354,17 @@ class ResultStore:
         return self.shard_for(key) / f"{key}.json"
 
     def __len__(self) -> int:
+        """The entries held: point files, plus unplaced entries that have
+        none yet."""
+        waiting = sum(not self.path_for(key).exists() for key in self._unplaced)
         if not self.root.is_dir():
-            return 0
-        return sum(1 for _ in self.root.glob("shard-*/*.json"))
+            return waiting
+        return waiting + sum(1 for _ in self.root.glob("shard-*/*.json"))
+
+    @property
+    def unplaced(self) -> int:
+        """Committed entries whose point files are not yet placed."""
+        return len(self._unplaced)
 
     def _corrupt(self, path: pathlib.Path, why: str) -> None:
         warnings.warn(
@@ -365,7 +393,8 @@ class ResultStore:
         re-simulating would mask a whole directory of unusable entries.
 
         A malformed ``perf`` field never fails the load: the result data
-        is intact, so the entry is returned with ``elapsed=0.0``.
+        is intact, so the entry is returned with ``elapsed=0.0``.  An
+        entry committed but not yet placed is read from memory.
         """
         # Imported lazily: repro.analysis's package __init__ pulls in
         # modules that import repro.runner back.
@@ -376,10 +405,12 @@ class ResultStore:
         )
 
         path = self.path_for(key)
-        try:
-            text = path.read_text()
-        except OSError:
-            return None  # plain miss: the file does not exist (or is unreadable)
+        text = self._unplaced.get(key)
+        if text is None:
+            try:
+                text = path.read_text()
+            except OSError:
+                return None  # plain miss: no such file (or unreadable)
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -451,23 +482,65 @@ class ResultStore:
         renames leaves every entry of the batch to the journal replay.
         Returns the point files' paths.
         """
+        encoded = self._journal_batch(entries)
+        for key, text in encoded:
+            self._place(key, text)
+        if self._wal_entries >= self.checkpoint_every:
+            self.flush()
+        return [self.path_for(key) for key, _ in encoded]
+
+    def commit(self, entries: Iterable[StoreItem]) -> List[str]:
+        """Journal ``(key, value, elapsed, check_stats)`` entries, leaving
+        their point files to :meth:`place`.
+
+        :meth:`store_many` up to its durability point: once the one
+        ``fsync`` returns, the entries are durable against a killed
+        process, and :meth:`load_entry` answers them from memory until
+        they are placed.  A commit that takes the journal to
+        :attr:`checkpoint_every` lines checkpoints (:meth:`flush`), which
+        places every waiting entry first.  Returns the keys, in order.
+        """
+        encoded = self._journal_batch(entries)
+        self._unplaced.update(encoded)
+        if self._wal_entries >= self.checkpoint_every:
+            self.flush()
+        return [key for key, _ in encoded]
+
+    def place(self, limit: Optional[int] = None) -> None:
+        """Rename committed entries' point files into place, oldest first:
+        every one, or at most ``limit``.
+
+        An entry stops waiting only once its file is in place, so a
+        failed write (an ``OSError`` on a full disk, raised to the caller)
+        leaves it journaled and answered from memory, for a later call
+        to place.
+        """
+        placed = 0
+        while self._unplaced and (limit is None or placed < limit):
+            key, text = next(iter(self._unplaced.items()))
+            self._place(key, text)
+            del self._unplaced[key]
+            placed += 1
+
+    def _journal_batch(
+        self, entries: Iterable[StoreItem],
+    ) -> List[Tuple[str, str]]:
+        """Encode ``entries`` and journal them with one write and one
+        fsync; returns each ``(key, point-file text)``."""
         encoded = [
             (key, json.dumps(self._encode(value, elapsed, check_stats)))
             for key, value, elapsed, check_stats in entries
         ]
-        if not encoded:
-            return []
-        self._journal("".join(_journal_line(key, text)
-                              for key, text in encoded), len(encoded))
-        paths = []
-        for key, text in encoded:
-            path = self.path_for(key)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            _atomic_write(path, text)
-            paths.append(path)
-        if self._wal_entries >= self.checkpoint_every:
-            self.flush()
-        return paths
+        if encoded:
+            self._journal("".join(_journal_line(key, text)
+                                  for key, text in encoded), len(encoded))
+        return encoded
+
+    def _place(self, key: str, text: str) -> None:
+        """Write ``key``'s point file (atomically, via a temp + rename)."""
+        path = self.path_for(key)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        _atomic_write(path, text)
 
     def _encode(
         self,
@@ -598,21 +671,19 @@ class ResultStore:
         os.fsync(self._wal_fp.fileno())
         self._wal_entries += count
 
-    def _append_journal(self, key: str, data: Dict[str, Any]) -> None:
-        """Journal one encoded entry without renaming it into place: the
-        state a writer killed between the two leaves behind."""
-        self._journal(_journal_line(key, json.dumps(data)), 1)
-
     def flush(self) -> None:
-        """Truncate the write-ahead journal (a checkpoint).
+        """Place every committed entry, then truncate the write-ahead
+        journal (a checkpoint).
 
-        Every journaled entry's point file has been renamed into place
-        by then (:meth:`store_many` renames before it returns), so a
-        killed process loses nothing.  The point files are not fsynced,
-        though: after a power loss or kernel crash, an entry whose file
-        had not reached the disk is lost with its journal line, even
-        though its write was acknowledged (see the module docstring).
+        A placement that fails raises before the truncation, so the
+        journal never drops the line of an entry whose point file is not
+        in place, and a killed process loses nothing.  The point files
+        are not fsynced, though: after a power loss or kernel crash, an
+        entry whose file had not reached the disk is lost with its
+        journal line, even though its write was acknowledged (see the
+        module docstring).
         """
+        self.place()
         if self._wal_fp is None:
             return
         self._wal_fp.truncate(0)
@@ -622,8 +693,8 @@ class ResultStore:
         self._wal_entries = 0
 
     def close(self) -> None:
-        """Flush, then remove this store's (now empty) journal file and
-        release its lock."""
+        """Flush (placing every committed entry), then remove this store's
+        (now empty) journal file and release its lock."""
         if self._wal_fp is None:
             return
         self.flush()

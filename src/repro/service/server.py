@@ -16,9 +16,11 @@ circuit breaker (crash loops -> analytic answers while OPEN), budget
 and deadline load-shedding (over-limit points degrade to
 :func:`~repro.service.analytic.analytic_estimate`, marked
 ``degraded: true``), and a graceful SIGTERM/SIGINT drain that stops
-admitting, finishes or abandons in-flight work, flushes the store
-journal and exits 0 (1 if a drain step, such as the store's close,
-failed).
+admitting, finishes or abandons in-flight work, places the point files
+still waiting, flushes the store journal and exits 0 (1 if a drain
+step, such as the store's close, failed).  A request that derives
+points answers once their journal lines are fsynced; their point files
+are placed afterwards, while no request is mid-dispatch.
 
 Run it via ``repro-experiments serve`` (see :func:`main` for flags);
 the line ``listening on <host>:<port>`` on stdout marks readiness.
@@ -49,7 +51,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.runner.fingerprint import point_fingerprint
 from repro.runner.runner import derive_value, steady_twin_point
 from repro.runner.spec import FailureInfo, SweepPoint
-from repro.runner.store import CacheEntry, ResultStore
+from repro.runner.store import CacheEntry, ResultStore, fault_breakdown
 from repro.service import protocol
 from repro.service.admission import AdmissionController, CircuitBreaker
 from repro.service.analytic import (
@@ -126,9 +128,10 @@ class _Tally:
     derived: int = 0
     sim_seconds: float = 0.0
     saved_seconds: float = 0.0
-    #: Derived entries, ``(key, value, elapsed, None)``, that the request
-    #: commits with one :meth:`ResultStore.store_many` before it answers.
-    writes: List[Tuple[str, Any, float, None]] = field(default_factory=list)
+    #: Derived points, ``(point, key, entry, payload)``, that the request
+    #: journals with one :meth:`ResultStore.commit` before it answers.
+    writes: List[Tuple[SweepPoint, str, CacheEntry, Dict[str, Any]]] = field(
+        default_factory=list)
 
     def sourcing(self) -> Dict[str, Any]:
         return {
@@ -233,6 +236,10 @@ class SweepService:
         self._active: Set[asyncio.Task] = set()
         self._busy = 0
         self._idle: Optional[asyncio.Event] = None
+        #: The task placing committed entries' point files, and the error
+        #: that stopped it, if one did (they are then placed at close).
+        self._placer: Optional[asyncio.Task] = None
+        self._place_error: Optional[OSError] = None
         self.port: Optional[int] = None
         #: What made the drain fail (a store close on a full disk), if
         #: anything; :meth:`run` then exits 1.
@@ -315,8 +322,11 @@ class SweepService:
         # A hung simulation cannot be joined; kill its worker outright
         # (the runner's timeout path has the same abandonment contract).
         self.executor.shutdown(kill_workers=hung)
+        if self._placer is not None:
+            self._placer.cancel()
+            await asyncio.gather(self._placer, return_exceptions=True)
         if self.store is not None:
-            self.store.close()
+            self.store.close()                  # places what is left
 
     # ------------------------------------------------------------------
     # Connection handling
@@ -541,11 +551,17 @@ class SweepService:
         ))
         # One journal fsync for the request's derived entries, before it
         # answers: a response never reports a write that is not durable.
+        # Their point files are placed later, while no request is
+        # mid-dispatch; until then the store and ``_served`` answer them.
         store_s = 0.0
         if tally.writes and self.store is not None:
             store_started = time.monotonic()
-            self.store.store_many(tally.writes)
+            self.store.commit([(key, entry.value, entry.elapsed, None)
+                               for _, key, entry, _ in tally.writes])
             store_s = time.monotonic() - store_started
+            for point, _, entry, payload in tally.writes:
+                self._served.keep(point, (entry, payload))
+            self._start_placer()
         self.metrics["requests"].labels(status="ok").inc()
         elapsed = time.monotonic() - started
         self.metrics["request_seconds"].observe(elapsed)
@@ -572,9 +588,9 @@ class SweepService:
             tally.sim_seconds += elapsed
             self.metrics["points"].labels(source="executed").inc()
             return protocol.value_payload(label, value)
-        value = await self._derive_point(point, key, tally)
-        if value is not None:
-            return protocol.value_payload(label, value)
+        payload = await self._derive_point(point, key, tally)
+        if payload is not None:
+            return payload
         try:
             value, elapsed, executed = await self._run_once(point, key)
         except (ConnectionResetError, BrokenProcessPool) as exc:
@@ -618,15 +634,16 @@ class SweepService:
 
     async def _derive_point(
         self, point: SweepPoint, key: str, tally: _Tally,
-    ) -> Optional[Any]:
-        """The point's value from its twin, or ``None`` to run it itself.
+    ) -> Optional[Dict[str, Any]]:
+        """The point's payload from its twin, or ``None`` to run it itself.
 
         The twin comes from the entries already served, the store,
         another request's in-flight execution of the same key, or from
         executing it here; a twin that fails leaves the point to the
         normal path.  The derived entry joins ``tally.writes``, which
-        the request commits in one batch.  A concurrent request that
-        misses it before then derives it again, to the same bytes.
+        the request commits in one batch and then keeps in ``_served``.
+        A concurrent request that misses it before then derives it
+        again, to the same bytes.
         """
         cfg = self.config
         twin = steady_twin_point(point, self.executor.trainer_kwargs,
@@ -651,10 +668,45 @@ class SweepService:
         if isinstance(value, FailureInfo):
             return None
         value = derive_value(value, point.config)
-        tally.writes.append((key, value, elapsed, None))
+        # The entry load_entry would return once the commit is placed.
+        entry = CacheEntry(value=value, elapsed=float(elapsed),
+                           faults=fault_breakdown(value))
+        payload = protocol.value_payload(point.describe(), value)
+        tally.writes.append((point, key, entry, payload))
         tally.derived += 1
         self.metrics["points"].labels(source="derived").inc()
-        return value
+        return payload
+
+    def _start_placer(self) -> None:
+        """Run :meth:`_place_while_idle` unless it is running or failed."""
+        if self._place_error is None and (
+                self._placer is None or self._placer.done()):
+            self._placer = asyncio.get_running_loop().create_task(
+                self._place_while_idle())
+
+    async def _place_while_idle(self) -> None:
+        """Place the store's committed point files, one per loop turn,
+        only while no request is mid-dispatch.
+
+        A failed placement (a full disk) is reported on stderr once and
+        stops the placer: the entry stays journaled and answered from
+        memory, and the store places it at the next checkpoint or at
+        close, whose failure fails the drain.
+        """
+        assert self.store is not None and self._idle is not None
+        while self.store.unplaced:
+            if not self._idle.is_set():
+                await self._idle.wait()
+                continue
+            try:
+                self.store.place(1)
+            except OSError as exc:
+                self._place_error = exc
+                print(f"placing a point file failed: {type(exc).__name__}: "
+                      f"{exc}; its entry stays journaled and is placed "
+                      f"again at close", file=sys.stderr, flush=True)
+                return
+            await asyncio.sleep(0)
 
     async def _execute(
         self, point: SweepPoint,

@@ -140,6 +140,63 @@ def test_lambda_override_is_uncacheable():
     assert point_fingerprint(point, FAST, CALIBRATION) is None
 
 
+def _full_payload_key(point, sim, constants, trainer_kwargs=None):
+    """The key as one ``json.dumps`` of the whole payload spells it."""
+    import hashlib
+
+    payload = {
+        "schema": SCHEMA_VERSION,
+        "config": canonical(point.config),
+        "sim": canonical(sim),
+        "constants": canonical(constants),
+        "overrides": canonical(point.override_dict()),
+        "trainer_kwargs": canonical(dict(trainer_kwargs or {})),
+    }
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def test_fingerprint_splices_the_full_payload_encoding():
+    import functools
+
+    from repro.topology import build_dgx1v
+
+    anchor = SweepPoint.make(TrainingConfig(
+        "alexnet", 16, 4, comm_method=CommMethodName.NCCL))
+    override = _point(overrides={"topology_builder": functools.partial(
+        build_dgx1v, nvlink_bandwidth_scale=0.5)})
+    builder = {"topology_builder": functools.partial(
+        build_dgx1v, nvlink_bandwidth_scale=2.0)}
+    # Equal constants that encode differently: each key must follow its
+    # own value's encoding.
+    zero_int = dataclasses.replace(CALIBRATION, kernel_launch_overhead=0)
+    zero_float = dataclasses.replace(CALIBRATION, kernel_launch_overhead=0.0)
+    assert zero_int == zero_float
+    cases = [
+        (anchor, SimulationConfig(), CALIBRATION, None),
+        (override, FAST, CALIBRATION, None),
+        (_point(), FAST, CALIBRATION, builder),
+        (_point(batch=32), SimulationConfig(3, 7), CALIBRATION, None),
+        (_point(), FAST, zero_int, None),
+        (_point(), FAST, zero_float, None),
+    ]
+    for _ in range(2):                        # cold, then memoized parts
+        for point, sim, constants, kwargs in cases:
+            assert point_fingerprint(point, sim, constants, kwargs) == (
+                _full_payload_key(point, sim, constants, kwargs))
+    assert len({point_fingerprint(*case) for case in cases}) == len(cases)
+
+
+def test_unfingerprintable_points_still_have_no_key():
+    lam = _point(overrides={"topology_builder": lambda: None})
+    assert point_fingerprint(lam, FAST, CALIBRATION) is None
+    assert point_fingerprint(_point(), FAST, CALIBRATION,
+                             {"topology_builder": lambda: None}) is None
+    # A refused point leaves the memoized parts intact.
+    assert point_fingerprint(_point(), FAST, CALIBRATION) == (
+        _full_payload_key(_point(), FAST, CALIBRATION))
+
+
 def test_canonical_rejects_arbitrary_objects():
     with pytest.raises(Unfingerprintable):
         canonical(object())

@@ -303,10 +303,9 @@ def _kill(store):
 
 def test_sharded_store_replays_journal_after_simulated_sigkill(tmp_path):
     store = ResultStore(tmp_path)
-    data = store._encode(_stored_value(), elapsed=2.5)
     # SIGKILL between the journal append and the point-file rename:
     # the journal line exists, the point file does not, close() never ran.
-    store._append_journal("victim", data)
+    store.commit([("victim", _stored_value(), 2.5, None)])
     assert store._wal_path.read_text().strip()
     assert not store.path_for("victim").exists()
     _kill(store)
@@ -321,8 +320,7 @@ def test_sharded_store_replays_journal_after_simulated_sigkill(tmp_path):
 
 def test_sharded_store_skips_torn_trailing_journal_line(tmp_path):
     store = ResultStore(tmp_path)
-    data = store._encode(_stored_value(), elapsed=1.0)
-    store._append_journal("committed", data)
+    store.commit([("committed", _stored_value(), 1.0, None)])
     # The writer died mid-append: a torn, undecodable trailing line.
     with open(store._wal_path, "a") as fp:
         fp.write('{"key": "torn", "data": {"schema"')
@@ -441,9 +439,79 @@ def test_a_batch_cut_off_during_its_renames_is_restored_on_reopen(
     assert not list(recovered.journal_dir.glob("wal-*.jsonl"))
 
 
+def _payload(entry):
+    return protocol.value_payload("point", entry.value), entry.elapsed
+
+
+def test_a_committed_entry_is_answered_from_memory_until_placed(tmp_path):
+    value = _stored_value()
+    keys = ["a", "b", "c"]
+    reference = ResultStore(tmp_path / "reference")
+    for key in keys:
+        reference.store(key, value, elapsed=1.5)
+    store = ResultStore(tmp_path / "deferred")
+    assert store.commit([(key, value, 1.5, None) for key in keys]) == keys
+    assert store._wal_path.read_bytes() == reference._wal_path.read_bytes()
+    assert not any(store.path_for(key).exists() for key in keys)
+    assert store.unplaced == 3 and len(store) == 3
+    for key in keys:
+        assert _payload(store.load_entry(key)) == _payload(
+            reference.load_entry(key))
+    store.place(1)
+    assert store.unplaced == 2 and store.path_for("a").exists()
+    store.place()
+    for key in keys:
+        assert (store.path_for(key).read_bytes()
+                == reference.path_for(key).read_bytes())
+    assert store.unplaced == 0 and len(store) == 3
+    assert store.commit([]) == []
+    store.close()
+
+
+class _CheckedJournal:
+    """A store's journal file that asserts, at every truncation, that each
+    key it holds has its point file and nothing waits to be placed."""
+
+    def __init__(self, store):
+        self.store, self.fp = store, store._wal_fp
+        self.checkpoints = 0
+
+    def truncate(self, size):
+        for line in self.store._wal_path.read_text().splitlines():
+            assert self.store.path_for(json.loads(line)["key"]).exists()
+        assert self.store.unplaced == 0
+        self.checkpoints += 1
+        return self.fp.truncate(size)
+
+    def __getattr__(self, name):
+        return getattr(self.fp, name)
+
+
+def test_every_checkpoint_finds_every_journaled_key_placed(tmp_path):
+    store = ResultStore(tmp_path)
+    store.checkpoint_every = 3
+    value = OomInfo("gpu0", 2, 1, "boom")
+    store.commit([("k0", value, None, None)])
+    journal = store._wal_fp = _CheckedJournal(store)
+    count = 1
+    for size, placed in ((2, 0), (1, 1), (3, 0), (1, 0), (2, 1), (4, 0)):
+        store.commit([(f"k{count + i}", value, None, None)
+                      for i in range(size)])
+        count += size
+        # Placement never falls checkpoint_every lines behind.
+        assert store.unplaced < store.checkpoint_every
+        store.place(placed)
+    store.store(f"k{count}", value)
+    store.commit([(f"k{count + 1}", value, None, None)])
+    store.close()                                     # the last checkpoint
+    assert journal.checkpoints >= 5
+    assert not store._wal_path.exists()
+    assert len(ResultStore(tmp_path)) == count + 2
+
+
 def test_a_second_store_skips_a_live_writers_journal(tmp_path):
     writer = ResultStore(tmp_path)
-    writer._append_journal("pending", writer._encode(_stored_value()))
+    writer.commit([("pending", _stored_value(), None, None)])
     other = ResultStore(tmp_path)                     # same process, live log
     assert other.replayed == 0
     assert writer._wal_path.exists()
@@ -455,17 +523,21 @@ def test_a_second_store_skips_a_live_writers_journal(tmp_path):
 def test_a_forked_child_does_not_hold_its_parents_journal_lock(tmp_path):
     store = ResultStore(tmp_path)
     store.store("k", OomInfo("gpu0", 2, 1, "boom"))
+    store.commit([("waiting", OomInfo("gpu0", 2, 1, "unplaced"), None, None)])
     ResultStore(tmp_path)                             # opened while locked
-    assert store._wal_path.exists()
+    assert store._wal_path.exists() and store.unplaced == 1
     started, forked = os.pipe()
     stop, stopping = os.pipe()
     pid = os.fork()
     if pid == 0:                                      # a pool worker, say
-        os.write(forked, b"x")
+        # The child holds none of its parent's pending placements.
+        os.write(forked, b"0" if store.unplaced == 0 else b"1")
         os.read(stop, 1)
         os._exit(0)
     try:
-        os.read(started, 1)
+        assert os.read(started, 1) == b"0"
+        assert store.unplaced == 1                    # the parent keeps it
+        store.place()
         _kill(store)                                  # the parent dies
         assert ResultStore(tmp_path).replayed == 0    # entry intact ...
         assert not list(tmp_path.glob("journal/wal-*.jsonl"))  # ... log gone
@@ -1368,3 +1440,163 @@ def test_a_failing_store_close_still_drains_and_exits_nonzero(
     err = capsys.readouterr().err
     assert "drain failed: OSError: [Errno 28] No space left on device" in err
     assert "drained: journal flushed" not in err
+
+
+def test_a_follower_reads_a_committed_write_from_memory(
+        tmp_path, monkeypatch):
+    root = tmp_path / "cache"
+    _commit_twin(root)
+    message = {"op": "sweep", "client": "t", "points": _writes(6)}
+
+    async def serve(*clients, count=False):
+        service = SweepService(_config(cache_dir=root))
+        await service.start()
+        lines = [await _request_line(service.port, dict(message, client=c))
+                 for c in clients[:1]]
+        counts = _count_reads(monkeypatch) if count else None
+        lines += [await _request_line(service.port, dict(message, client=c))
+                  for c in clients[1:]]
+        await _drained(service)
+        monkeypatch.undo()
+        return lines, counts
+
+    (first, second), counts = asyncio.run(serve("writer", "follower",
+                                                count=True))
+    assert counts == {"fingerprint": 0, "load_entry": 0}
+    sourcing = json.loads(second)["sourcing"]
+    assert sourcing["disk_hits"] == 6 and sourcing["derived"] == 0
+    assert json.loads(second)["results"] == json.loads(first)["results"]
+    # Byte for byte what a service reading the placed files answers.
+    (from_disk,), _ = asyncio.run(serve("reader"))
+    assert second == from_disk
+
+
+def _full_disk_placements(monkeypatch):
+    """Make every point-file write fail as on a full disk; returns the
+    paths tried."""
+    from repro.runner import store as store_module
+
+    tried = []
+
+    def full(path, text):
+        tried.append(path)
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(store_module, "_atomic_write", full)
+    return tried
+
+
+def _write_keys(writes):
+    return [point_fingerprint(protocol.point_from_dict(w), TINY, CALIBRATION)
+            for w in writes]
+
+
+async def _write_on_a_full_disk(service, monkeypatch, writes):
+    """Answer ``writes`` (3 per request) while no point file can be
+    written, and let the placer run into the error."""
+    await service.start()
+    tried = _full_disk_placements(monkeypatch)
+    responses = [await _request(service.port, {
+        "op": "sweep", "client": "t", "points": writes[i:i + 3]})
+        for i in range(0, len(writes), 3)]
+    while service._placer is None or not service._placer.done():
+        await asyncio.sleep(0.01)
+    return responses, tried
+
+
+def test_a_failed_placement_keeps_its_entry_until_close(
+        tmp_path, monkeypatch, capsys):
+    root = tmp_path / "cache"
+    _commit_twin(root)
+    writes = _writes(6)
+    keys = _write_keys(writes)
+    store = ResultStore(root)
+
+    async def go():
+        service = SweepService(_config(), store=store)
+        responses, tried = await _write_on_a_full_disk(
+            service, monkeypatch, writes)
+        waiting = (len(tried), store.unplaced,
+                   len(store._wal_path.read_text().splitlines()),
+                   [store.load_entry(key) is not None for key in keys])
+        monkeypatch.undo()                            # room again
+        await _drained(service)
+        return service, responses, waiting
+
+    service, responses, waiting = asyncio.run(go())
+    assert [r["sourcing"]["derived"] for r in responses] == [3, 3]
+    # One failed try, then the placer stopped; nothing was dropped from
+    # the journal, and every entry was still answered.
+    assert waiting == (1, 6, 6, [True] * 6)
+    err = capsys.readouterr().err
+    assert err.count("placing a point file failed: OSError: [Errno 28]") == 1
+    # The close placed them all.
+    assert service.drain_error is None and store.unplaced == 0
+    assert all(store.path_for(key).exists() for key in keys)
+    assert not list(root.glob("journal/wal-*.jsonl"))
+
+
+def test_a_placement_that_fails_at_close_fails_the_drain(
+        tmp_path, monkeypatch, capsys):
+    root = tmp_path / "cache"
+    _commit_twin(root)
+    writes = _writes(3)
+    keys = _write_keys(writes)
+    store = ResultStore(root)
+
+    async def go():
+        service = SweepService(_config(), store=store)
+        responses, _ = await _write_on_a_full_disk(
+            service, monkeypatch, writes)
+        await _drained(service)
+        return service, responses
+
+    service, [response] = asyncio.run(go())
+    monkeypatch.undo()
+    assert response["sourcing"]["derived"] == 3
+    assert isinstance(service.drain_error, OSError)
+    err = capsys.readouterr().err
+    assert "drain failed: OSError: [Errno 28] No space left on device" in err
+    # The journal was never truncated: the next open restores every entry.
+    assert len(store._wal_path.read_text().splitlines()) == 3
+    _kill(store)
+    recovered = ResultStore(root)
+    assert recovered.replayed == 3
+    assert all(recovered.load_entry(key) is not None for key in keys)
+
+
+def test_placements_wait_while_a_request_is_mid_dispatch(tmp_path):
+    root = tmp_path / "cache"
+    _commit_twin(root)
+
+    async def go():
+        service = SweepService(_config(cache_dir=root))
+        await service.start()
+        release = asyncio.Event()
+        execute = service.executor.execute
+
+        async def held(point):
+            await release.wait()
+            return await execute(point)
+
+        service.executor.execute = held
+        hog = asyncio.create_task(_request(service.port, {
+            "op": "sweep", "client": "hog", "points": [_wire_point(8)]}))
+        while not service._busy:
+            await asyncio.sleep(0.01)
+        response = await _request(service.port, {
+            "op": "sweep", "client": "t", "points": _writes(6)})
+        for _ in range(50):                           # turns for a placer
+            await asyncio.sleep(0)
+        waiting = service.store.unplaced
+        release.set()
+        await asyncio.wait_for(hog, timeout=60)
+        while service.store.unplaced:                 # idle: it places
+            await asyncio.sleep(0.01)
+        await _drained(service)
+        return response, waiting
+
+    response, waiting = asyncio.run(asyncio.wait_for(go(), timeout=120))
+    assert response["sourcing"]["derived"] == 6
+    assert waiting == 6
+    assert len(ResultStore(root)) == 8

@@ -38,10 +38,12 @@ FAST_POINTS = [
 ]
 
 
-def _start_server(*extra_args, timeout=60.0):
-    """Spawn ``repro-experiments serve`` and wait for its ready line."""
+def _start_server(*extra_args, timeout=60.0,
+                  command=("-m", "repro.experiments.cli", "serve")):
+    """Spawn ``repro-experiments serve`` (or ``command``, given the same
+    arguments) and wait for its ready line."""
     proc = subprocess.Popen(
-        [sys.executable, "-u", "-m", "repro.experiments.cli", "serve",
+        [sys.executable, "-u", *command,
          "--port", "0", "--warmup", "0", *map(str, extra_args)],
         cwd=REPO, env=ENV, text=True,
         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
@@ -205,6 +207,93 @@ def test_sigkilled_server_loses_no_committed_entries(tmp_path):
     finally:
         rc, stderr = _finish(proc, signal.SIGTERM)
         assert rc == 0 and "drained: journal flushed" in stderr
+
+
+# ----------------------------------------------------------------------
+# SIGKILL after a write is answered, before its point files are placed
+# ----------------------------------------------------------------------
+#: ``serve`` with point-file placement held back, as if a request were
+#: mid-dispatch for as long as the process lives.
+HELD_PLACEMENTS = textwrap.dedent("""
+    import sys
+    from repro.runner.store import ResultStore
+    from repro.service import server
+
+    ResultStore.place = lambda self, limit=None: None
+    sys.exit(server.main(sys.argv[1:]))
+""")
+
+#: Weak-scaling and dataset variants of lenet b16 g2 P2P: each derives
+#: from that one strong twin.
+DERIVED_POINTS = [
+    {"network": "lenet", "batch_size": 16, "num_gpus": 2,
+     "comm_method": "p2p", "scaling": "weak", "dataset_images": images}
+    for images in (1000, 2000, 3000, 4000)
+] + [
+    {"network": "lenet", "batch_size": 16, "num_gpus": 2,
+     "comm_method": "p2p", "dataset_images": images}
+    for images in (5000, 6000)
+]
+
+
+def test_an_answered_write_survives_a_sigkill_before_placement(tmp_path):
+    from repro.core.config import SimulationConfig
+    from repro.core.constants import CALIBRATION
+    from repro.runner import ResultStore, SweepRunner
+    from repro.runner.fingerprint import point_fingerprint
+    from repro.runner.runner import derive_value
+    from repro.service.protocol import point_from_dict
+
+    cache = tmp_path / "cache"
+    sim = SimulationConfig(warmup_iterations=0, measure_iterations=2)
+    twin = point_from_dict({"network": "lenet", "batch_size": 16,
+                            "num_gpus": 2, "comm_method": "p2p"})
+    twin_value = SweepRunner(sim=sim).run_point(twin)
+    seeded = ResultStore(cache)
+    seeded.store(point_fingerprint(twin, sim, CALIBRATION), twin_value,
+                 elapsed=0.5)
+    seeded.close()
+
+    proc, port = _start_server("--cache-dir", cache, "--jobs", "1",
+                               "--iterations", "2",
+                               command=("-c", HELD_PLACEMENTS))
+    with ServiceClient("127.0.0.1", port) as c:
+        written = c.sweep(DERIVED_POINTS, client="writer")
+        workers = c.stats()["stats"]["workers"]
+    assert written["status"] == "ok"
+    assert written["sourcing"]["derived"] == len(DERIVED_POINTS)
+    _finish(proc, signal.SIGKILL, timeout=15, read_stderr=False)
+    for pid in workers:
+        with contextlib.suppress(OSError):
+            os.kill(pid, signal.SIGKILL)
+
+    # Answered, journaled, and not one point file placed.
+    points = [point_from_dict(p) for p in DERIVED_POINTS]
+    keys = [point_fingerprint(p, sim, CALIBRATION) for p in points]
+    assert not any(list(cache.glob(f"shard-*/{key}.json")) for key in keys)
+    [wal] = cache.glob("journal/wal-*.jsonl")
+    assert len(wal.read_text().splitlines()) == len(keys)
+
+    recovered = ResultStore(cache)
+    assert recovered.replayed == len(keys)
+    reference = ResultStore(tmp_path / "reference")
+    for point, key in zip(points, keys):
+        reference.store(key, derive_value(twin_value, point.config),
+                        elapsed=0.5)
+        assert (recovered.path_for(key).read_bytes()
+                == reference.path_for(key).read_bytes())
+
+    proc, port = _start_server("--cache-dir", cache, "--jobs", "1",
+                               "--iterations", "2")
+    try:
+        with ServiceClient("127.0.0.1", port) as c:
+            replay = c.sweep(DERIVED_POINTS, client="reader")
+        assert replay["results"] == written["results"]
+        assert replay["sourcing"]["disk_hits"] == len(DERIVED_POINTS)
+    finally:
+        rc, _ = _finish(proc, signal.SIGTERM)
+        assert rc == 0
+    assert not list(cache.glob("journal/wal-*.jsonl"))
 
 
 # ----------------------------------------------------------------------
