@@ -11,6 +11,7 @@ The resulting :class:`NetworkStats` feeds three consumers:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -172,7 +173,16 @@ class NetworkStats:
         return sum(1 for l in self.layers if l.is_weighted)
 
     def arrays_of_layer(self, layer_name: str) -> Tuple[WeightArray, ...]:
-        return tuple(w for w in self.weight_arrays if w.layer == layer_name)
+        """The weight arrays ``layer_name`` owns, in KVStore-key order."""
+        return self._arrays_by_layer.get(layer_name, ())
+
+    @functools.cached_property
+    def _arrays_by_layer(self) -> Dict[str, Tuple[WeightArray, ...]]:
+        """:meth:`arrays_of_layer` for every layer, grouped once."""
+        by_layer: Dict[str, List[WeightArray]] = {}
+        for w in self.weight_arrays:
+            by_layer.setdefault(w.layer, []).append(w)
+        return {layer: tuple(ws) for layer, ws in by_layer.items()}
 
 
 def compile_network(network: Network, input_shape: Shape) -> NetworkStats:

@@ -14,7 +14,7 @@ from typing import Generator, Optional
 
 from repro.obs.events import EngineWaitEvent
 from repro.sim import Environment, Resource
-from repro.sim.events import Event
+from repro.sim.events import Event, Timeout
 from repro.gpu.kernel import KernelSpec
 from repro.gpu.spec import TESLA_V100, GpuSpec
 from repro.topology.nodes import GpuNode
@@ -49,6 +49,8 @@ class GpuDevice:
                 raise ValueError("speed_factor must be positive")
         self.env = env
         self.node = node
+        #: The device index (``node.index``), read on every kernel.
+        self.index = node.index
         self.spec = spec
         self.profiler = profiler
         # Queueing delay behind earlier kernels goes to the metrics bridge
@@ -59,19 +61,16 @@ class GpuDevice:
         self.engine = Resource(env, capacity=1)
         self.busy_time = 0.0
 
-    @property
-    def index(self) -> int:
-        return self.node.index
-
     def run_kernel(self, kernel: KernelSpec) -> Generator[Event, None, None]:
         """Process: execute one kernel on this GPU's SM array."""
         env = self.env
+        engine = self.engine
         # An idle engine is held at once, with no wait; a busy one
         # queues FIFO.
         issued = start = env.now
-        req = self.engine.request_now()
+        req = engine.request_now()
         if req is None:
-            req = self.engine.request()
+            req = engine.request()
             yield req
             start = env.now
         if self.slowdown is not None:
@@ -81,16 +80,17 @@ class GpuDevice:
         if self.ecc is not None:
             duration += self.ecc.delay(kernel)
         try:
-            yield env.timeout(duration)
+            yield Timeout(env, duration)
         finally:
             end = env.now
             self.busy_time += end - start
-            self.engine.release(req)
-            if self.profiler is not None:
-                self.profiler.record_kernel(self.index, kernel, start, end)
+            engine.release(req)
+            profiler = self.profiler
+            if profiler is not None:
+                profiler.record_kernel(self.index, kernel, start, end)
                 if (start > issued and self._wants is not None
                         and self._wants(EngineWaitEvent)):
-                    self.profiler.publish(EngineWaitEvent(
+                    profiler.publish(EngineWaitEvent(
                         gpu=self.index, kernel=kernel.name,
                         wait=start - issued, at=start,
                     ))

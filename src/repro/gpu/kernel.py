@@ -54,12 +54,6 @@ class KernelCostModel:
     # ------------------------------------------------------------------
     # Primitive cost
     # ------------------------------------------------------------------
-    def _saturating(self, work: float, half_saturation: float) -> float:
-        """Achieved fraction of peak for a kernel of ``work`` size."""
-        if work <= 0:
-            return 1.0
-        return work / (work + half_saturation)
-
     @staticmethod
     def _service_time(work: float, peak: float, half_saturation: float) -> float:
         """Time for ``work`` at a saturating achieved rate.

@@ -18,7 +18,9 @@ is what lets the trainer stop after one measured iteration
 (docs/PERF.md, "Exact periodicity").  The origin never leaves this
 module: :attr:`Environment.now`, :meth:`Environment.peek`,
 ``run(until=...)``, the observer callback and the ``sim.event``
-checkpoint all speak seconds since start.
+checkpoint all speak seconds since start.  ``now`` is a plain attribute
+set to ``_now - ORIGIN`` whenever the clock moves (once per instant),
+since kernels, DMAs and collectives read it several times per event.
 
 The event loop is also the proof of ``temporal.event-monotone``: it
 refuses to advance the clock to a heap entry below it, and FIFO entries
@@ -53,11 +55,13 @@ class Environment:
     """Owns simulated time and executes events in timestamp order.
 
     Ties are broken by insertion order, which makes every run fully
-    deterministic.
+    deterministic.  :attr:`now` is the current simulated time in seconds
+    since start (exact); read it, never assign it.
     """
 
     def __init__(self, initial_time: float = 0.0) -> None:
         self._now = ORIGIN + initial_time
+        self.now = self._now - ORIGIN
         self._eid = 0
         # Events at later instants, as (absolute time, eid, event).
         self._queue: List[Tuple[float, int, Event]] = []
@@ -95,11 +99,6 @@ class Environment:
             raise SimulationError(f"observer interval must be >= 1, got {every}")
         self._observer = observer
         self._observer_every = every
-
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds since start (exact)."""
-        return self._now - ORIGIN
 
     def quiescent(self) -> bool:
         """Whether replaying from here is translation-invariant.
@@ -175,6 +174,7 @@ class Environment:
         self._dispatch(None, deadline)
         if deadline != float("inf"):
             self._now = deadline
+            self.now = deadline - ORIGIN
         return None
 
     def _run_until_event(self, until: Event) -> Any:
@@ -242,6 +242,7 @@ class Environment:
                                          now=now - ORIGIN)
                         raise SimulationError("event scheduled in the past")
                     self._now = now = when
+                    self.now = when - ORIGIN
                     while queue and queue[0][0] == when:
                         append(pop(queue)[2])
                 event = popleft()
@@ -249,7 +250,8 @@ class Environment:
                     opening.setdefault(EVENT_MONOTONE, [0, 0])
                     opening = None
                 self._dispatched += 1
-                callbacks, event.callbacks = event.callbacks, []
+                callbacks = event.callbacks
+                event.callbacks = None
                 event._processed = True
                 for callback in callbacks:
                     callback(event)

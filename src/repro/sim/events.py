@@ -11,6 +11,17 @@ allocated objects, and a slotted event is smaller and faster to touch.
 Code that needs per-event bookkeeping keeps it beside the event (a dict
 keyed by the event), not on it.
 
+A processed event keeps its outcome and its ``_processed`` mark but
+drops its callback list (``callbacks`` becomes ``None``), so a waiter
+that skips the processed check fails loudly rather than hanging.
+:class:`Process` (a zero-delay *poke*) and :class:`AllOf` check first.
+
+Hot paths -- a process's start event, a resource's requests, a kernel's
+or a DMA's timeout -- build their events directly (``Event.__new__``
+plus the slot stores, or ``Timeout(env, delay)``), so no ``__init__``
+chain runs per event; each queues its event where the public factory
+would, so the dispatch order is unchanged.
+
 Two ways to run sub-work from a process generator:
 
 * ``yield from sub(...)`` runs ``sub`` inline on the caller's own
@@ -142,10 +153,12 @@ class Process(Event):
         self._processed = False
         self._generator = generator
         # Kick the process off at the current simulation time.
-        init = Event(env)
-        init._ok = True
+        init = Event.__new__(Event)
+        init.env = env
+        init.callbacks = [self._resume]
         init._value = None
-        init.callbacks.append(self._resume)
+        init._ok = True
+        init._processed = False
         env._fifo.append(init)
 
     def _resume(self, trigger: Event) -> None:
@@ -194,20 +207,22 @@ class AllOf(Event):
                 raise SimulationError("condition spans two environments")
         for event in self._events:
             if event._processed:
-                if not event.ok and not self.triggered:
-                    self.fail(event.value)
+                if not event._ok and not self.triggered:
+                    self.fail(event._value)
             else:
                 self._pending += 1
                 event.callbacks.append(self._on_event)
         if not self.triggered and self._pending == 0:
-            self.succeed([e.value for e in self._events])
+            self.succeed([e._value for e in self._events])
 
     def _on_event(self, event: Event) -> None:
-        if self.triggered:
+        # Called on a dispatched constituent: its outcome is set, so the
+        # fields are read directly rather than through the properties.
+        if self._value is not _PENDING:
             return
-        if not event.ok:
-            self.fail(event.value)
+        if not event._ok:
+            self.fail(event._value)
             return
         self._pending -= 1
         if self._pending == 0:
-            self.succeed([e.value for e in self._events])
+            self.succeed([e._value for e in self._events])

@@ -12,20 +12,16 @@ from collections import deque
 from typing import Any, Deque, Generator, List, Optional, TYPE_CHECKING
 
 from repro.core.errors import SimulationError
-from repro.sim.events import Event
+from repro.sim.events import _PENDING, Event, Timeout
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Environment
 
 
 class Request(Event):
-    """A pending claim on a :class:`Resource` slot."""
+    """A claim on a :class:`Resource` slot (built by the resource)."""
 
     __slots__ = ("resource",)
-
-    def __init__(self, env: "Environment", resource: "Resource") -> None:
-        super().__init__(env)
-        self.resource = resource
 
 
 class Resource:
@@ -64,11 +60,20 @@ class Resource:
 
     def request(self) -> Request:
         """Claim a slot; the returned event fires once the slot is granted."""
-        req = Request(self.env, self)
+        req = Request.__new__(Request)
+        req.env = env = self.env
+        req.resource = self
+        req.callbacks = []
+        req._processed = False
         if len(self._users) < self.capacity:
+            # Granted: triggered now, as ``succeed()`` would.
+            req._value = None
+            req._ok = True
             self._users.append(req)
-            req.succeed()
+            env._fifo.append(req)
         else:
+            req._value = _PENDING
+            req._ok = None
             self._waiting.append(req)
         return req
 
@@ -82,9 +87,12 @@ class Resource:
         """
         if len(self._users) >= self.capacity:
             return None
-        req = Request(self.env, self)
-        req._ok = True
+        req = Request.__new__(Request)
+        req.env = self.env
+        req.resource = self
+        req.callbacks = None
         req._value = None
+        req._ok = True
         req._processed = True
         self._users.append(req)
         return req
@@ -105,7 +113,7 @@ class Resource:
         req = self.request()
         yield req
         try:
-            yield self.env.timeout(delay)
+            yield Timeout(self.env, delay)
         finally:
             self.release(req)
 

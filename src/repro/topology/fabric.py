@@ -18,7 +18,7 @@ from repro.obs.events import LinkBusyEvent, LinkWaitEvent
 from repro.perf.spans import PERF
 from repro.sim import Environment, Resource
 from repro.sim.resources import Store
-from repro.sim.events import Event
+from repro.sim.events import Event, Timeout
 from repro.topology.links import Link
 from repro.topology.nodes import Node
 from repro.topology.routing import Leg, Route
@@ -57,6 +57,10 @@ class Fabric:
         # while checks are active (feeds temporal.link-serialization).
         self._busy_until: Dict[DirectedKey, float] = {}
         self._channels: Dict[DirectedKey, Resource] = {}
+        # Per leg (keyed by identity; the entry holds the leg, so the id
+        # stays its own): each hop's (link, source, channel), the leg's
+        # latency and its bandwidth, worked out on the leg's first DMA.
+        self._legs: Dict[int, tuple] = {}
         for link in topology.links:
             self._channels[(link.name, link.a.name)] = Resource(env)
             self._channels[(link.name, link.b.name)] = Resource(env)
@@ -86,26 +90,27 @@ class Fabric:
         if PERF.enabled:
             PERF.count("fabric.dmas")
             PERF.count("fabric.bytes", nbytes)
-        requested = self.env.now
+        env = self.env
+        plan = self._legs.get(id(leg))
+        if plan is None:
+            plan = self._legs[id(leg)] = self._plan_leg(leg)
+        _, hops, latency, bandwidth = plan
+        requested = env.now
         requests = []
-        current = leg.src
-        for link in leg.links:
-            requests.append((link, current, self.channel(link, current).request()))
-            current = link.other(current)
-        for _, _, req in requests:
+        for _, _, channel in hops:
+            requests.append(channel.request())
+        for req in requests:
             yield req
-        granted = self.env.now
+        granted = env.now
         wait = granted - requested
-        latency = leg.latency(self.constants)
-        bandwidth = leg.bandwidth(self.constants)
         wire_time = latency + nbytes / bandwidth
         try:
-            yield self.env.timeout(wire_time)
+            yield Timeout(env, wire_time)
         finally:
-            end = self.env.now
+            end = env.now
             if self.checks is not None:
                 windows = []
-                for link, src, _ in requests:
+                for link, src, _ in hops:
                     key = (link.name, src.name)
                     prev = self._busy_until.get(key)
                     if prev is not None:
@@ -126,11 +131,11 @@ class Fabric:
             want_wait = (observer is not None and wait > 0
                          and observer.wants(LinkWaitEvent))
             want_busy = observer is not None and observer.wants(LinkBusyEvent)
-            for link, src, req in requests:
+            for (link, src, channel), req in zip(hops, requests):
                 self.bytes_moved[link.name] += nbytes
                 self.busy_time[link.name] += wire_time
                 self.wait_time[link.name] += wait
-                req.resource.release(req)
+                channel.release(req)
                 if want_wait:
                     observer.publish(LinkWaitEvent(
                         link=link.name, src=src.name,
@@ -144,6 +149,16 @@ class Fabric:
                         link_type=link.link_type.value, nbytes=nbytes,
                         start=granted, end=end,
                     ))
+
+    def _plan_leg(self, leg: Leg) -> tuple:
+        """``(leg, hops, latency, bandwidth)`` for :meth:`dma`."""
+        hops = []
+        current = leg.src
+        for link in leg.links:
+            hops.append((link, current, self.channel(link, current)))
+            current = link.other(current)
+        return (leg, tuple(hops), leg.latency(self.constants),
+                leg.bandwidth(self.constants))
 
     def transfer(self, route: Route, nbytes: int) -> Generator[Event, None, float]:
         """Process: move ``nbytes`` along a full route, store-and-forward.

@@ -75,9 +75,6 @@ class Route:
             return float("inf")
         return min(leg.bandwidth(constants) for leg in self.legs)
 
-    def total_latency(self, constants: CalibrationConstants) -> float:
-        return sum(leg.latency(constants) for leg in self.legs)
-
     def serialized_time(self, nbytes: int, constants: CalibrationConstants) -> float:
         """Uncontended store-and-forward time for ``nbytes``.
 

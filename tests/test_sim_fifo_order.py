@@ -5,10 +5,18 @@ instant in a FIFO beside its heap.  :class:`HeapEnvironment` below is the
 reference it must agree with: every pending event on one ``(time, eid)``
 heap, popped one at a time.  Hypothesis generates random programs --
 zero, sub-ulp and positive delays, capacity-1 and capacity-2 resources
-claimed through ``request`` and ``request_now``, ``AllOf``, nested
-joins, events triggered and failed from callbacks, ``run(until=event)``
-and ``run(until=deadline)`` -- and runs each on both.  The dispatch trace, the ``dispatched`` count and the
-observer's ``(now, depth)`` samples must be identical.
+claimed through ``request`` and ``request_now``, :class:`Store` puts and
+blocking gets, ``AllOf`` over fresh timeouts and over shared events that
+may already have been processed, waits on processed events (the poke
+path), nested joins, events triggered and failed from callbacks,
+``run(until=event)`` and ``run(until=deadline)`` -- and runs each on
+both.  The dispatch trace, the ``dispatched`` count and the observer's
+``(now, depth)`` samples must be identical.
+
+The reference loop still replaces a processed event's callback list with
+a fresh ``[]`` where the engine drops it, so a waiter that reached a
+processed event without the processed check would show up as a
+difference (or an error) here.
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ from hypothesis import strategies as st
 from repro.core.errors import SimulationError
 from repro.sim import Environment, Resource
 from repro.sim.engine import ORIGIN
+from repro.sim.resources import Store
 
 
 class _DueNow:
@@ -60,6 +69,7 @@ class HeapEnvironment(Environment):
             if when < self._now:
                 raise SimulationError("event scheduled in the past")
             self._now = when
+            self.now = when - ORIGIN
             self._dispatched += 1
             callbacks, event.callbacks = event.callbacks, []
             event._processed = True
@@ -78,6 +88,7 @@ class HeapEnvironment(Environment):
 DELAYS = st.sampled_from([0.0, 1e-16, 0.25, 0.5, 1.0, 0.3])
 SHARED = 3  # shared events per program, triggered and awaited by ops
 RES = st.integers(0, 1)  # resource 0 has capacity 1, resource 1 capacity 2
+STORES = st.integers(0, 1)  # two shared stores
 
 
 def _ops(children):
@@ -86,6 +97,10 @@ def _ops(children):
         st.tuples(st.just("hold"), RES, DELAYS),
         st.tuples(st.just("grab"), RES, DELAYS),
         st.tuples(st.just("all_of"), st.lists(DELAYS, max_size=3)),
+        st.tuples(st.just("all_shared"),
+                  st.lists(st.integers(0, SHARED - 1), max_size=3)),
+        st.tuples(st.just("put"), STORES),
+        st.tuples(st.just("get"), STORES),
         st.tuples(st.just("signal"), st.integers(0, SHARED - 1)),
         st.tuples(st.just("fail"), st.integers(0, SHARED - 1)),
         st.tuples(st.just("wait"), st.integers(0, SHARED - 1)),
@@ -116,6 +131,7 @@ def _execute(env_cls, initial_time, programs, driver, every):
     """Run one program on ``env_cls``; return everything observable."""
     env = env_cls(initial_time)
     resources = [Resource(env, capacity=1), Resource(env, capacity=2)]
+    stores = [Store(env), Store(env)]
     shared = [env.event() for _ in range(SHARED)]
     procs = []
     log = []
@@ -152,6 +168,12 @@ def _execute(env_cls, initial_time, programs, driver, every):
             return (yield from grab(resources[op[1]], op[2]))
         if kind == "all_of":
             return (yield env.all_of([env.timeout(d) for d in op[1]]))
+        if kind == "all_shared":
+            return (yield env.all_of([shared[k] for k in op[1]]))
+        if kind == "put":
+            return stores[op[1]].put(name)
+        if kind == "get":
+            return (yield stores[op[1]].get())
         if kind == "signal":
             if not shared[op[1]].triggered:
                 shared[op[1]].succeed(name)
@@ -203,7 +225,8 @@ def _execute(env_cls, initial_time, programs, driver, every):
     return {"log": log, "samples": samples, "dispatched": env.dispatched,
             "now": env.now, "quiescent": env.quiescent(),
             "held": [r.count for r in resources],
-            "waiting": [r.queue_length for r in resources]}
+            "waiting": [r.queue_length for r in resources],
+            "stored": [len(store) for store in stores]}
 
 
 @settings(max_examples=250, deadline=None)
