@@ -48,7 +48,7 @@ class LocalCommunicator(Communicator):
     # ------------------------------------------------------------------
     def sync_array(self, array: WeightArray) -> Generator[Event, None, None]:
         if self.num_gpus == 1:
-            yield self.env.process(self.server.run_kernel(self._update_kernel(array)))
+            yield from self.server.run_kernel(self._update_kernel(array))
             return
         # Phase 1: DtoH from every GPU (concurrent, contending on PCIe).
         pushes = [
@@ -59,8 +59,8 @@ class LocalCommunicator(Communicator):
         # Phase 2: sum N gradients and apply the optimizer on the host cores.
         reduce_bytes = array.nbytes * (self.num_gpus + 1)
         update_bytes = self.optimizer.memory_passes * array.nbytes
-        yield self.env.process(self._cpu.hold(
-            (reduce_bytes + update_bytes) / HOST_REDUCE_BANDWIDTH))
+        yield from self._cpu.hold(
+            (reduce_bytes + update_bytes) / HOST_REDUCE_BANDWIDTH)
         # Phase 3: HtoD back to every GPU.
         pulls = [
             self.env.process(self._host_copy(array, dev.index, to_host=False))
@@ -80,8 +80,8 @@ class LocalCommunicator(Communicator):
         nbytes = self._comm_bytes(array)
         if to_host:
             # DtoH rides the CPU->GPU route's links in reverse.
-            yield self.env.process(self.fabric.dma(leg.reversed(), nbytes))
+            yield from self.fabric.dma(leg.reversed(), nbytes)
             self._record_transfer("d2h", gpu, -1, nbytes, start, self.env.now)
         else:
-            yield self.env.process(self.fabric.dma(leg, nbytes))
+            yield from self.fabric.dma(leg, nbytes)
             self._record_transfer("h2d", -1, gpu, nbytes, start, self.env.now)

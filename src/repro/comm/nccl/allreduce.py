@@ -57,6 +57,7 @@ class NcclAllReduceCommunicator(NcclCommunicator):
             yield self.env.process(self.server.run_kernel(kernel))
             yield self.env.process(self.server.run_kernel(self._update_kernel(array)))
             return
+        # Joined, not inlined: inlining it moves answers (repro.sim.events).
         yield self.env.process(self._allreduce(array))
         # Every simulated GPU applies the identical update in parallel
         # (unsimulated cluster nodes run the same kernels on their own

@@ -343,9 +343,11 @@ class NcclCommunicator(Communicator):
     # Weight-update path
     # ------------------------------------------------------------------
     def sync_array(self, array: WeightArray) -> Generator[Event, None, None]:
+        # Joined processes: inlining the reduce or the update reorders
+        # same-instant GPU-engine grants and moves answers (sim.events).
         yield self.env.process(self._collective("reduce", array))
         yield self.env.process(self.server.run_kernel(self._update_kernel(array)))
-        yield self.env.process(self._collective("broadcast", array))
+        yield from self._collective("broadcast", array)
 
     def _collective_kernel(self, kind: str, array: WeightArray, duration: float):
         """The ReduceKernel/BroadcastKernel occupancy on one GPU.
@@ -398,8 +400,10 @@ class NcclCommunicator(Communicator):
         window.
         """
         queued = self.env.now
-        req = self._stream.request()
-        yield req
+        req = self._stream.request_now()
+        if req is None:
+            req = self._stream.request()
+            yield req
         start = self.env.now
         self._emit_stream_waits(start - queued, start)
         # Each GPU launches its cooperative kernel; the brief SM occupancy

@@ -28,6 +28,7 @@ for the model and its validity envelope.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Generator, List, Sequence, Tuple
 
@@ -158,6 +159,7 @@ def hierarchical_wire_total(
     return rs + inter + ag
 
 
+@functools.lru_cache(maxsize=1024)
 def hierarchical_schedule_total(
     nbytes: int,
     nodes: int,
@@ -168,7 +170,7 @@ def hierarchical_schedule_total(
 
     Independent of :func:`hierarchical_wire_total`'s closed form -- the
     conservation checker compares the two, so a schedule bug and an
-    algebra bug cannot hide each other:
+    algebra bug cannot hide each other (memoized):
 
     >>> hierarchical_schedule_total(800, 4) == hierarchical_wire_total(800, 4)
     True

@@ -39,6 +39,7 @@ keeps the calibrated paper figures byte-stable (see docs/COMM.md).
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -237,13 +238,17 @@ def ring_wire_total(collective: str, nbytes: int, size: int) -> int:
     if size < 2 or nbytes <= 0:
         return 0
     if collective == "allreduce":
-        return sum(
-            b
-            for hop in range(size)
-            for _, b in ring_hop_bytes("allreduce", nbytes, size, hop)
-        )
+        return _ring_allreduce_total(nbytes, size)
     # Root-bound stream: the payload crosses N-1 hops once.
     return (size - 1) * nbytes
+
+
+@functools.lru_cache(maxsize=1024)
+def _ring_allreduce_total(nbytes: int, size: int) -> int:
+    """The AllReduce schedule summed hop by hop: an enumeration, not the
+    closed form the conservation checker compares it with; memoized."""
+    return sum(b for hop in range(size)
+               for _, b in ring_hop_bytes("allreduce", nbytes, size, hop))
 
 
 def tree_hop_bytes(
@@ -272,6 +277,7 @@ def tree_hop_bytes(
     return out
 
 
+@functools.lru_cache(maxsize=1024)
 def tree_wire_total(collective: str, nbytes: int, num_edges: int) -> int:
-    """Total bytes all tree edges move for one collective."""
+    """Total bytes all tree edges move for one collective (memoized)."""
     return sum(b for _, _, b in tree_hop_bytes(collective, nbytes, num_edges))

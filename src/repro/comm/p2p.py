@@ -27,7 +27,7 @@ from repro.dnn.stats import WeightArray
 from repro.comm.base import Communicator
 from repro.perf.spans import PERF
 from repro.sim import Resource
-from repro.sim.events import Event, Process
+from repro.sim.events import Event
 from repro.topology.routing import Route, Router
 
 #: Chunk size for pipelining large arrays across tree stages (matches the
@@ -76,6 +76,8 @@ class P2PCommunicator(Communicator):
     """P2P direct-transfer weight synchronization (paper's "P2P")."""
 
     name = "p2p"
+    #: Arrays of at least this many elements take the sharded path.
+    bigarray_bound: float = BIGARRAY_BOUND_ELEMENTS
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
@@ -124,14 +126,14 @@ class P2PCommunicator(Communicator):
     def sync_array(self, array: WeightArray) -> Generator[Event, None, None]:
         if self.num_gpus == 1:
             # Single GPU: just the local SGD update.
-            yield self.env.process(self.server.run_kernel(self._update_kernel(array)))
+            yield from self.server.run_kernel(self._update_kernel(array))
             return
-        if array.numel >= BIGARRAY_BOUND_ELEMENTS:
-            yield self.env.process(self._sharded_sync(array))
+        if array.numel >= self.bigarray_bound:
+            yield from self._sharded_sync(array)
             return
-        yield self.env.process(self._tree_reduce(array))
-        yield self.env.process(self.server.run_kernel(self._update_kernel(array)))
-        yield self.env.process(self._tree_broadcast(array))
+        yield from self._tree_reduce(array)
+        yield from self.server.run_kernel(self._update_kernel(array))
+        yield from self._tree_broadcast(array)
 
     # ------------------------------------------------------------------
     # Sharded path (MXNet's big-array bound)
@@ -181,7 +183,7 @@ class P2PCommunicator(Communicator):
             flops=float(shard_numel * n_in),
             bytes_moved=shard_bytes * (n_in + 2),
         )
-        yield self.env.process(owner.run_kernel(accumulate))
+        yield from owner.run_kernel(accumulate)
         update = KernelSpec(
             name=f"{self.optimizer.name}_update.{array.name}.shard{owner_pos}",
             layer=array.layer,
@@ -194,7 +196,7 @@ class P2PCommunicator(Communicator):
             flops=self.optimizer.flops_per_param * shard_numel,
             bytes_moved=self.optimizer.memory_passes * shard_bytes,
         )
-        yield self.env.process(owner.run_kernel(update))
+        yield from owner.run_kernel(update)
         sends = [
             self.env.process(
                 self._shard_transfer(array, owner.index, self.devices[dst].index,
@@ -220,19 +222,17 @@ class P2PCommunicator(Communicator):
     def _tree_reduce(self, array: WeightArray) -> Generator[Event, None, None]:
         """Gradients flow up the binomial tree onto GPU0, chunk-pipelined."""
         chunks = _split_chunks(self._comm_bytes(array), P2P_CHUNK_BYTES)
-        # ready[gpu][c]: chunk c of the partial sum is complete on gpu.
-        ready: Dict[int, List[Event]] = {}
+        # ready[gpu][c]: chunk c of the partial sum is complete on gpu;
+        # None for a leaf, whose own gradient is already there.
+        ready: Dict[int, Optional[List[Event]]] = {}
         for dev in self.devices:
-            events = []
             n_children = len(self._children[dev.index])
-            for _ in chunks:
-                ev = self.env.event()
-                if n_children == 0:
-                    ev.succeed()  # leaf: own gradient is already there
-                else:
-                    self._pending_children[ev] = n_children
-                events.append(ev)
-            ready[dev.index] = events
+            if n_children:
+                ready[dev.index] = [self.env.event() for _ in chunks]
+                self._pending_children.update(
+                    dict.fromkeys(ready[dev.index], n_children))
+            else:
+                ready[dev.index] = None
 
         edge_processes = []
         for stage in self._reduce_stages:
@@ -252,7 +252,7 @@ class P2PCommunicator(Communicator):
         src: int,
         dst: int,
         chunks: List[int],
-        ready: Dict[int, List[Event]],
+        ready: Dict[int, Optional[List[Event]]],
         dst_device,
     ) -> Generator[Event, None, None]:
         """One tree edge: dispatch setup, pipelined chunks, add on parent."""
@@ -261,24 +261,23 @@ class P2PCommunicator(Communicator):
         env = self.env
         start = env.now
         for c, chunk_bytes in enumerate(chunks):
-            yield ready[src][c]
+            if ready[src] is not None:
+                yield ready[src][c]
             for leg in route.legs:
-                yield Process(env, self.fabric.dma(leg, chunk_bytes))
+                yield from self.fabric.dma(leg, chunk_bytes)
             self._chunk_arrived(ready[dst][c])
         self._record_transfer("p2p", src, dst, sum(chunks), start, env.now)
         # Accumulate on the parent's compute engine (contends with BP).
-        yield self.env.process(
-            dst_device.run_kernel(self._add_kernel(array, f"g{src}->g{dst}"))
-        )
+        yield from dst_device.run_kernel(
+            self._add_kernel(array, f"g{src}->g{dst}"))
 
     def _chunk_arrived(self, event: Event) -> None:
         """Count down the per-chunk barrier on the receiving GPU."""
-        pending = self._pending_children.pop(event, 0)
-        if pending <= 1:
-            if not event.triggered:
-                event.succeed()
-        else:
+        pending = self._pending_children.pop(event)
+        if pending > 1:
             self._pending_children[event] = pending - 1
+        else:
+            event.succeed()
 
     # ------------------------------------------------------------------
     # Broadcast
@@ -286,15 +285,12 @@ class P2PCommunicator(Communicator):
     def _tree_broadcast(self, array: WeightArray) -> Generator[Event, None, None]:
         """Updated weights flow down the reversed tree, chunk-pipelined."""
         chunks = _split_chunks(self._comm_bytes(array), P2P_CHUNK_BYTES)
-        have: Dict[int, List[Event]] = {}
-        for dev in self.devices:
-            events = []
-            for _ in chunks:
-                ev = self.env.event()
-                if dev.index == self.server.index:
-                    ev.succeed()
-                events.append(ev)
-            have[dev.index] = events
+        # have[gpu][c]: chunk c of the weights is on gpu; None for the
+        # server, which holds them all.
+        have: Dict[int, Optional[List[Event]]] = {
+            dev.index: (None if dev.index == self.server.index
+                        else [self.env.event() for _ in chunks])
+            for dev in self.devices}
 
         edge_processes = []
         for stage in reversed(self._reduce_stages):
@@ -314,16 +310,16 @@ class P2PCommunicator(Communicator):
         src: int,
         dst: int,
         chunks: List[int],
-        have: Dict[int, List[Event]],
+        have: Dict[int, Optional[List[Event]]],
     ) -> Generator[Event, None, None]:
         route = self._route(src, dst)
         yield from self._dispatch[src].hold(self.constants.p2p_copy_setup)
         env = self.env
         start = env.now
         for c, chunk_bytes in enumerate(chunks):
-            yield have[src][c]
+            if have[src] is not None:
+                yield have[src][c]
             for leg in route.legs:
-                yield Process(env, self.fabric.dma(leg, chunk_bytes))
-            if not have[dst][c].triggered:
-                have[dst][c].succeed()
+                yield from self.fabric.dma(leg, chunk_bytes)
+            have[dst][c].succeed()
         self._record_transfer("p2p", src, dst, sum(chunks), start, env.now)

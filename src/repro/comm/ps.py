@@ -17,33 +17,21 @@ disabled (a parameter server keeps whole arrays on the server).
 
 from __future__ import annotations
 
-from typing import Generator, List, Tuple
+import math
+from typing import List, Tuple
 
 from repro.comm.p2p import P2PCommunicator
-from repro.dnn.stats import WeightArray
-from repro.sim.events import Event
 
 
 class PsGpuCommunicator(P2PCommunicator):
     """Flat-star parameter-server synchronization with a GPU0 server."""
 
     name = "ps-gpu"
+    # Whole arrays always aggregate on the server: no big-array sharding.
+    bigarray_bound = math.inf
 
     def _plan_stages(self, num_gpus: int) -> List[List[Tuple[int, int]]]:
         """One stage: every worker position sends straight to position 0."""
         if num_gpus <= 1:
             return []
         return [[(src, 0) for src in range(1, num_gpus)]]
-
-    def sync_array(self, array: WeightArray) -> Generator[Event, None, None]:
-        if self.num_gpus == 1:
-            # Single GPU: just the local optimizer update.
-            yield self.env.process(
-                self.server.run_kernel(self._update_kernel(array)))
-            return
-        # Whole arrays always aggregate on the server -- the BIGARRAY
-        # sharding of the tree schedule never applies.
-        yield self.env.process(self._tree_reduce(array))
-        yield self.env.process(
-            self.server.run_kernel(self._update_kernel(array)))
-        yield self.env.process(self._tree_broadcast(array))

@@ -1,10 +1,9 @@
 """The simulation environment: clock, event heap and same-instant FIFO.
 
 Pending events live in two places: an event due at the current instant
-(``succeed``, ``fail``, a zero-delay ``schedule``, a process start, a
-timeout too short to move the clock) waits in a FIFO and draws no
-insertion number; only a later one goes onto the heap as
-``(time, eid, event)``.  :meth:`Environment._dispatch` still runs them
+(``succeed``, ``fail``, a process start, a timeout too short to move
+the clock) waits in a FIFO and draws no insertion number; only a later
+one goes onto the heap as ``(time, eid, event)``.  :meth:`Environment._dispatch` still runs them
 in exactly ``(time, insertion)`` order (docs/PERF.md, "Same-instant
 events skip the heap").
 
@@ -144,21 +143,6 @@ class Environment:
     # ------------------------------------------------------------------
     # Scheduling and execution
     # ------------------------------------------------------------------
-    def schedule(self, event: Event, delay: float = 0.0) -> None:
-        """Queue a triggered event for processing at ``now + delay``.
-
-        An event at the current instant (also a delay too small to move
-        the clock) joins the FIFO; a later one goes onto the heap.
-        """
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        when = self._now + delay
-        if when == self._now:
-            self._fifo.append(event)
-        else:
-            self._eid += 1
-            heapq.heappush(self._queue, (when, self._eid, event))
-
     def run(self, until: Optional[float | Event] = None) -> Any:
         """Run until the queue drains, a deadline passes, or an event fires.
 

@@ -14,7 +14,9 @@ keyed by the event), not on it.
 A processed event keeps its outcome and its ``_processed`` mark but
 drops its callback list (``callbacks`` becomes ``None``), so a waiter
 that skips the processed check fails loudly rather than hanging.
-:class:`Process` (a zero-delay *poke*) and :class:`AllOf` check first.
+:class:`Process` and :class:`AllOf` check first; a process that yields a
+processed event gets its outcome back at once, in the same callback,
+with no event dispatched.
 
 Hot paths -- a process's start event, a resource's requests, a kernel's
 or a DMA's timeout -- build their events directly (``Event.__new__``
@@ -25,16 +27,23 @@ would, so the dispatch order is unchanged.
 Two ways to run sub-work from a process generator:
 
 * ``yield from sub(...)`` runs ``sub`` inline on the caller's own
-  stream -- no extra :class:`Process`, no start or join event.  Use it
-  for sequential work that only the caller waits on, such as one GPU's
-  FP/BP kernel chain.
+  stream -- no extra :class:`Process`, no start or join event.  This is
+  the rule for work that only the caller waits on: one GPU's FP/BP
+  kernel chain, a DMA leg, a P2P tree edge's chunks and add kernel, the
+  parameter servers' steps.
 * ``yield env.process(sub(...))`` starts a process and joins it.  Its
   start and completion events take queue positions among other events
-  at the same simulated time, so keep it wherever the tie order among
-  same-time grants matters.  The communicators keep it: their
-  collective and accumulate kernels contend for GPU engines with BP
-  kernels, and inlining their joins reorders those same-time grants
-  and moves simulated answers.
+  at the same simulated time.  Keep it only where the sub-work's first
+  request can tie with a same-instant grant on a GPU engine: inlining
+  then moves that request ahead of the tie and changes which kernel
+  gets the engine.  NCCL's reduce and update joins and its AllReduce
+  join are such sites: inlining them moves 290 and 19 of perfbench's
+  2,939 answers (docs/PERF.md, "Only holds and real dependencies").
+  ``tools/answer_diff.py`` tells the two kinds apart: an inlined join
+  whose sub-work cannot tie moves no answer.
+
+Work that runs beside its caller (each GPU's tax kernel of a collective,
+the edges of a tree stage) needs its own process either way.
 """
 
 from __future__ import annotations
@@ -101,7 +110,7 @@ class Event:
             raise SimulationError("fail() requires an exception instance")
         self._ok = False
         self._value = exception
-        self.env.schedule(self)
+        self.env._fifo.append(self)
         return self
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -122,8 +131,7 @@ class Timeout(Event):
         self._value = value
         self._ok = True
         self._processed = False
-        # Environment.schedule, inlined: a delay too small to move the
-        # clock is due now.
+        # A delay too small to move the clock is due now.
         now = env._now
         when = now + delay
         if when == now:
@@ -162,31 +170,31 @@ class Process(Event):
         env._fifo.append(init)
 
     def _resume(self, trigger: Event) -> None:
-        try:
-            # A dispatched trigger always carries its outcome, so read the
-            # fields directly rather than through the checking properties.
-            if trigger._ok:
-                next_event = self._generator.send(trigger._value)
-            else:
-                next_event = self._generator.throw(trigger._value)
-        except StopIteration as stop:
-            self.succeed(stop.value)
-            return
-        if not isinstance(next_event, Event):
-            self.fail(SimulationError(f"process yielded non-event {next_event!r}"))
-            return
-        if next_event.env is not self.env:
-            self.fail(SimulationError("process yielded event from another environment"))
-            return
-        if next_event._processed:
-            # Already-processed event: resume immediately (zero delay).
-            poke = Event(self.env)
-            poke._ok = next_event._ok
-            poke._value = next_event._value
-            poke.callbacks.append(self._resume)
-            self.env.schedule(poke)
-        else:
-            next_event.callbacks.append(self._resume)
+        # A dispatched trigger always carries its outcome, so read the
+        # fields directly rather than through the checking properties.
+        ok, value = trigger._ok, trigger._value
+        generator = self._generator
+        while True:
+            try:
+                if ok:
+                    next_event = generator.send(value)
+                else:
+                    next_event = generator.throw(value)
+            except StopIteration as stop:
+                self.succeed(stop.value)
+                return
+            if not isinstance(next_event, Event):
+                self.fail(SimulationError(f"process yielded non-event {next_event!r}"))
+                return
+            if next_event.env is not self.env:
+                self.fail(SimulationError(
+                    "process yielded event from another environment"))
+                return
+            if not next_event._processed:
+                next_event.callbacks.append(self._resume)
+                return
+            # Already processed: its outcome goes straight back in.
+            ok, value = next_event._ok, next_event._value
 
 
 class AllOf(Event):

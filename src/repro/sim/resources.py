@@ -109,9 +109,12 @@ class Resource:
             nxt.succeed()
 
     def hold(self, delay: float) -> Generator[Event, None, None]:
-        """Claim a slot, keep it for ``delay`` seconds, then release it."""
-        req = self.request()
-        yield req
+        """Claim a slot (a free one at once, with no grant event), keep
+        it for ``delay`` seconds, then release it."""
+        req = self.request_now()
+        if req is None:
+            req = self.request()
+            yield req
         try:
             yield Timeout(self.env, delay)
         finally:

@@ -96,10 +96,15 @@ class Fabric:
             plan = self._legs[id(leg)] = self._plan_leg(leg)
         _, hops, latency, bandwidth = plan
         requested = env.now
-        requests = []
+        # A free channel is held at once, with no grant event to wait on.
+        requests, waits = [], []
         for _, _, channel in hops:
-            requests.append(channel.request())
-        for req in requests:
+            req = channel.request_now()
+            if req is None:
+                req = channel.request()
+                waits.append(req)
+            requests.append(req)
+        for req in waits:
             yield req
         granted = env.now
         wait = granted - requested
@@ -169,7 +174,7 @@ class Fabric:
         """
         start = self.env.now
         for leg in route.legs:
-            yield self.env.process(self.dma(leg, nbytes))
+            yield from self.dma(leg, nbytes)
         return self.env.now - start
 
     def pipelined_transfer(
@@ -200,7 +205,7 @@ class Fabric:
             for size in chunks:
                 if leg_index > 0:
                     yield queues[leg_index - 1].get()
-                yield self.env.process(self.dma(leg, size))
+                yield from self.dma(leg, size)
                 if leg_index < len(queues):
                     queues[leg_index].put(size)
 

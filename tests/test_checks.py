@@ -444,7 +444,7 @@ def test_event_monotone_evaluates_every_dispatched_event():
 _STRICT_STATS = [
     ("structural.ring-permutation", (1, 0)),
     ("structural.ring-links", (1, 0)),
-    ("temporal.event-monotone", (1296, 0)),
+    ("temporal.event-monotone", (1206, 0)),
     ("capacity.link-bandwidth", (6, 0)),
     ("temporal.link-serialization", (6, 0)),
     ("conservation.collective-wire", (60, 0)),
@@ -464,7 +464,7 @@ _STRICT_STATS = [
 _STRICT_FAULTED_STATS = [
     ("structural.ring-permutation", (2, 0)),
     ("structural.ring-links", (2, 0)),
-    ("temporal.event-monotone", (5464, 0)),
+    ("temporal.event-monotone", (5160, 0)),
     ("capacity.link-bandwidth", (32, 0)),
     ("temporal.link-serialization", (32, 0)),
     ("conservation.collective-wire", (160, 0)),

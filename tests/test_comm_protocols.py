@@ -12,6 +12,7 @@ from repro.comm import NcclAllReduceCommunicator, NcclCommunicator, make_communi
 from repro.comm.nccl.protocol import (
     NcclAlgorithm,
     NcclProtocol,
+    _ring_allreduce_total,
     protocol_table,
     ring_collective_time,
     ring_hop_bytes,
@@ -152,6 +153,37 @@ def test_ring_and_tree_move_identical_totals(nbytes, size):
     ring = ring_wire_total("allreduce", nbytes, size)
     tree = tree_wire_total("allreduce", nbytes, size - 1)
     assert ring == tree == 2 * (size - 1) * nbytes
+
+
+@pytest.mark.parametrize("collective", ["allreduce", "reduce", "broadcast"])
+def test_memoized_schedule_totals_equal_the_enumeration(collective):
+    """The memoized sums answer what the unmemoized enumeration answers,
+    on a cold and on a warm memo, also for sizes that split unevenly."""
+    from repro.comm.nccl.hierarchical import (
+        hierarchical_schedule_total, hierarchical_wire_total)
+
+    for memoized in (_ring_allreduce_total, tree_wire_total,
+                     hierarchical_schedule_total):
+        memoized.cache_clear()
+    for size in range(2, 17):
+        for nbytes in (1, 7, 1001, 999_983):
+            # AllReduce: every hop's steps; a root-bound stream: its N-1
+            # step windows, one hop each.
+            hops = range(size) if collective == "allreduce" else [0]
+            ring = sum(b for hop in hops
+                       for _, b in ring_hop_bytes(collective, nbytes, size, hop))
+            tree = tree_wire_total.__wrapped__(collective, nbytes, size - 1)
+            for _ in range(2):
+                assert ring_wire_total(collective, nbytes, size) == ring
+                assert tree_wire_total(collective, nbytes, size - 1) == tree
+            if collective == "allreduce":
+                for inter in ("ring", "tree"):
+                    total = hierarchical_schedule_total.__wrapped__(
+                        nbytes, size, 3, inter)
+                    assert total == hierarchical_wire_total(nbytes, size, 3)
+                    for _ in range(2):
+                        assert hierarchical_schedule_total(
+                            nbytes, size, 3, inter) == total
 
 
 def test_ring_hop_schedule_each_step_moves_full_payload():

@@ -20,6 +20,13 @@ every communicator: P2P, NCCL (ring and tree), NCCL AllReduce, the CPU
 cluster AllReduce with a ring and a tree inter-node phase, event-level
 and analytic.
 
+Every point also pins the *set* of lines of that stream: the sha256 of
+its sorted lines without the ``QueueDepthEvent`` samples (the queue depth
+counts engine events, not modelled work).  An engine change that drops
+bookkeeping events (a join, a grant for a free slot, a resume poke) may
+reorder the stream's same-time lines and its depth samples, but every
+kernel, DMA, ring step and wait it records must stay, bit for bit.
+
 Every point also pins the raw dispatch sequence: the sha256 and length of
 the ``(now, queue depth)`` samples an ``every=1`` observer on each of its
 environments sees.  It catches what the stream cannot: an added, dropped
@@ -27,9 +34,12 @@ or moved event that publishes nothing, and a swap of same-time events
 that changes a queue depth.  An engine change that only trims host work
 must leave these digests as they are.
 
-Regenerate the answers only from a commit whose answers are the
-reference.  The pinned event count is kept; lower it by hand, on
-purpose, when a change removes events::
+Recording keeps every pinned answer, stream set and event count, and adds
+only those of new points, so record a new point from a commit whose
+answers are the reference.  It re-records the ordered streams and the
+dispatch digests, which a change that drops engine events moves.  Lower
+the pinned event count by hand, on purpose, when a change removes
+events::
 
     PYTHONPATH=src python tests/test_engine_agreement.py --record
 """
@@ -78,6 +88,9 @@ def _points():
     out.extend(grid_point("alexnet", 16, gpus, "nccl-allreduce")
                for gpus in (2, 8))
     out.append(grid_point("alexnet", 16, 8, "local"))
+    # Relayed, chunk-pipelined P2P legs, and a 4-GPU binomial tree.
+    out.append(grid_point("inception-v3", 16, 8, "p2p"))
+    out.append(grid_point("googlenet", 16, 4, "p2p"))
     out.append(("strategy/alexnet/b16/g4/ps-gpu", SweepPoint(
         config=TrainingConfig("alexnet", 16, 4, comm_method=CommMethodName.P2P,
                               strategy="ps-gpu"))))
@@ -116,13 +129,18 @@ def _simulate(point):
 
 
 def _stream(point):
-    """The sha256 and line count of one point's JSONL event stream."""
+    """The ordered stream's sha256 and line count, and its line set's."""
     obs = ObsSession()
     Trainer(point.config, obs=obs, **point.override_dict()).run()
     buf = io.StringIO()
     lines = obs.recorder.write(buf)
-    return {"sha256": hashlib.sha256(buf.getvalue().encode()).hexdigest(),
-            "lines": lines}
+    text = buf.getvalue()
+    modelled = sorted(line for line in text.splitlines()
+                      if json.loads(line)["type"] != "QueueDepthEvent")
+    stream_set = {"sha256": hashlib.sha256(
+        "\n".join(modelled).encode()).hexdigest(), "lines": len(modelled)}
+    return ({"sha256": hashlib.sha256(text.encode()).hexdigest(),
+             "lines": lines}, stream_set)
 
 
 def _dispatches(point):
@@ -156,6 +174,7 @@ def fixture():
 def test_fixture_covers_every_point(fixture):
     assert sorted(fixture["answers"]) == sorted(POINTS)
     assert sorted(fixture["streams"]) == sorted(POINTS)
+    assert sorted(fixture["stream_sets"]) == sorted(POINTS)
     assert sorted(fixture["dispatches"]) == sorted(POINTS)
 
 
@@ -167,7 +186,9 @@ def test_answers_are_unchanged(label, fixture):
 
 @pytest.mark.parametrize("label", sorted(POINTS))
 def test_event_streams_are_unchanged(label, fixture):
-    assert _stream(POINTS[label]) == fixture["streams"][label]
+    stream, stream_set = _stream(POINTS[label])
+    assert stream_set == fixture["stream_sets"][label]
+    assert stream == fixture["streams"][label]
 
 
 @pytest.mark.parametrize("label", sorted(POINTS))
@@ -182,18 +203,26 @@ def test_alexnet_8gpu_nccl_dispatches_fewer_events(fixture):
 
 
 def _record() -> None:
-    events = json.loads(FIXTURE.read_text())["events"] if FIXTURE.exists() else {}
-    answers, streams, dispatches = {}, {}, {}
+    old = json.loads(FIXTURE.read_text()) if FIXTURE.exists() else {}
+    # Pinned answers and stream sets are kept (for points still listed).
+    answers, stream_sets = (
+        {label: value for label, value in old.get(key, {}).items()
+         if label in POINTS}
+        for key in ("answers", "stream_sets"))
+    events = old.get("events", {})
+    streams, dispatches = {}, {}
     for label in sorted(POINTS):
-        answers[label], count = _simulate(POINTS[label])
-        streams[label] = _stream(POINTS[label])
+        answer, count = _simulate(POINTS[label])
+        answers.setdefault(label, answer)
+        streams[label], stream_set = _stream(POINTS[label])
+        stream_sets.setdefault(label, stream_set)
         dispatches[label] = _dispatches(POINTS[label])
         if label == EVENTS_LABEL:
             events.setdefault(label, count)
     FIXTURE.parent.mkdir(exist_ok=True)
     FIXTURE.write_text(json.dumps(
         {"answers": answers, "dispatches": dispatches, "events": events,
-         "streams": streams},
+         "stream_sets": stream_sets, "streams": streams},
         indent=1, sort_keys=True) + "\n")
     print(f"{len(answers)} points recorded -> {FIXTURE}")
 

@@ -7,8 +7,8 @@ heap, popped one at a time.  Hypothesis generates random programs --
 zero, sub-ulp and positive delays, capacity-1 and capacity-2 resources
 claimed through ``request`` and ``request_now``, :class:`Store` puts and
 blocking gets, ``AllOf`` over fresh timeouts and over shared events that
-may already have been processed, waits on processed events (the poke
-path), nested joins, events triggered and failed from callbacks,
+may already have been processed, waits on processed events (resumed in
+the same callback, with no event), nested joins, events triggered and failed from callbacks,
 ``run(until=event)`` and ``run(until=deadline)`` -- and runs each on
 both.  The dispatch trace, the ``dispatched`` count and the observer's
 ``(now, depth)`` samples must be identical.

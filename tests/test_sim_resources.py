@@ -51,8 +51,10 @@ def test_hold_matches_the_request_timeout_release_idiom():
         log.append((name, env.now))
 
     def by_hand(env, resource, name, delay, log):
-        req = resource.request()
-        yield req
+        req = resource.request_now()
+        if req is None:
+            req = resource.request()
+            yield req
         try:
             yield env.timeout(delay)
         finally:

@@ -259,5 +259,5 @@ def test_strategy_matrix_stays_under_its_event_and_dma_ceilings():
         PERF.disable()
         PERF.reset()
     assert len(result.rows) == 14
-    assert counters["sim.events"] <= 16001
+    assert counters["sim.events"] <= 11380
     assert counters["fabric.dmas"] <= 992
