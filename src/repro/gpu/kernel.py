@@ -15,7 +15,7 @@ almost linearly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.constants import CALIBRATION, CalibrationConstants
 from repro.dnn.stats import DTYPE_BYTES, CompiledLayer, NetworkStats
@@ -175,16 +175,32 @@ class KernelCostModel:
     # ------------------------------------------------------------------
     # Aggregates used for reporting
     # ------------------------------------------------------------------
-    def iteration_compute_time(self, stats: NetworkStats, batch: int) -> float:
-        """Serial FP+BP kernel time for one iteration (no comm, no sync)."""
-        total = sum(k.duration for k in self.forward_schedule(stats, batch))
-        for _, kernels in self.backward_schedule(stats, batch):
+    @staticmethod
+    def schedule_time(
+        fwd: Iterable[KernelSpec],
+        bwd: Iterable[Tuple[CompiledLayer, Iterable[KernelSpec]]],
+    ) -> float:
+        """Serial time of built FP and BP schedules: the FP sum first,
+        then one subtotal per backward layer."""
+        total = sum(k.duration for k in fwd)
+        for _, kernels in bwd:
             total += sum(k.duration for k in kernels)
         return total
 
-    def compute_utilization(self, stats: NetworkStats, batch: int) -> float:
-        """Achieved fraction of peak fp32+tensor throughput during FP+BP."""
-        busy = self.iteration_compute_time(stats, batch)
+    def iteration_compute_time(self, stats: NetworkStats, batch: int) -> float:
+        """Serial FP+BP kernel time for one iteration (no comm, no sync)."""
+        return self.schedule_time(self.forward_schedule(stats, batch),
+                                  self.backward_schedule(stats, batch))
+
+    def compute_utilization(self, stats: NetworkStats, batch: int,
+                            busy: Optional[float] = None) -> float:
+        """Achieved fraction of peak fp32+tensor throughput during FP+BP.
+
+        ``busy`` is :meth:`iteration_compute_time`, which a caller that
+        has built the schedules passes as their :meth:`schedule_time`.
+        """
+        if busy is None:
+            busy = self.iteration_compute_time(stats, batch)
         if busy <= 0:
             return 0.0
         flops = (

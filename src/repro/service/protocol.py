@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from repro.core.config import TrainingConfig
 from repro.core.errors import ConfigurationError, ReproError
@@ -239,6 +239,11 @@ def value_payload(label: str, value: Any) -> Dict[str, Any]:
     return payload
 
 
+def result_text(result: Dict[str, Any]) -> str:
+    """One per-point result object as :func:`encode_results` joins it."""
+    return json.dumps(result, sort_keys=True)
+
+
 def encode(message: Dict[str, Any]) -> bytes:
     """One response/request line (sorted keys: deterministic output)."""
     return (json.dumps(message, sort_keys=True) + "\n").encode("utf-8")
@@ -253,14 +258,19 @@ def error_response(status: str, reason: str = "", **extra: Any) -> Dict[str, Any
     return out
 
 
-def results_response(
-    results: List[Dict[str, Any]], sourcing: Dict[str, Any],
-) -> Dict[str, Any]:
-    """The ``ok`` response for a served sweep.
+def encode_results(texts: Sequence[str], sourcing: Dict[str, Any]) -> bytes:
+    """The ``ok`` response line for a served sweep, from its results' texts.
 
-    ``results`` is deterministic (see :func:`value_payload`);
-    ``sourcing`` carries the per-request service stats (executed /
-    disk hits / deduped / degraded / derived / seconds) that legitimately
+    ``texts`` holds each per-point result object already encoded by
+    :func:`result_text`; the line is exactly
+    ``encode({"status": "ok", "results": results, "sourcing": sourcing})``
+    (its keys sort as ``results``, ``sourcing``, ``status``), so a service
+    that keeps each point's text encodes only ``sourcing`` per response.
+    The results are deterministic (see :func:`value_payload`);
+    ``sourcing`` carries the per-request service stats (executed / disk
+    hits / deduped / degraded / derived / seconds) that legitimately
     differ between a cold and a warm run.
     """
-    return {"status": "ok", "results": results, "sourcing": sourcing}
+    return (f'{{"results": [{", ".join(texts)}], "sourcing": '
+            f'{json.dumps(sourcing, sort_keys=True)}, "status": "ok"}}\n'
+            ).encode("utf-8")

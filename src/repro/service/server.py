@@ -32,6 +32,7 @@ import argparse
 import asyncio
 import collections
 import contextlib
+import functools
 import pathlib
 import signal
 import sys
@@ -128,9 +129,9 @@ class _Tally:
     derived: int = 0
     sim_seconds: float = 0.0
     saved_seconds: float = 0.0
-    #: Derived points, ``(point, key, entry, payload)``, that the request
+    #: Derived points, ``(point, key, entry, text)``, that the request
     #: journals with one :meth:`ResultStore.commit` before it answers.
-    writes: List[Tuple[SweepPoint, str, CacheEntry, Dict[str, Any]]] = field(
+    writes: List[Tuple[SweepPoint, str, CacheEntry, str]] = field(
         default_factory=list)
 
     def sourcing(self) -> Dict[str, Any]:
@@ -171,13 +172,20 @@ class _Lru(collections.OrderedDict):
 _ABSENT = object()
 
 
+def _encoded(point: SweepPoint, value: Any) -> str:
+    """The encoded result of a simulated (or failed) ``point``."""
+    return protocol.result_text(protocol.value_payload(point.describe(), value))
+
+
 class SweepService:
     """One resilient sweep server (see the module docstring)."""
 
     #: The bound of each per-point memo: points whose store entries the
-    #: service keeps in memory, and the wire points and store keys it
-    #: remembers.  A decoded entry is ~4 KB and a parsed point or key
-    #: ~1 KB, so the three memos stay under ~7 MB when full.
+    #: service keeps in memory with their encoded results, the degraded
+    #: answers it has encoded, and the wire points and store keys it
+    #: remembers.  A decoded entry with its ~0.25 KB text is ~4 KB, a
+    #: degraded text ~0.5 KB and a parsed point or key ~1 KB, so the four
+    #: memos stay under ~7 MB when full.
     SERVED_POINTS = 1024
 
     def __init__(
@@ -216,12 +224,16 @@ class SweepService:
         )
         self.dedup = InflightRegistry()
         #: Store entries already served, by point, most recently used
-        #: last, each with its response payload.  A point's key hashes its
-        #: config with this service's fixed simulation settings, constants
-        #: and schema, and the entry under a key never changes, so a kept
-        #: entry cannot go stale.  Misses stay out: another process
-        #: sharing the store may commit them later.
+        #: last, each with its encoded result (:func:`protocol.result_text`).
+        #: A point's key hashes its config with this service's fixed
+        #: simulation settings, constants and schema, and the entry under a
+        #: key never changes, so a kept entry cannot go stale.  Misses stay
+        #: out: another process sharing the store may commit them later.
         self._served = _Lru(self.SERVED_POINTS)
+        #: Encoded analytic answers, by point.  The estimate depends only
+        #: on the point and this service's fixed constants, so it cannot
+        #: go stale; a point the model cannot answer is not kept.
+        self._degraded = _Lru(self.SERVED_POINTS)
         #: Wire points already parsed, by :func:`protocol.point_fields`.
         self._parsed = _Lru(self.SERVED_POINTS)
         #: Store keys already computed, by point.
@@ -357,7 +369,7 @@ class SweepService:
                     self._busy -= 1
                     if self._busy == 0:
                         self._idle.set()
-                writer.write(protocol.encode(response))
+                writer.write(response)
                 await writer.drain()
         except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
             pass
@@ -366,25 +378,29 @@ class SweepService:
             with contextlib.suppress(Exception, asyncio.CancelledError):
                 await writer.wait_closed()
 
-    async def _dispatch(self, line: str) -> Dict[str, Any]:
+    async def _dispatch(self, line: str) -> bytes:
+        """The response line to one request line."""
         try:
             data = protocol.parse_request(line)
         except protocol.ProtocolError as exc:
             self.metrics["requests"].labels(status="error").inc()
-            return protocol.error_response("error", error=str(exc))
+            return protocol.encode(protocol.error_response("error",
+                                                          error=str(exc)))
         op = data["op"]
         if op == "ping":
-            return {"status": "ok", "pong": True}
+            return protocol.encode({"status": "ok", "pong": True})
         if op == "stats":
-            return {"status": "ok", "stats": self.service_stats()}
+            return protocol.encode({"status": "ok",
+                                    "stats": self.service_stats()})
         if op == "drain":
             self.request_drain()
-            return {"status": "ok", "draining": True}
+            return protocol.encode({"status": "ok", "draining": True})
         try:
             request = protocol.parse_sweep(data, self._wire_point)
         except protocol.ProtocolError as exc:
             self.metrics["requests"].labels(status="error").inc()
-            return protocol.error_response("error", error=str(exc))
+            return protocol.encode(protocol.error_response("error",
+                                                          error=str(exc)))
         return await self._handle_sweep(request)
 
     def service_stats(self) -> Dict[str, Any]:
@@ -443,17 +459,27 @@ class SweepService:
 
     def _load_served(
         self, point: SweepPoint, key: Optional[str],
-    ) -> Optional[Tuple[CacheEntry, Dict[str, Any]]]:
-        """``point``'s store entry and payload, kept in ``_served``; ``None``
-        on a miss, which is not kept."""
+    ) -> Optional[Tuple[CacheEntry, str]]:
+        """``point``'s store entry and encoded result, kept in ``_served``;
+        ``None`` on a miss, which is not kept."""
         if self.store is None or key is None:
             return None
         entry = self.store.load_entry(key)
         if entry is None:
             return None
-        served = (entry, protocol.value_payload(point.describe(), entry.value))
+        served = (entry, _encoded(point, entry.value))
         self._served.keep(point, served)
         return served
+
+    # Labelled counter children every request touches, looked up once
+    # per service on first use (a child renders once it exists).
+    @functools.cached_property
+    def _ok_requests(self) -> Any:
+        return self.metrics["requests"].labels(status="ok")
+
+    @functools.cached_property
+    def _disk_points(self) -> Any:
+        return self.metrics["points"].labels(source="disk")
 
     # ------------------------------------------------------------------
     # Sweep serving
@@ -461,20 +487,20 @@ class SweepService:
     def _shed(
         self, request: protocol.SweepRequest, reason: str, status: str,
         started: float,
-    ) -> Dict[str, Any]:
-        """Account and build a non-``ok`` response."""
+    ) -> bytes:
+        """Account and encode a non-``ok`` response."""
         self.metrics["requests"].labels(status=status).inc()
         self.metrics["shed"].labels(reason=reason).inc()
-        self.bus.publish(ServiceRequestEvent(
-            client=request.client, status=status, points=len(request.points),
-            executed=0, disk_hits=0, deduped=0, degraded=0,
-            shed_reason=reason, elapsed=time.monotonic() - started,
-        ))
-        return protocol.error_response(status, reason=reason)
+        if self.bus.wants(ServiceRequestEvent):
+            self.bus.publish(ServiceRequestEvent(
+                client=request.client, status=status,
+                points=len(request.points), executed=0, disk_hits=0,
+                deduped=0, degraded=0, shed_reason=reason,
+                elapsed=time.monotonic() - started,
+            ))
+        return protocol.encode(protocol.error_response(status, reason=reason))
 
-    async def _handle_sweep(
-        self, request: protocol.SweepRequest,
-    ) -> Dict[str, Any]:
+    async def _handle_sweep(self, request: protocol.SweepRequest) -> bytes:
         started = time.monotonic()
         if self.draining:
             return self._shed(request, "draining", "rejected", started)
@@ -489,17 +515,17 @@ class SweepService:
 
     async def _serve_admitted(
         self, request: protocol.SweepRequest, started: float,
-    ) -> Dict[str, Any]:
+    ) -> bytes:
         cfg = self.config
         deadline_at = (
             started + request.deadline if request.deadline is not None else None
         )
         tally = _Tally()
-        results: List[Optional[Dict[str, Any]]] = [None] * len(request.points)
+        texts: List[str] = [""] * len(request.points)
 
         # Pass 1: committed results, from memory or the sharded store.
-        # A kept payload is shared by every response that serves it;
-        # responses are only encoded, never changed.
+        # A kept result is encoded once and joined into every response
+        # that serves it.
         misses: List[Tuple[int, SweepPoint, Optional[str]]] = []
         for index, point in enumerate(request.points):
             served = self._served.hit(point)
@@ -509,11 +535,11 @@ class SweepService:
                 if served is None:
                     misses.append((index, point, key))
                     continue
-            entry, results[index] = served
+            entry, texts[index] = served
             tally.disk_hits += 1
             tally.saved_seconds += entry.elapsed
         if tally.disk_hits:
-            self.metrics["points"].labels(source="disk").inc(tally.disk_hits)
+            self._disk_points.inc(tally.disk_hits)
 
         # Pass 2: budget classification.  Points beyond the simulation
         # budget degrade to the analytic fast path; if any of them
@@ -539,10 +565,9 @@ class SweepService:
                 and self.breaker.allow()
             )
             if may_simulate:
-                payload = await self._simulate_point(point, key, tally)
+                texts[index] = await self._simulate_point(point, key, tally)
             else:
-                payload = self._degrade_point(point, request, tally)
-            results[index] = payload
+                texts[index] = self._degrade_point(point, request, tally)
             self.metrics["queue_depth"].set(self.executor.inflight)
 
         await asyncio.gather(*(
@@ -559,42 +584,41 @@ class SweepService:
             self.store.commit([(key, entry.value, entry.elapsed, None)
                                for _, key, entry, _ in tally.writes])
             store_s = time.monotonic() - store_started
-            for point, _, entry, payload in tally.writes:
-                self._served.keep(point, (entry, payload))
+            for point, _, entry, text in tally.writes:
+                self._served.keep(point, (entry, text))
             self._start_placer()
-        self.metrics["requests"].labels(status="ok").inc()
+        self._ok_requests.inc()
         elapsed = time.monotonic() - started
         self.metrics["request_seconds"].observe(elapsed)
         self.metrics["saved_seconds"].inc(tally.saved_seconds)
-        self.bus.publish(ServiceRequestEvent(
-            client=request.client, status="ok", points=len(request.points),
-            executed=tally.executed, disk_hits=tally.disk_hits,
-            deduped=tally.deduped, degraded=tally.degraded,
-            shed_reason="", elapsed=elapsed, derived=tally.derived,
-            store_s=store_s,
-        ))
-        return protocol.results_response(
-            [r for r in results if r is not None], tally.sourcing())
+        if self.bus.wants(ServiceRequestEvent):
+            self.bus.publish(ServiceRequestEvent(
+                client=request.client, status="ok",
+                points=len(request.points), executed=tally.executed,
+                disk_hits=tally.disk_hits, deduped=tally.deduped,
+                degraded=tally.degraded, shed_reason="", elapsed=elapsed,
+                derived=tally.derived, store_s=store_s,
+            ))
+        return protocol.encode_results(texts, tally.sourcing())
 
     async def _simulate_point(
         self, point: SweepPoint, key: Optional[str], tally: _Tally,
-    ) -> Dict[str, Any]:
-        """Serve one cache miss: derive it from its steady-state twin,
-        else dedup onto in-flight work, else execute."""
-        label = point.describe()
+    ) -> str:
+        """Serve one cache miss, encoded: derive it from its steady-state
+        twin, else dedup onto in-flight work, else execute."""
         if key is None:
             value, elapsed, _stats = await self._execute(point)
             tally.executed += 1
             tally.sim_seconds += elapsed
             self.metrics["points"].labels(source="executed").inc()
-            return protocol.value_payload(label, value)
-        payload = await self._derive_point(point, key, tally)
-        if payload is not None:
-            return payload
+            return _encoded(point, value)
+        text = await self._derive_point(point, key, tally)
+        if text is not None:
+            return text
         try:
             value, elapsed, executed = await self._run_once(point, key)
         except (ConnectionResetError, BrokenProcessPool) as exc:
-            return protocol.value_payload(label, FailureInfo(
+            return _encoded(point, FailureInfo(
                 error_type=type(exc).__name__, message=str(exc),
                 attempts=1,
             ))
@@ -606,7 +630,7 @@ class SweepService:
             tally.deduped += 1
             tally.saved_seconds += elapsed
             self.metrics["points"].labels(source="dedup").inc()
-        return protocol.value_payload(label, value)
+        return _encoded(point, value)
 
     async def _run_once(
         self, point: SweepPoint, key: str,
@@ -634,8 +658,9 @@ class SweepService:
 
     async def _derive_point(
         self, point: SweepPoint, key: str, tally: _Tally,
-    ) -> Optional[Dict[str, Any]]:
-        """The point's payload from its twin, or ``None`` to run it itself.
+    ) -> Optional[str]:
+        """The point's encoded result from its twin, or ``None`` to run it
+        itself.
 
         The twin comes from the entries already served, the store,
         another request's in-flight execution of the same key, or from
@@ -671,11 +696,11 @@ class SweepService:
         # The entry load_entry would return once the commit is placed.
         entry = CacheEntry(value=value, elapsed=float(elapsed),
                            faults=fault_breakdown(value))
-        payload = protocol.value_payload(point.describe(), value)
-        tally.writes.append((point, key, entry, payload))
+        text = _encoded(point, value)
+        tally.writes.append((point, key, entry, text))
         tally.derived += 1
         self.metrics["points"].labels(source="derived").inc()
-        return payload
+        return text
 
     def _start_placer(self) -> None:
         """Run :meth:`_place_while_idle` unless it is running or failed."""
@@ -728,24 +753,27 @@ class SweepService:
 
     def _degrade_point(
         self, point: SweepPoint, request: protocol.SweepRequest, tally: _Tally,
-    ) -> Dict[str, Any]:
-        """Answer one shed point analytically (or record why not)."""
-        if request.degrade:
+    ) -> str:
+        """Answer one shed point analytically (or record why not), encoded;
+        an analytic answer is estimated and encoded once per point."""
+        if not request.degrade:
+            return _encoded(point, FailureInfo(
+                error_type="Shed",
+                message="load shed (degradation disabled by the request)",
+                attempts=0,
+            ))
+        text = self._degraded.hit(point)
+        if text is None:
             try:
                 payload = analytic_estimate(point, self.config.constants)
             except AnalyticUnsupported as exc:
-                payload = protocol.value_payload(
-                    point.describe(), FailureInfo(
-                        error_type="Shed", message=str(exc), attempts=0))
-            else:
-                tally.degraded += 1
-                self.metrics["points"].labels(source="degraded").inc()
-            return payload
-        return protocol.value_payload(point.describe(), FailureInfo(
-            error_type="Shed",
-            message="load shed (degradation disabled by the request)",
-            attempts=0,
-        ))
+                return _encoded(point, FailureInfo(
+                    error_type="Shed", message=str(exc), attempts=0))
+            text = protocol.result_text(payload)
+            self._degraded.keep(point, text)
+        tally.degraded += 1
+        self.metrics["points"].labels(source="degraded").inc()
+        return text
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -170,7 +170,8 @@ def _compile(network: Network, input_shape: Shape, batch: int, spec: GpuSpec,
             sum(k.duration for k in fwd)
             + sum(k.duration for _, ks in bwd for k in ks)
         ),
-        compute_utilization=cost_model.compute_utilization(stats, batch),
+        compute_utilization=cost_model.compute_utilization(
+            stats, batch, busy=cost_model.schedule_time(fwd, bwd)),
     )
 
 

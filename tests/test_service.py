@@ -14,6 +14,8 @@ import os
 import pathlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import CommMethodName, SimulationConfig, TrainingConfig
 from repro.core.constants import CALIBRATION
@@ -132,6 +134,30 @@ def test_value_payload_is_deterministic_and_sorted():
     line = protocol.encode(payload)
     assert line.endswith(b"\n")
     assert line == protocol.encode(json.loads(line))  # stable re-encode
+
+
+_NUMBERS = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                     st.integers(), st.booleans(), st.none())
+_PAYLOADS = st.fixed_dictionaries(
+    {"label": st.text(), "kind": st.sampled_from(
+        ("training", "async", "oom", "failed", "analytic")),
+     "degraded": st.booleans(), "iteration_time": _NUMBERS,
+     "epoch_time": _NUMBERS, "images_per_second": _NUMBERS},
+    optional={"staleness_mean": _NUMBERS, "message": st.text(),
+              "attempts": st.integers(min_value=0),
+              "floors": st.dictionaries(st.text(), _NUMBERS, max_size=4)})
+_SOURCING = st.fixed_dictionaries(
+    {name: st.integers(min_value=0)
+     for name in ("executed", "disk_hits", "deduped", "degraded", "derived")},
+    optional={"sim_seconds": _NUMBERS, "saved_seconds": _NUMBERS})
+
+
+@settings(max_examples=200, deadline=None)
+@given(payloads=st.lists(_PAYLOADS, max_size=8), sourcing=_SOURCING)
+def test_encode_results_joins_exactly_the_encoded_response(payloads, sourcing):
+    texts = [protocol.result_text(p) for p in payloads]
+    assert protocol.encode_results(texts, sourcing) == protocol.encode(
+        {"status": "ok", "results": payloads, "sourcing": sourcing})
 
 
 # ----------------------------------------------------------------------
@@ -926,6 +952,27 @@ def test_service_publishes_request_events_on_its_bus():
     assert shed.shed_reason == "draining"
 
 
+def test_unobserved_requests_build_no_event(monkeypatch):
+    built = []
+    monkeypatch.setattr(server_module, "ServiceRequestEvent",
+                        lambda **fields: built.append(fields))
+
+    async def go():
+        service = SweepService(_config())
+        ok = await service._dispatch(json.dumps({
+            "op": "sweep", "budget": 0, "points": [_wire_point(16)]}))
+        service.draining = True
+        shed = await service._dispatch(json.dumps({
+            "op": "sweep", "points": [_wire_point(16)]}))
+        return ok, shed, service.service_stats()
+
+    ok, shed, stats = asyncio.run(go())
+    assert json.loads(ok)["status"] == "ok"
+    assert json.loads(shed)["reason"] == "draining"
+    assert stats["admitted"] == 1 and stats["rejected"] == 1
+    assert built == []
+
+
 # ----------------------------------------------------------------------
 # The service's LRU of served store entries
 # ----------------------------------------------------------------------
@@ -988,6 +1035,74 @@ def test_repeated_warm_request_reads_neither_hash_nor_disk(
     sourcing = json.loads(second)["sourcing"]
     assert sourcing["disk_hits"] == 2 and sourcing["executed"] == 0
     assert sourcing["saved_seconds"] > 0
+
+
+def _count_encoding(monkeypatch):
+    """Count payloads built, analytic estimates and ``json.dumps`` calls."""
+    counts = {"value_payload": 0, "analytic_estimate": 0, "dumps": 0}
+    for owner, name in ((protocol, "value_payload"),
+                        (server_module, "analytic_estimate"),
+                        (json, "dumps")):
+        def counted(*args, _real=getattr(owner, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    return counts
+
+
+def test_repeated_reads_and_degrades_encode_only_their_sourcing(
+        tmp_path, monkeypatch):
+    root = tmp_path / "cache"
+    _commit(root, [_point(16), _point(32)], _stored_value())
+    lines = [json.dumps({"op": "sweep", "client": "t", "points": [
+                 _wire_point(16), _wire_point(32)]}),
+             json.dumps({"op": "sweep", "client": "t", "budget": 0,
+                         "points": [_wire_point(64), _wire_point(128)]})]
+
+    async def go():
+        service = SweepService(_config(cache_dir=root))
+        firsts = [await service._dispatch(line) for line in lines]
+        counts = _count_encoding(monkeypatch)
+        again = []
+        for line in lines:
+            before = dict(counts)
+            again.append(await service._dispatch(line))
+            again.append({k: counts[k] - before[k] for k in counts})
+        service.store.close()
+        return firsts, again
+
+    (warm, degraded), again = asyncio.run(go())
+    assert again == [warm, {"value_payload": 0, "analytic_estimate": 0,
+                            "dumps": 1},
+                     degraded, {"value_payload": 0, "analytic_estimate": 0,
+                                "dumps": 1}]
+    assert json.loads(warm)["sourcing"]["disk_hits"] == 2
+    assert json.loads(degraded)["sourcing"]["degraded"] == 2
+
+
+def test_degraded_memo_holds_the_bound_and_evicts_least_recently_used(
+        monkeypatch):
+    monkeypatch.setattr(SweepService, "SERVED_POINTS", 2)
+
+    def line(*batches):
+        return json.dumps({"op": "sweep", "client": "t", "budget": 0,
+                           "points": [_wire_point(b) for b in batches]})
+
+    async def go():
+        service = SweepService(_config())
+        first = await service._dispatch(line(8, 16))
+        await service._dispatch(line(8))        # 8 becomes most recently used
+        await service._dispatch(line(32))       # evicts 16
+        held = list(service._degraded)
+        counts = _count_encoding(monkeypatch)
+        again = await service._dispatch(line(8, 16))
+        return first, held, again, counts
+
+    first, held, again, counts = asyncio.run(go())
+    assert held == [_point(8), _point(32)]
+    # The evicted point is estimated again, to the same bytes.
+    assert again == first and counts["analytic_estimate"] == 1
 
 
 def test_a_miss_is_never_kept_in_memory(tmp_path):
@@ -1132,11 +1247,11 @@ def test_memoized_wire_points_are_still_validated():
 def test_memoized_wire_points_refuse_whole_requests():
     async def go():
         service = SweepService(_config())
-        ok = await service._dispatch(json.dumps({
-            "op": "sweep", "budget": 0, "points": [_wire_point(16)]}))
-        bad = [await service._dispatch(json.dumps({
+        ok = json.loads(await service._dispatch(json.dumps({
+            "op": "sweep", "budget": 0, "points": [_wire_point(16)]})))
+        bad = [json.loads(await service._dispatch(json.dumps({
             "op": "sweep", "budget": 0,
-            "points": [_wire_point(16), dict(_wire_point(16), **extra)]}))
+            "points": [_wire_point(16), dict(_wire_point(16), **extra)]})))
             for extra in ({"batch_size": True}, {"batch_size": 0},
                           {"batch_size": 0})]
         return ok, bad

@@ -445,6 +445,35 @@ def test_memoized_compile_equals_a_fresh_compile():
         monitor.sample(stats, 32, 2))
 
 
+def test_a_compile_builds_each_schedule_once(monkeypatch):
+    from repro.core.constants import CALIBRATION
+    from repro.dnn import build_network, network_input_shape
+    from repro.gpu import KernelCostModel
+    from repro.gpu.spec import TESLA_V100
+    from repro.train.trainer import _compile
+
+    builds = []
+    for name in ("forward_schedule", "backward_schedule"):
+        real = getattr(KernelCostModel, name)
+
+        def counted(self, *args, _real=real, _name=name):
+            builds.append(_name)
+            return _real(self, *args)
+
+        monkeypatch.setattr(KernelCostModel, name, counted)
+    for network in ("lenet", "googlenet", "lstm"):
+        for tensor_cores in (False, True):
+            del builds[:]
+            compiled = _compile(build_network(network),
+                                network_input_shape(network), 64, TESLA_V100,
+                                CALIBRATION, tensor_cores, "sgd")
+            assert sorted(builds) == ["backward_schedule", "forward_schedule"]
+            # Bit-identical to the utilization built from fresh schedules:
+            # it is serialized into stored results.
+            fresh = compiled.cost_model.compute_utilization(compiled.stats, 64)
+            assert compiled.compute_utilization.hex() == fresh.hex()
+
+
 def test_memoized_schedules_are_immutable_tuples():
     trainer = Trainer(TrainingConfig("lenet", 16, 2))
     assert isinstance(trainer._fwd, tuple)
