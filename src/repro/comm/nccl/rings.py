@@ -11,6 +11,8 @@ behaviour NCCL exhibits on non-NVLink boxes).
 
 from __future__ import annotations
 
+import functools
+
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -69,8 +71,9 @@ class RingPlan:
     channel_bandwidth: float         # bytes/s per channel
     uses_pcie: bool
 
-    @property
+    @functools.cached_property
     def size(self) -> int:
+        # Read on every collective.
         return len(self.order)
 
     @property

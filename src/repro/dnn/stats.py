@@ -56,8 +56,9 @@ class CompiledLayer:
     def output_bytes(self) -> int:
         return self.output_numel * DTYPE_BYTES
 
-    @property
+    @functools.cached_property
     def is_weighted(self) -> bool:
+        # Read per layer and GPU in every simulated iteration.
         return self.param_numel > 0
 
     @property
@@ -102,7 +103,9 @@ class NetworkStats:
     # ------------------------------------------------------------------
     # Aggregates
     # ------------------------------------------------------------------
-    @property
+    # The network-wide sums read on every memory-model call are taken
+    # once per compiled network.
+    @functools.cached_property
     def total_params(self) -> int:
         return sum(w.numel for w in self.weight_arrays)
 
@@ -128,7 +131,7 @@ class NetworkStats:
     def activation_bytes_per_sample(self) -> int:
         return self.activation_numel_per_sample * DTYPE_BYTES
 
-    @property
+    @functools.cached_property
     def materialized_activation_bytes_per_sample(self) -> int:
         """Bytes of feature maps actually allocated per sample.
 
@@ -143,7 +146,7 @@ class NetworkStats:
         """The largest single convolution's im2col workspace per sample."""
         return max((l.im2col_bytes for l in self.layers), default=0)
 
-    @property
+    @functools.cached_property
     def conv_im2col_bytes_per_sample(self) -> Tuple[int, ...]:
         """Per-convolution im2col sizes (one workspace is cached per op)."""
         return tuple(l.im2col_bytes for l in self.layers if l.im2col_bytes > 0)

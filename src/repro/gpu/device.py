@@ -4,7 +4,8 @@ A :class:`GpuDevice` owns a single execution engine resource -- DNN
 training kernels are large enough to occupy the whole SM array, so kernels
 issued to any stream of one GPU serialize, while different GPUs run fully
 in parallel.  Kernel executions are reported to an optional profiler
-(anything with a ``record_kernel`` method; see
+while its ``enabled`` window is open (anything with an ``enabled``
+attribute and a ``record_kernel`` method; see
 :class:`repro.profile.profiler.Profiler`).
 """
 
@@ -86,7 +87,7 @@ class GpuDevice:
             self.busy_time += end - start
             engine.release(req)
             profiler = self.profiler
-            if profiler is not None:
+            if profiler is not None and profiler.enabled:
                 profiler.record_kernel(self.index, kernel, start, end)
                 if (start > issued and self._wants is not None
                         and self._wants(EngineWaitEvent)):

@@ -54,9 +54,10 @@ class MemoryMonitor:
         pre = self.model.pretraining(stats)
         for gpu in range(num_gpus):
             readings.append(MemoryReading(gpu=gpu, phase="pretraining", usage=pre))
+        worker = self.model.training(stats, batch)
+        server = (self.model.training(stats, batch, is_server=True)
+                  if num_gpus > 1 else worker)
         for gpu in range(num_gpus):
-            usage = self.model.training(
-                stats, batch, is_server=(gpu == 0 and num_gpus > 1)
-            )
-            readings.append(MemoryReading(gpu=gpu, phase="training", usage=usage))
+            readings.append(MemoryReading(
+                gpu=gpu, phase="training", usage=server if gpu == 0 else worker))
         return readings

@@ -39,10 +39,11 @@ class Fabric:
         observer: Optional[object] = None,
         checks: Optional[object] = None,
     ) -> None:
-        """``observer`` is anything with ``wants(event_type)`` and
-        ``publish(event)`` methods (normally the run's
-        :class:`~repro.profile.profiler.Profiler`); every DMA then emits
-        the per-directed-link :class:`~repro.obs.events.LinkBusyEvent` /
+        """``observer`` is anything with an ``enabled`` attribute and
+        ``wants(event_type)`` and ``publish(event)`` methods (normally the
+        run's :class:`~repro.profile.profiler.Profiler`); every DMA while
+        it is enabled then emits the per-directed-link
+        :class:`~repro.obs.events.LinkBusyEvent` /
         :class:`~repro.obs.events.LinkWaitEvent` records it wants.
 
         ``checks`` is an optional :class:`~repro.checks.CheckEngine`; when
@@ -133,9 +134,11 @@ class Fabric:
                     now=end,
                 )
             observer = self.observer
-            want_wait = (observer is not None and wait > 0
-                         and observer.wants(LinkWaitEvent))
-            want_busy = observer is not None and observer.wants(LinkBusyEvent)
+            if observer is not None and observer.enabled:
+                want_wait = wait > 0 and observer.wants(LinkWaitEvent)
+                want_busy = observer.wants(LinkBusyEvent)
+            else:
+                want_wait = want_busy = False
             for (link, src, channel), req in zip(hops, requests):
                 self.bytes_moved[link.name] += nbytes
                 self.busy_time[link.name] += wire_time

@@ -691,7 +691,9 @@ class Trainer:
         still simulates ``warmup + measure`` iterations, with the profiler
         closed after iteration 0, and ``temporal.periodic`` requires every
         one of them to equal iteration 0; the answer is iteration 0
-        either way.
+        either way.  A run known at its start to simulate more than one
+        iteration has the communicator keep its run-constant kernels
+        (:meth:`~repro.comm.base.Communicator.keep_tables`).
         """
         with PERF.span("trainer.measure"):
             checks = self.checks
@@ -708,6 +710,10 @@ class Trainer:
             # Boundary 0, the fresh environment, is steady unless a device's
             # speed varies with time; iteration 0 then decides periodicity.
             periodic = self._steady_boundary(env, devices, input_ready)
+            if comm is not None and total > 1 and (verify or not periodic):
+                # More than one iteration of this system will run: each
+                # later one reuses the kernels the first one built.
+                comm.keep_tables()
             profiler.enabled = periodic
             for iteration in range(total):
                 if iteration == first and not periodic:
