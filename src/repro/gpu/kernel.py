@@ -26,7 +26,7 @@ from repro.perf.spans import PERF
 _MATMUL_KINDS = frozenset({"conv", "fc"})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KernelSpec:
     """One GPU kernel: its provenance and its modelled duration."""
 

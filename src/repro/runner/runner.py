@@ -441,8 +441,8 @@ class SweepRunner:
                     continue
                 if twin_key not in self._memo:
                     self._promote(twin_key, twin_entry)
-                outcomes[index] = self._derive(
-                    spec, index, total, point, key, twin_entry)
+                self._derive(spec, index, total, point, key, twin_entry,
+                             outcomes)
             else:
                 source = "memory" if key in self._memo else "disk"
                 if source == "disk":
@@ -452,9 +452,8 @@ class SweepRunner:
                     self.stats.memory_hits += 1
                 self.stats.saved_seconds += entry.elapsed
                 self._note_faults(entry.faults)
-                outcomes[index] = self._finish(
-                    spec, index, total, point, entry.value, source, 0.0
-                )
+                self._finish(spec, index, total, point, entry.value, source,
+                             0.0, outcomes)
 
         if pending or waiting:
             try:
@@ -566,13 +565,15 @@ class SweepRunner:
         point: SweepPoint,
         key: str,
         twin: CacheEntry,
-    ) -> PointOutcome:
+        outcomes: List[Optional[PointOutcome]],
+    ) -> None:
         """Answer ``point`` from its twin's entry and record it."""
         value = derive_value(twin.value, point.config)
         self.stats.derived += 1
         self.stats.saved_seconds += twin.elapsed
         self._record(key, value, twin.elapsed)
-        return self._finish(spec, index, total, point, value, "derived", 0.0)
+        self._finish(spec, index, total, point, value, "derived", 0.0,
+                     outcomes)
 
     def _record(
         self,
@@ -602,35 +603,43 @@ class SweepRunner:
         value: PointValue,
         source: str,
         elapsed: float,
-    ) -> PointOutcome:
+        outcomes: List[Optional[PointOutcome]],
+    ) -> None:
+        """Store ``point``'s outcome at ``outcomes[index]``, then publish it.
+
+        The outcome is stored first: a SIGTERM handled while a subscriber
+        runs must find the point already counted as finished.
+        """
+        label = point.describe()
         if isinstance(value, OomInfo):
             self.stats.oom += 1
-            self._publish(SweepPointOom(
-                sweep=spec.name, index=index, total=total,
-                label=point.describe(), message=value.message,
-            ))
-            return PointOutcome(
+            outcomes[index] = PointOutcome(
                 point=point, result=None, source=source, oom=value,
                 elapsed=elapsed,
             )
-        if isinstance(value, FailureInfo):
-            self.stats.failed += 1
-            self._publish(SweepPointFailed(
+            self._publish(SweepPointOom(
                 sweep=spec.name, index=index, total=total,
-                label=point.describe(), attempts=value.attempts,
-                reason=f"{value.error_type}: {value.message}",
+                label=label, message=value.message,
             ))
-            return PointOutcome(
+        elif isinstance(value, FailureInfo):
+            self.stats.failed += 1
+            outcomes[index] = PointOutcome(
                 point=point, result=None, source=source, failure=value,
                 elapsed=elapsed,
             )
-        self._publish(SweepPointDone(
-            sweep=spec.name, index=index, total=total,
-            label=point.describe(), source=source, elapsed=elapsed,
-        ))
-        return PointOutcome(
-            point=point, result=value, source=source, elapsed=elapsed
-        )
+            self._publish(SweepPointFailed(
+                sweep=spec.name, index=index, total=total,
+                label=label, attempts=value.attempts,
+                reason=f"{value.error_type}: {value.message}",
+            ))
+        else:
+            outcomes[index] = PointOutcome(
+                point=point, result=value, source=source, elapsed=elapsed
+            )
+            self._publish(SweepPointDone(
+                sweep=spec.name, index=index, total=total,
+                label=label, source=source, elapsed=elapsed,
+            ))
 
     def _note_faults(self, breakdown: Optional[Dict[str, Any]]) -> None:
         if breakdown is not None:
@@ -683,8 +692,7 @@ class SweepRunner:
             if entry is None:
                 fallback.append((index, key, point))
             else:
-                outcomes[index] = self._derive(
-                    spec, index, total, point, key, entry)
+                self._derive(spec, index, total, point, key, entry, outcomes)
         if fallback:
             self._execute_pending(spec, total, fallback, outcomes)
 
@@ -745,9 +753,8 @@ class SweepRunner:
         self.stats.sim_seconds += elapsed
         self._record(key, value, elapsed, cstats)
         if index is not None:
-            outcomes[index] = self._finish(
-                spec, index, total, point, value, "executed", elapsed
-            )
+            self._finish(spec, index, total, point, value, "executed",
+                         elapsed, outcomes)
 
     def _execute_pool(
         self,
@@ -835,10 +842,8 @@ class SweepRunner:
                     self.stats.executed += 1
                     self.stats.sim_seconds += now - started
                     if index is not None:
-                        outcomes[index] = self._finish(
-                            spec, index, total, point, value, "executed",
-                            now - started,
-                        )
+                        self._finish(spec, index, total, point, value,
+                                     "executed", now - started, outcomes)
         except KeyboardInterrupt:
             # Graceful shutdown: pending futures are cancelled and busy
             # workers terminated by the cleanup below; completed points

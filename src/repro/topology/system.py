@@ -2,23 +2,91 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
-
-import networkx as nx
+from functools import cached_property
+from typing import (Callable, Dict, Hashable, Iterable, List, Mapping, Optional,
+                    Tuple, TypeVar)
 
 from repro.core.errors import ConfigurationError
 from repro.topology.links import Link, LinkType
 from repro.topology.nodes import CpuNode, GpuNode, Node, NodeKind, SwitchNode
 
+N = TypeVar("N", bound=Hashable)
+
+
+def shortest_paths(adj: Mapping[N, Iterable[N]], source: N) -> Dict[N, List[N]]:
+    """Shortest paths from ``source`` to every node it reaches.
+
+    A level-order breadth-first search that visits each node's
+    neighbours in ``adj``'s order, so a node tied between two parents
+    keeps the one reached first: the same paths as
+    ``networkx.single_source_shortest_path`` over a graph whose edges
+    were added in that order.
+    """
+    paths = {source: [source]}
+    level = [source]
+    while level:
+        following = []
+        for v in level:
+            for w in adj[v]:
+                if w not in paths:
+                    paths[w] = paths[v] + [w]
+                    following.append(w)
+        level = following
+    return paths
+
+
+def shortest_path(adj: Mapping[N, Iterable[N]], source: N, target: N) -> Optional[List[N]]:
+    """One shortest path from ``source`` to ``target``, or ``None``.
+
+    A bidirectional breadth-first search that expands whichever fringe
+    is smaller (the forward one on a tie) one level at a time and stops
+    at the first node both searches have seen: the same path as
+    ``networkx.bidirectional_shortest_path`` when ``adj`` lists
+    neighbours in the graph's edge order.
+    """
+    if source == target:
+        return [source]
+    # parents[0] leads back to the source, parents[1] on to the target.
+    parents: Tuple[Dict[N, Optional[N]], ...] = ({source: None}, {target: None})
+    fringes = [[source], [target]]
+    while fringes[0] and fringes[1]:
+        side = 0 if len(fringes[0]) <= len(fringes[1]) else 1
+        own, other = parents[side], parents[1 - side]
+        level, fringes[side] = fringes[side], []
+        for v in level:
+            for w in adj[v]:
+                if w not in own:
+                    own[w] = v
+                    fringes[side].append(w)
+                if w in other:
+                    return _join(parents, w)
+    return None
+
+
+def _join(parents: Tuple[Dict[N, Optional[N]], ...], meet: N) -> List[N]:
+    """The path through ``meet``: back to the source, then on to the target."""
+    path: List[N] = []
+    node: Optional[N] = meet
+    while node is not None:
+        path.append(node)
+        node = parents[0][node]
+    path.reverse()
+    node = parents[1][meet]
+    while node is not None:
+        path.append(node)
+        node = parents[1][node]
+    return path
+
 
 class SystemTopology:
     """An immutable multi-GPU system description.
 
-    Wraps a :class:`networkx.Graph` whose edges carry :class:`Link`
-    objects.  Parallel NVLink connections are pre-aggregated into a single
-    ``width=2`` link, so the graph is simple.  Because the graph never
-    changes after construction, derived paths are searched once per
-    instance and memoized.
+    Holds an adjacency map ``node -> {neighbour: link}`` filled in link
+    order, which fixes every neighbour order and so every tie-break of
+    the path searches.  Parallel NVLink connections are pre-aggregated
+    into a single ``width=2`` link, so the graph is simple.  Because the
+    graph never changes after construction, derived paths are searched
+    once per instance and memoized.
     """
 
     def __init__(self, name: str, nodes: Iterable[Node], links: Iterable[Link]) -> None:
@@ -28,16 +96,16 @@ class SystemTopology:
             if node.name in self._nodes:
                 raise ConfigurationError(f"duplicate node name {node.name!r}")
             self._nodes[node.name] = node
-        self._graph = nx.Graph()
-        self._graph.add_nodes_from(self._nodes.values())
+        self._adj: Dict[Node, Dict[Node, Link]] = {n: {} for n in self._nodes.values()}
         self._links: List[Link] = []
         for link in links:
-            for end in link.endpoints():
-                if end.name not in self._nodes:
-                    raise ConfigurationError(f"link {link.name} references unknown node {end}")
-            if self._graph.has_edge(link.a, link.b):
+            near, far = self._adj.get(link.a), self._adj.get(link.b)
+            if near is None or far is None:
+                end = link.a if near is None else link.b
+                raise ConfigurationError(f"link {link.name} references unknown node {end}")
+            if link.b in near:
                 raise ConfigurationError(f"duplicate link between {link.a} and {link.b}")
-            self._graph.add_edge(link.a, link.b, link=link)
+            near[link.b] = far[link.a] = link
             self._links.append(link)
         self._pcie_paths: Dict[str, Tuple[Node, ...]] = {}
         self._host_paths: Dict[Tuple[str, str], Tuple[Node, ...]] = {}
@@ -55,11 +123,6 @@ class SystemTopology:
     @property
     def links(self) -> Tuple[Link, ...]:
         return tuple(self._links)
-
-    @property
-    def graph(self) -> nx.Graph:
-        """The underlying graph (treat as read-only)."""
-        return self._graph
 
     def node(self, name: str) -> Node:
         try:
@@ -92,8 +155,8 @@ class SystemTopology:
     # ------------------------------------------------------------------
     def link_between(self, a: Node, b: Node) -> Optional[Link]:
         """The direct link between two nodes, or ``None``."""
-        data = self._graph.get_edge_data(a, b)
-        return None if data is None else data["link"]
+        neighbours = self._adj.get(a)
+        return None if neighbours is None else neighbours.get(b)
 
     def nvlink_between(self, a: Node, b: Node) -> Optional[Link]:
         link = self.link_between(a, b)
@@ -103,15 +166,12 @@ class SystemTopology:
 
     def nvlink_neighbors(self, node: Node) -> List[Node]:
         """GPUs directly reachable from ``node`` over NVLink."""
-        out = []
-        for neighbor in self._graph.neighbors(node):
-            link = self.link_between(node, neighbor)
-            if link is not None and link.link_type is LinkType.NVLINK:
-                out.append(neighbor)
+        out = [nbr for nbr, link in self._adj[node].items()
+               if link.link_type is LinkType.NVLINK]
         return sorted(out, key=lambda n: n.name)
 
     def links_of(self, node: Node) -> List[Link]:
-        return [self.link_between(node, nbr) for nbr in self._graph.neighbors(node)]
+        return list(self._adj[node].values())
 
     def nvlink_port_count(self, node: Node) -> int:
         """Number of NVLink ports ``node`` consumes (dual links count twice)."""
@@ -132,18 +192,13 @@ class SystemTopology:
         """One breadth-first search from ``gpu`` over PCIe and QPI links:
         the path to the first CPU socket (by index) that no other socket
         sits on."""
-        subgraph_types = {LinkType.PCIE, LinkType.QPI}
-        allowed = nx.Graph()
-        for link in self._links:
-            if link.link_type in subgraph_types:
-                allowed.add_edge(link.a, link.b)
-        if allowed.has_node(gpu):
-            paths = nx.shortest_path(allowed, gpu)
-            for cpu in self.cpus:
-                path = paths.get(cpu)
-                if path is not None and all(
-                        not isinstance(n, CpuNode) for n in path[1:-1]):
-                    return path
+        adj = self._pcie_adjacency
+        paths = shortest_paths(adj, gpu) if adj.get(gpu) else {}
+        for cpu in self.cpus:
+            path = paths.get(cpu)
+            if path is not None and all(
+                    not isinstance(n, CpuNode) for n in path[1:-1]):
+                return path
         raise ConfigurationError(f"{gpu} has no PCIe path to a CPU")
 
     def host_path(self, src: CpuNode, dst: CpuNode) -> List[Node]:
@@ -160,20 +215,31 @@ class SystemTopology:
         return list(path)
 
     def _search_host_path(self, src: CpuNode, dst: CpuNode) -> List[Node]:
-        allowed = nx.Graph()
-        host_types = {LinkType.PCIE, LinkType.QPI, LinkType.INFINIBAND}
-        for link in self._links:
-            if link.link_type not in host_types:
-                continue
-            if isinstance(link.a, GpuNode) or isinstance(link.b, GpuNode):
-                continue
-            allowed.add_edge(link.a, link.b)
-        if not (allowed.has_node(src) and allowed.has_node(dst)):
+        adj = self._host_adjacency
+        if not (adj.get(src) and adj.get(dst)):
             raise ConfigurationError(f"no host fabric between {src} and {dst}")
-        try:
-            return nx.shortest_path(allowed, src, dst)
-        except nx.NetworkXNoPath:
-            raise ConfigurationError(f"no host path from {src} to {dst}") from None
+        path = shortest_path(adj, src, dst)
+        if path is None:
+            raise ConfigurationError(f"no host path from {src} to {dst}")
+        return path
+
+    @cached_property
+    def _pcie_adjacency(self) -> Dict[Node, List[Node]]:
+        """Neighbours over PCIe and QPI links."""
+        return self._adjacency(lambda link: link.link_type in (LinkType.PCIE, LinkType.QPI))
+
+    @cached_property
+    def _host_adjacency(self) -> Dict[Node, List[Node]]:
+        """Neighbours over the host fabric: PCIe, QPI and InfiniBand links
+        that touch no GPU."""
+        host_types = (LinkType.PCIE, LinkType.QPI, LinkType.INFINIBAND)
+        return self._adjacency(lambda link: link.link_type in host_types and not (
+            isinstance(link.a, GpuNode) or isinstance(link.b, GpuNode)))
+
+    def _adjacency(self, keep: Callable[[Link], bool]) -> Dict[Node, List[Node]]:
+        """Each node's neighbours over the links ``keep`` accepts, in link order."""
+        return {node: [nbr for nbr, link in nbrs.items() if keep(link)]
+                for node, nbrs in self._adj.items()}
 
     def home_cpu(self, gpu: GpuNode) -> CpuNode:
         """The CPU socket whose PCIe root complex hosts ``gpu``."""

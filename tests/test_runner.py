@@ -16,7 +16,7 @@ from repro.core.config import (
     TrainingConfig,
 )
 from repro.core.constants import CALIBRATION
-from repro.core.errors import OutOfMemoryError
+from repro.core.errors import OutOfMemoryError, SweepInterrupted
 from repro.obs.bus import EventBus
 from repro.obs.events import SweepPointDone, SweepPointOom, SweepPointStart
 from repro.runner import (
@@ -380,6 +380,23 @@ def test_runner_publishes_progress_events():
     ooms = [e for e in seen if isinstance(e, SweepPointOom)]
     assert len(starts) == 2 and len(dones) == 1 and len(ooms) == 1
     assert starts[0].total == 2 and dones[0].source == "executed"
+
+
+@pytest.mark.parametrize("event_type", [SweepPointDone, SweepPointOom])
+def test_an_interrupt_in_a_subscriber_counts_the_finished_point(event_type):
+    # A SIGTERM handled while a subscriber runs must find the point whose
+    # event it is already counted as finished.
+    def interrupt(event):
+        raise KeyboardInterrupt
+
+    bus = EventBus()
+    bus.subscribe(event_type, interrupt)
+    finished = _point() if event_type is SweepPointDone else SweepPoint(config=OOM_CONFIG)
+    runner = SweepRunner(sim=FAST, bus=bus)
+    with pytest.raises(SweepInterrupted) as info:
+        runner.run(SweepSpec.explicit("interrupted", [
+            finished, _point(batch=32)], oom_policy=OomPolicy.RECORD))
+    assert (info.value.completed, info.value.total) == (1, 2)
 
 
 def test_runcache_compat_interface():

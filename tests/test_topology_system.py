@@ -125,5 +125,10 @@ def test_peak_bandwidth_table():
 
 
 def test_graph_read_access(topo):
-    assert topo.graph.number_of_nodes() == len(topo.nodes)
-    assert topo.graph.number_of_edges() == len(topo.links)
+    # 8 GPUs, 4 PCIe switches, 2 sockets; 16 NVLink, 12 PCIe and 1 QPI link.
+    assert len(topo.nodes) == len({n.name for n in topo.nodes}) == 14
+    assert len(topo.links) == len(set(topo.links)) == 29
+    # Every link appears once at each of its two ends.
+    assert sum(len(topo.links_of(n)) for n in topo.nodes) == 2 * len(topo.links)
+    for node in topo.nodes:
+        assert all(node in link.endpoints() for link in topo.links_of(node))

@@ -318,21 +318,20 @@ def test_periodic_invariant_flags_unequal_iterations(monkeypatch):
 def test_checked_run_searches_each_pcie_path_once(monkeypatch):
     # Routes are memoized per topology: a checked 7-iteration 8-GPU run
     # derives each GPU's input route once, not once per iteration.
-    import networkx as nx
-
     from repro.checks import CheckEngine
+    from repro.topology import system
     from repro.train.trainer import _shared_topology
 
     # The default topology is shared per process; start from an unsearched one.
     _shared_topology.cache_clear()
     searches = []
-    original = nx.shortest_path
+    original = system.shortest_paths
 
-    def counting(*args, **kwargs):
-        searches.append(args[1] if len(args) > 1 else kwargs.get("source"))
-        return original(*args, **kwargs)
+    def counting(adj, source):
+        searches.append(source)
+        return original(adj, source)
 
-    monkeypatch.setattr(nx, "shortest_path", counting)
+    monkeypatch.setattr(system, "shortest_paths", counting)
     sim = SimulationConfig(warmup_iterations=2, measure_iterations=5)
     config = TrainingConfig("lenet", 16, 8, comm_method=CommMethodName.P2P)
     r = train(config, sim=sim, checks=CheckEngine("strict"))
