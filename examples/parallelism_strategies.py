@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
-"""Compare parallelization strategies: sync DP, async DP, model parallelism.
+"""Compare data-parallel strategies: synchronous vs asynchronous SGD.
 
-The paper's background (Sections I-II) argues data parallelism suits
-convolutional networks while model parallelism suits FC-heavy ones, and
-that asynchronous SGD trades gradient staleness for throughput.  This
-example measures all three on the simulated DGX-1.
+The paper's background (Section II-B) contrasts synchronous SGD, whose
+barrier the paper profiles, with asynchronous SGD, which trades gradient
+staleness for throughput.  This example measures both on the simulated
+DGX-1.
 
 Run:  python examples/parallelism_strategies.py
 """
@@ -13,7 +13,7 @@ import dataclasses
 
 from repro import CommMethodName, TrainingConfig
 from repro.experiments.tables import render_table
-from repro.train import ModelParallelEstimator, train
+from repro.train import train
 
 NETWORKS = ("alexnet", "resnet")
 GPUS = 4
@@ -27,8 +27,6 @@ def main() -> None:
 
         sync = train(config)
         asyn = train(dataclasses.replace(config, strategy="async-update"))
-        mp = ModelParallelEstimator(config).run()
-        mp_piped = ModelParallelEstimator(config, pipeline_microbatches=4).run()
 
         rows.extend(
             [
@@ -37,13 +35,6 @@ def main() -> None:
                 (network, "data-parallel async", f"{asyn.epoch_time:.1f}",
                  f"{asyn.images_per_second:.0f}",
                  f"staleness {asyn.async_stats.staleness_mean:.1f}"),
-                (network, "model-parallel", f"{mp.epoch_time:.1f}",
-                 f"{mp.images_per_second:.0f}",
-                 f"boundary {mp.communication_bytes_per_iteration / 1e6:.0f} MB/iter"),
-                (network, "model-parallel, 4 microbatches",
-                 f"{mp_piped.epoch_time:.1f}",
-                 f"{mp_piped.images_per_second:.0f}",
-                 f"balance {mp_piped.plan.balance:.2f}"),
             ]
         )
     print(
@@ -54,11 +45,8 @@ def main() -> None:
             align_right_from=2,
         )
     )
-    print("Reading: synchronous data parallelism wins overall.  Async removes")
-    print("the barrier but pays whole-model pulls/pushes (and staleness), so it")
-    print("only helps compute-bound models; model parallelism loses badly for")
-    print("the conv-heavy network and is closest to viable for the FC-heavy one")
-    print("(small boundary traffic, no gradient synchronization).")
+    print("Reading: async removes the barrier but pays whole-model pulls and")
+    print("pushes (and staleness), so it only helps compute-bound models.")
 
 
 if __name__ == "__main__":

@@ -17,12 +17,10 @@ from repro.analysis.protocols import (
     SelectionRow,
     crossover_table,
     protocol_speedups,
-    regime_spans,
     selection_table,
 )
 from repro.analysis.scaling import (
     ScalingCurve,
-    amdahl_serial_fraction,
     karp_flatt,
     scaling_curve,
 )
@@ -45,11 +43,9 @@ __all__ = [
     "SelectionRow",
     "ValidationReport",
     "ScalingCurve",
-    "amdahl_serial_fraction",
     "crossover_table",
     "karp_flatt",
     "protocol_speedups",
-    "regime_spans",
     "result_from_dict",
     "result_to_dict",
     "scaling_curve",

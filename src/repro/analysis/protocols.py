@@ -101,18 +101,6 @@ def crossover_table(
     ]
 
 
-def regime_spans(
-    points: Sequence[CrossoverPoint], last_size: int
-) -> List[Tuple[str, str, int, int]]:
-    """Collapse crossover points into ``(algorithm, protocol, lo, hi)``
-    inclusive size spans, ``hi`` of the final regime being ``last_size``."""
-    spans: List[Tuple[str, str, int, int]] = []
-    for i, point in enumerate(points):
-        hi = points[i + 1].nbytes // 2 if i + 1 < len(points) else last_size
-        spans.append((point.algorithm, point.protocol, point.nbytes, hi))
-    return spans
-
-
 def protocol_speedups(
     rows: Sequence[SelectionRow],
     baseline: Tuple[str, str] = ("ring", "simple"),

@@ -94,11 +94,6 @@ def karp_flatt(speedup: float, gpus: int) -> float:
     return min(1.0, max(0.0, e))
 
 
-def amdahl_serial_fraction(speedup: float, gpus: int) -> float:
-    """Alias of :func:`karp_flatt` under its textbook name."""
-    return karp_flatt(speedup, gpus)
-
-
 def compare_efficiency(curves: Sequence[ScalingCurve], gpus: int) -> Dict[str, float]:
     """Parallel efficiency of several configurations at one GPU count."""
     return {

@@ -137,8 +137,7 @@ class TrainingConfig:
     #: strategy matching ``comm_method`` -- byte-identical to the
     #: pre-registry trainer -- while an explicit name ("p2p-tree",
     #: "nccl-collective", "nccl-allreduce-replicated", "ps-cpu",
-    #: "ps-gpu", "async-update", "model-parallel") pins one point of the
-    #: strategy matrix.
+    #: "ps-gpu", "async-update") pins one point of the strategy matrix.
     strategy: str = "auto"
     #: Inter-node fabric: "compat" (default -- the aggregated width-4
     #: InfiniBand attachment, byte-identical to the pre-cluster-tier

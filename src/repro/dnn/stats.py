@@ -141,11 +141,6 @@ class NetworkStats:
         """
         return sum(l.output_bytes for l in self.layers if l.allocates_output)
 
-    @property
-    def largest_im2col_bytes_per_sample(self) -> int:
-        """The largest single convolution's im2col workspace per sample."""
-        return max((l.im2col_bytes for l in self.layers), default=0)
-
     @functools.cached_property
     def conv_im2col_bytes_per_sample(self) -> Tuple[int, ...]:
         """Per-convolution im2col sizes (one workspace is cached per op)."""
@@ -170,10 +165,6 @@ class NetworkStats:
     def module_count(self) -> int:
         modules = {l.module for l in self.layers if l.module is not None}
         return len(modules)
-
-    @property
-    def weighted_layer_count(self) -> int:
-        return sum(1 for l in self.layers if l.is_weighted)
 
     def arrays_of_layer(self, layer_name: str) -> Tuple[WeightArray, ...]:
         """The weight arrays ``layer_name`` owns, in KVStore-key order."""

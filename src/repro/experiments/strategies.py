@@ -3,18 +3,17 @@
 One table over the paper's five networks comparing every registered
 training strategy -- the synchronous reductions the paper profiles
 (``p2p-tree``, ``nccl-collective``), the modern replicated AllReduce, the
-CPU and GPU parameter servers, asynchronous parameter-server SGD and the
-model-parallel placement estimator -- all through the same
-:class:`~repro.train.trainer.Trainer` entry point, result schema, sweep
-runner and cache (tensorpack's trainer matrix, measured instead of
-documented).
+CPU and GPU parameter servers and asynchronous parameter-server SGD --
+all through the same :class:`~repro.train.trainer.Trainer` entry point,
+result schema, sweep runner and cache (tensorpack's trainer matrix,
+measured instead of documented).
 
 Every point is a plain :class:`~repro.runner.SweepPoint`: the strategy
 field on the config selects the execution model inside the trainer, so
 caching and invariant enforcement are uniform across the matrix (every
-strategy that simulates events, ``async-update`` included, runs its
-checkpoints), and the strategies without fault-recovery semantics refuse
-a fault plan when the trainer is constructed.
+strategy, ``async-update`` included, runs its checkpoints), and
+``async-update``, which has no fault-recovery semantics, refuses a fault
+plan when the trainer is constructed.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ STRATEGY_COMM = {
     "ps-cpu": CommMethodName.LOCAL,
     "ps-gpu": CommMethodName.P2P,
     "async-update": CommMethodName.P2P,
-    "model-parallel": CommMethodName.P2P,
 }
 
 #: The paper's five networks (Table I).
@@ -116,8 +114,6 @@ def run(
             if r.async_stats is not None:
                 note = (f"staleness {r.async_stats.staleness_mean:.1f} "
                         f"(max {r.async_stats.staleness_max})")
-            elif strategy == "model-parallel":
-                note = "layer-partitioned (no replication)"
             rows.append(
                 StrategyRow(
                     network=network,

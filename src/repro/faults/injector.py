@@ -133,9 +133,6 @@ class FaultInjector:
                 scales[f.rail] = min(scales[f.rail], f.bandwidth_scale)
         return tuple(scales)
 
-    def degrades_rails(self, now: float) -> bool:
-        return bool(self._active_rail_faults(now))
-
     # ------------------------------------------------------------------
     # Stragglers / ECC
     # ------------------------------------------------------------------

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 from repro.core.constants import CALIBRATION, CalibrationConstants
 from repro.core.errors import OutOfMemoryError
-from repro.core.units import GIB
 from repro.dnn.stats import DTYPE_BYTES, NetworkStats
 from repro.gpu.spec import TESLA_V100, GpuSpec
 from repro.train.optimizers import SGD_MOMENTUM, OptimizerSpec
@@ -52,10 +51,6 @@ class MemoryUsage:
             + self.input_batch
             + self.server_buffers
         )
-
-    @property
-    def total_gib(self) -> float:
-        return self.total / GIB
 
     @property
     def total_gb(self) -> float:

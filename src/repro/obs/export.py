@@ -85,10 +85,6 @@ def render_prometheus(registry: MetricsRegistry) -> str:
     return "\n".join(lines) + "\n" if lines else ""
 
 
-def write_prometheus(registry: MetricsRegistry, fp: IO[str]) -> None:
-    fp.write(render_prometheus(registry))
-
-
 # ----------------------------------------------------------------------
 # JSONL event stream
 # ----------------------------------------------------------------------

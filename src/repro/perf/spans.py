@@ -161,17 +161,6 @@ class PerfProfiler:
             agg.self_time = agg.total - child_total.get(path, 0.0)
         return out
 
-    def spans_dict(self) -> Dict[str, Dict[str, float]]:
-        """JSON-ready ``{path: {calls, total, self}}`` snapshot."""
-        return {
-            path: {
-                "calls": agg.calls,
-                "total": round(agg.total, 6),
-                "self": round(agg.self_time, 6),
-            }
-            for path, agg in sorted(self.aggregate().items())
-        }
-
     def counters_dict(self) -> Dict[str, float]:
         """JSON-ready counter snapshot, sorted by name."""
         return {name: self.counters[name] for name in sorted(self.counters)}

@@ -17,7 +17,7 @@ from repro.perf.spans import PerfProfiler
 
 #: Process lane for simulator self-time, kept clear of the simulated
 #: Host/GPU/Fabric/Stages lanes (pids 0-3 in repro.profile.timeline,
-#: whose ``_PID_SELF`` mirrors this value).
+#: which builds its lanes with :func:`_metadata` and ``_US`` from here).
 PID_SELF = 4
 
 _US = 1e6  # trace events are quoted in microseconds

@@ -23,32 +23,18 @@ from __future__ import annotations
 import json
 from typing import IO, List
 
+from repro.perf.trace import _US, _metadata
 from repro.profile.profiler import Profiler
-
-_US = 1e6  # trace events are quoted in microseconds
 
 _PID_HOST = 0
 _PID_GPU = 1
 _PID_FABRIC = 2
 _PID_STAGES = 3
-_PID_SELF = 4  # simulator self-time (repro.perf), kept clear of sim lanes
 
 #: Fixed lane ids within the fabric process.
 _TRANSFER_LANES = {"p2p": 0, "h2d": 2, "d2h": 3}
 _COLLECTIVE_LANE = 1
 _GLOBAL_STAGE_LANE = 999
-
-
-def _metadata(pid: int, name: str, tid: int = None) -> dict:
-    event = {
-        "name": "thread_name" if tid is not None else "process_name",
-        "ph": "M",
-        "pid": pid,
-        "args": {"name": name},
-    }
-    if tid is not None:
-        event["tid"] = tid
-    return event
 
 
 def chrome_trace_metadata(profiler: Profiler) -> List[dict]:

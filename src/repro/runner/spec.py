@@ -94,8 +94,8 @@ class SweepPoint:
     topology builder, custom network, ...) stored as a sorted tuple of
     ``(name, value)`` pairs so the point stays hashable; ``tags`` are
     free-form labels the experiment attaches for later lookup -- they do
-    not influence execution.  The execution model (synchronous, async
-    parameter server, model parallel) is ``config.strategy``.
+    not influence execution.  The execution model (synchronous or async
+    parameter server) is ``config.strategy``.
     """
 
     config: TrainingConfig

@@ -16,9 +16,8 @@ clearly marked ``degraded: true`` with its floor breakdown so clients
 can tell an analytic answer from a measured one.
 
 Only points of a synchronous strategy degrade: the DAG model has no
-notion of parameter-server staleness or of a layer-partitioned
-pipeline, so ``async-update`` and ``model-parallel`` points past their
-budget are refused instead of answered wrongly.
+notion of parameter-server staleness, so ``async-update`` points past
+their budget are refused instead of answered wrongly.
 """
 
 from __future__ import annotations
@@ -38,9 +37,9 @@ class AnalyticUnsupported(ValueError):
 
 def degradable(point: SweepPoint) -> bool:
     """Whether the synchronous DAG model covers ``point``'s strategy."""
-    from repro.train.strategies import strategy_for
+    from repro.train.strategies import SyncStrategy, strategy_for
 
-    return strategy_for(point.config).execution == "sync"
+    return isinstance(strategy_for(point.config), SyncStrategy)
 
 
 @functools.lru_cache(maxsize=256)

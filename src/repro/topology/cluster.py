@@ -121,11 +121,6 @@ class ClusterSpec:
         if self.leaf_radix < 2:
             raise ConfigurationError("leaf_radix must be >= 2")
 
-    @property
-    def total_gpus(self) -> int:
-        """GPUs in the cluster (8 per node)."""
-        return self.num_nodes * GPUS_PER_NODE
-
     def rail_switch_of_node(self, k: int, rail: int) -> str:
         """Name of the first-hop rail switch for node ``k`` on ``rail``."""
         if self.interconnect == "fat-tree":

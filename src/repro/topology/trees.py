@@ -59,12 +59,6 @@ class TreePlan:
     def aggregate_bandwidth(self) -> float:
         return self.channels * self.channel_bandwidth
 
-    def parent_of(self, gpu: int) -> Optional[int]:
-        for child, parent in self.parent:
-            if child == gpu:
-                return parent
-        return None
-
     def children_of(self, gpu: int) -> List[int]:
         return [child for child, parent in self.parent if parent == gpu]
 

@@ -7,19 +7,13 @@ iteration time to a full epoch.  *How* an iteration turns gradients into
 updated weights is pluggable: the strategy registry
 (:mod:`repro.train.strategies`, selected via
 ``TrainingConfig.strategy``) covers the synchronous P2P/NCCL/parameter-
-server reductions, asynchronous parameter-server SGD and the
-model-parallel placement estimator behind one result schema.
+server reductions and asynchronous parameter-server SGD behind one
+result schema.
 """
 
 from repro.train.dataset import SyntheticImageDataset, imagenet_subset
 from repro.train.inference import InferenceEstimate, InferenceEstimator
 from repro.train.optimizers import ADAM, SGD, SGD_MOMENTUM, OptimizerSpec, available_optimizers, get_optimizer
-from repro.train.model_parallel import (
-    ModelParallelEstimator,
-    ModelParallelPlan,
-    ModelParallelResult,
-    partition_network,
-)
 from repro.train.results import AsyncStats, TrainingResult
 from repro.train.strategies import (
     ReductionStrategy,
@@ -36,9 +30,6 @@ __all__ = [
     "AsyncStats",
     "InferenceEstimate",
     "InferenceEstimator",
-    "ModelParallelEstimator",
-    "ModelParallelPlan",
-    "ModelParallelResult",
     "OptimizerSpec",
     "RecoverySemantics",
     "ReductionStrategy",
@@ -52,7 +43,6 @@ __all__ = [
     "get_optimizer",
     "get_strategy",
     "imagenet_subset",
-    "partition_network",
     "register_strategy",
     "strategy_for",
     "train",

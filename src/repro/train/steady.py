@@ -14,9 +14,9 @@ variant's own simulation returns.
 
 Only runs whose result depends on the epoch size through that one
 formula qualify: the synchronous strategies on the healthy path, with
-nothing attached that observes the run itself.  The async-update and
-model-parallel strategies read ``total_images`` on their own, and a
-fault plan places its faults on the epoch timeline.
+nothing attached that observes the run itself.  The async-update
+strategy reads ``total_images`` on its own, and a fault plan places its
+faults on the epoch timeline.
 """
 
 from __future__ import annotations

@@ -29,7 +29,6 @@ name                           execution model
 ``ps-cpu``                     sync; CPU parameter server (``local``)
 ``ps-gpu``                     sync; GPU0 parameter server, flat star
 ``async-update``               async parameter server (no barrier)
-``model-parallel``             layer-partitioned pipeline placement
 =============================  ==========================================
 
 The default ``strategy="auto"`` maps the configured ``comm_method`` onto
@@ -140,8 +139,6 @@ class ReductionStrategy:
 
     #: Registry key and ``TrainingConfig.strategy`` value.
     name: str = ""
-    #: ``"sync"``, ``"async"`` or ``"model-parallel"``.
-    execution: str = "sync"
     #: The ``comm_method`` this strategy runs over (``None`` = any).
     comm_method: Optional[CommMethodName] = None
     #: Communicator-factory key; ``None`` uses ``config.comm_method``.
@@ -340,7 +337,6 @@ class AsyncUpdateStrategy(ReductionStrategy):
     """
 
     name = "async-update"
-    execution = "async"
     comm_method = CommMethodName.P2P
 
     def recovery_semantics(self) -> RecoverySemantics:
@@ -477,63 +473,6 @@ class _ServerState:
         self.iteration_records: List[Tuple[int, int, float]] = []
 
 
-class ModelParallelStrategy(ReductionStrategy):
-    """Layer-partitioned placement: the analytic pipeline estimator.
-
-    Registers :class:`~repro.train.model_parallel.ModelParallelEstimator`
-    as a placement strategy sharing the trainer's result and
-    serialization schema.  The weights never replicate, so there is no
-    reduction schedule; boundary activations are the only inter-GPU
-    traffic and the closed-form pipeline algebra replaces the measured
-    loop.  The estimator costs the zoo network the config names with
-    tensor cores, whatever network or ``use_tensor_cores`` the trainer
-    was built with, and takes that compile from the trainer's memo.
-    Under an enabled check engine the estimate fires ``trainer.dag``:
-    the pipeline runs every layer's kernels once per iteration, so it
-    must dominate that compile's whole-network kernel seconds plus the
-    input and host floors (no gradient wire).
-    """
-
-    name = "model-parallel"
-    execution = "model-parallel"
-    comm_method = CommMethodName.P2P
-
-    def recovery_semantics(self) -> RecoverySemantics:
-        return RecoverySemantics(supports_faults=False, ring_rebuild=False)
-
-    def run(self, trainer) -> TrainingResult:
-        from repro.train.model_parallel import ModelParallelEstimator
-        from repro.train.trainer import _compiled_zoo_network
-
-        config = trainer.config
-        compiled = _compiled_zoo_network(
-            config.network, config.batch_size, trainer.spec,
-            trainer.constants, True, config.optimizer)
-        estimator = ModelParallelEstimator(
-            config, constants=trainer.constants, spec=trainer.spec,
-            network=compiled.network, stats=compiled.stats,
-            topology=trainer._base_topology())
-        mp = estimator.run()
-        checks = trainer.checks
-        if checks is not None and checks.enabled:
-            c = trainer.constants
-            checks.check(
-                "trainer.dag",
-                mean_iteration=mp.iteration_time,
-                compute_floor=compiled.kernel_seconds,
-                input_floor=(c.input_pipeline_residual
-                             + c.input_cost_per_image * config.batch_size),
-                wire_floor=0.0,
-                host_floor=(c.framework_iteration_overhead
-                            + config.num_gpus * c.stream_sync_overhead),
-                iterations=1,
-            )
-        return trainer._result(
-            (mp.iteration_time,), mp.iteration_time, mp.epoch_time,
-            trainer.constants.run_startup_overhead,
-        )
-
-
 # ----------------------------------------------------------------------
 # Registry
 # ----------------------------------------------------------------------
@@ -593,7 +532,6 @@ for _strategy in (
     PsCpuStrategy(),
     PsGpuStrategy(),
     AsyncUpdateStrategy(),
-    ModelParallelStrategy(),
 ):
     register_strategy(_strategy)
 del _strategy

@@ -373,9 +373,8 @@ class Trainer:
         crashes a worker under the ``FAIL_FAST`` policy.
         """
         with PERF.span(f"strategy.{self.strategy.name}"):
-            # Every data-parallel strategy replicates the model on each
-            # GPU; a model-parallel placement holds one partition each.
-            if self.check_memory and self.strategy.execution != "model-parallel":
+            # Every strategy replicates the model on each GPU.
+            if self.check_memory:
                 self._compiled.memory_model.check_fits(
                     self.stats, self.config.batch_size,
                     is_server=self.config.num_gpus > 1,

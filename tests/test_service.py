@@ -67,7 +67,7 @@ def _wire_point(batch=16, gpus=1):
 
 
 #: The strategies the synchronous DAG floor does not model.
-NON_SYNC = ("async-update", "model-parallel")
+NON_SYNC = ("async-update",)
 
 
 # ----------------------------------------------------------------------
@@ -859,6 +859,27 @@ def test_service_rejects_while_draining_and_malformed_lines():
     assert bad["status"] == "error" and "points" in bad["error"]
     assert garbage["status"] == "error"
     assert shed["status"] == "rejected" and shed["reason"] == "draining"
+
+
+def test_an_unknown_strategy_point_is_an_error_and_serving_goes_on():
+    async def go():
+        service = SweepService(_config())
+        await service.start()
+        unknown = await _request(service.port, {
+            "op": "sweep", "client": "t",
+            "points": [dict(_wire_point(16, gpus=2),
+                            strategy="model-parallel")],
+        })
+        after = await _request(service.port, {
+            "op": "sweep", "client": "t", "points": [_wire_point(16)],
+        })
+        await _drained(service)
+        return unknown, after
+
+    unknown, after = asyncio.run(go())
+    assert unknown["status"] == "error"
+    assert "unknown strategy 'model-parallel'" in unknown["error"]
+    assert after["status"] == "ok"
 
 
 def test_service_quota_returns_busy_under_concurrent_pressure():

@@ -38,22 +38,41 @@ FAST_POINTS = [
 ]
 
 
+@contextlib.contextmanager
 def _start_server(*extra_args, timeout=60.0,
                   command=("-m", "repro.experiments.cli", "serve")):
     """Spawn ``repro-experiments serve`` (or ``command``, given the same
-    arguments) and wait for its ready line."""
+    arguments), wait for its ready line and yield ``(proc, port)``.
+
+    The server runs in its own session, so its pool workers share its
+    process group.  On exit that group is SIGKILLed if anything in it is
+    still alive: a failed assertion, or a SIGKILL that orphaned the
+    workers, never leaves a process behind the test.
+    """
     proc = subprocess.Popen(
         [sys.executable, "-u", *command,
          "--port", "0", "--warmup", "0", *map(str, extra_args)],
-        cwd=REPO, env=ENV, text=True,
+        cwd=REPO, env=ENV, text=True, start_new_session=True,
         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
     )
-    line = proc.stdout.readline()
-    if "listening on" not in line:
-        proc.kill()
-        raise AssertionError(
-            f"server failed to start: {line!r}\n{proc.stderr.read()}")
-    return proc, int(line.rsplit(":", 1)[1])
+    try:
+        line = proc.stdout.readline()
+        if "listening on" not in line:
+            _kill_group(proc)
+            raise AssertionError(
+                f"server failed to start: {line!r}\n{proc.stderr.read()}")
+        yield proc, int(line.rsplit(":", 1)[1])
+    finally:
+        _kill_group(proc)
+        proc.wait(timeout=10)
+        proc.stdout.close()
+        proc.stderr.close()
+
+
+def _kill_group(proc):
+    """SIGKILL every live process in ``proc``'s process group."""
+    with contextlib.suppress(ProcessLookupError):
+        os.killpg(proc.pid, signal.SIGKILL)
 
 
 def _finish(proc, sig=None, timeout=30.0, read_stderr=True):
@@ -104,9 +123,8 @@ def _wait_for(predicate, timeout=30.0, interval=0.05):
 # Dedup across concurrent clients
 # ----------------------------------------------------------------------
 def test_concurrent_identical_sweeps_simulate_each_point_once():
-    proc, port = _start_server("--no-cache", "--jobs", "2",
-                               "--iterations", "10")
-    try:
+    with _start_server("--no-cache", "--jobs", "2",
+                       "--iterations", "10") as (proc, port):
         out = {}
         threads = [
             _sweep_in_thread(port, SLOW_POINTS, name, out)
@@ -122,7 +140,6 @@ def test_concurrent_identical_sweeps_simulate_each_point_once():
         assert executed == len(SLOW_POINTS)            # zero duplicates
         assert deduped == len(SLOW_POINTS)             # coalesced in flight
         assert a["results"] == b["results"]
-    finally:
         rc, _ = _finish(proc, signal.SIGTERM)
         assert rc == 0
 
@@ -131,9 +148,8 @@ def test_concurrent_identical_sweeps_simulate_each_point_once():
 # SIGKILL of a busy worker
 # ----------------------------------------------------------------------
 def test_sigkilled_busy_worker_recovers_and_sweep_completes():
-    proc, port = _start_server("--no-cache", "--jobs", "2",
-                               "--iterations", "60")
-    try:
+    with _start_server("--no-cache", "--jobs", "2",
+                       "--iterations", "60") as (proc, port):
         out = {}
         thread = _sweep_in_thread(port, SLOW_POINTS, "victim", out)
 
@@ -159,7 +175,6 @@ def test_sigkilled_busy_worker_recovers_and_sweep_completes():
             assert stats["breaker"] == "closed"
             new_workers = stats["workers"]
         assert workers[0] not in new_workers
-    finally:
         rc, _ = _finish(proc, signal.SIGTERM)
         assert rc == 0
 
@@ -169,18 +184,14 @@ def test_sigkilled_busy_worker_recovers_and_sweep_completes():
 # ----------------------------------------------------------------------
 def test_sigkilled_server_loses_no_committed_entries(tmp_path):
     cache = tmp_path / "cache"
-    proc, port = _start_server("--cache-dir", cache, "--jobs", "1",
-                               "--iterations", "2")
-    with ServiceClient("127.0.0.1", port) as c:
-        cold = c.sweep(FAST_POINTS, client="cold")
-        workers = c.stats()["stats"]["workers"]
-    assert cold["status"] == "ok"
-    assert cold["sourcing"]["executed"] == len(FAST_POINTS)
-    # No drain, no flush -- and reap the pool workers the kill orphans.
-    _finish(proc, signal.SIGKILL, timeout=15, read_stderr=False)
-    for pid in workers:
-        with contextlib.suppress(OSError):
-            os.kill(pid, signal.SIGKILL)
+    with _start_server("--cache-dir", cache, "--jobs", "1",
+                       "--iterations", "2") as (proc, port):
+        with ServiceClient("127.0.0.1", port) as c:
+            cold = c.sweep(FAST_POINTS, client="cold")
+        assert cold["status"] == "ok"
+        assert cold["sourcing"]["executed"] == len(FAST_POINTS)
+        # No drain, no flush; leaving the block reaps the orphaned workers.
+        _finish(proc, signal.SIGKILL, timeout=15, read_stderr=False)
 
     # The journal survived the kill (no graceful close ever truncated it);
     # tear one committed point file as if the kill had raced its rename.
@@ -190,9 +201,8 @@ def test_sigkilled_server_loses_no_committed_entries(tmp_path):
     assert len(entries) == len(FAST_POINTS)
     entries[0].write_text(entries[0].read_text()[:10])
 
-    proc, port = _start_server("--cache-dir", cache, "--jobs", "1",
-                               "--iterations", "2")
-    try:
+    with _start_server("--cache-dir", cache, "--jobs", "1",
+                       "--iterations", "2") as (proc, port):
         with ServiceClient("127.0.0.1", port) as c:
             warm = c.sweep(FAST_POINTS, client="warm")
             stats = c.stats()["stats"]
@@ -204,7 +214,6 @@ def test_sigkilled_server_loses_no_committed_entries(tmp_path):
         assert warm["results"] == cold["results"]      # byte-identical data
         assert stats["store_entries"] == len(FAST_POINTS)
         assert not list(cache.glob("journal/wal-*.jsonl"))  # consumed
-    finally:
         rc, stderr = _finish(proc, signal.SIGTERM)
         assert rc == 0 and "drained: journal flushed" in stderr
 
@@ -254,18 +263,14 @@ def test_an_answered_write_survives_a_sigkill_before_placement(tmp_path):
                  elapsed=0.5)
     seeded.close()
 
-    proc, port = _start_server("--cache-dir", cache, "--jobs", "1",
-                               "--iterations", "2",
-                               command=("-c", HELD_PLACEMENTS))
-    with ServiceClient("127.0.0.1", port) as c:
-        written = c.sweep(DERIVED_POINTS, client="writer")
-        workers = c.stats()["stats"]["workers"]
-    assert written["status"] == "ok"
-    assert written["sourcing"]["derived"] == len(DERIVED_POINTS)
-    _finish(proc, signal.SIGKILL, timeout=15, read_stderr=False)
-    for pid in workers:
-        with contextlib.suppress(OSError):
-            os.kill(pid, signal.SIGKILL)
+    with _start_server("--cache-dir", cache, "--jobs", "1",
+                       "--iterations", "2",
+                       command=("-c", HELD_PLACEMENTS)) as (proc, port):
+        with ServiceClient("127.0.0.1", port) as c:
+            written = c.sweep(DERIVED_POINTS, client="writer")
+        assert written["status"] == "ok"
+        assert written["sourcing"]["derived"] == len(DERIVED_POINTS)
+        _finish(proc, signal.SIGKILL, timeout=15, read_stderr=False)
 
     # Answered, journaled, and not one point file placed.
     points = [point_from_dict(p) for p in DERIVED_POINTS]
@@ -283,14 +288,12 @@ def test_an_answered_write_survives_a_sigkill_before_placement(tmp_path):
         assert (recovered.path_for(key).read_bytes()
                 == reference.path_for(key).read_bytes())
 
-    proc, port = _start_server("--cache-dir", cache, "--jobs", "1",
-                               "--iterations", "2")
-    try:
+    with _start_server("--cache-dir", cache, "--jobs", "1",
+                       "--iterations", "2") as (proc, port):
         with ServiceClient("127.0.0.1", port) as c:
             replay = c.sweep(DERIVED_POINTS, client="reader")
         assert replay["results"] == written["results"]
         assert replay["sourcing"]["disk_hits"] == len(DERIVED_POINTS)
-    finally:
         rc, _ = _finish(proc, signal.SIGTERM)
         assert rc == 0
     assert not list(cache.glob("journal/wal-*.jsonl"))
@@ -349,10 +352,9 @@ def test_a_second_open_keeps_a_live_writers_journal(tmp_path):
 # Saturation: BUSY or degraded, never a hang
 # ----------------------------------------------------------------------
 def test_saturated_pool_sheds_but_never_hangs():
-    proc, port = _start_server("--no-cache", "--jobs", "1",
-                               "--iterations", "20",
-                               "--queue-high", "1", "--queue-low", "0")
-    try:
+    with _start_server("--no-cache", "--jobs", "1", "--iterations", "20",
+                       "--queue-high", "1",
+                       "--queue-low", "0") as (proc, port):
         out = {}
         first = _sweep_in_thread(port, SLOW_POINTS, "flood-0", out)
         # Only once the pool is demonstrably saturated does the flood
@@ -389,7 +391,6 @@ def test_saturated_pool_sheds_but_never_hangs():
             assert degraded["sourcing"]["degraded"] == len(FAST_POINTS)
         else:
             assert degraded["status"] == "busy"        # admission said no
-    finally:
         rc, _ = _finish(proc, signal.SIGTERM)
         assert rc == 0
 
@@ -399,12 +400,12 @@ def test_saturated_pool_sheds_but_never_hangs():
 # ----------------------------------------------------------------------
 def test_sigterm_drain_exits_zero_with_empty_journal(tmp_path):
     cache = tmp_path / "cache"
-    proc, port = _start_server("--cache-dir", cache, "--jobs", "2",
-                               "--iterations", "2")
-    with ServiceClient("127.0.0.1", port) as c:
-        response = c.sweep(FAST_POINTS, client="drainer")
-    assert response["status"] == "ok"
-    rc, stderr = _finish(proc, signal.SIGTERM)
+    with _start_server("--cache-dir", cache, "--jobs", "2",
+                       "--iterations", "2") as (proc, port):
+        with ServiceClient("127.0.0.1", port) as c:
+            response = c.sweep(FAST_POINTS, client="drainer")
+        assert response["status"] == "ok"
+        rc, stderr = _finish(proc, signal.SIGTERM)
     assert rc == 0
     assert "drained: journal flushed, exiting" in stderr
     assert len(list(cache.glob("shard-*/*.json"))) == len(FAST_POINTS)
@@ -415,15 +416,15 @@ def test_sigterm_drain_with_hung_worker_still_exits_zero():
     """Satellite: SIGTERM under ``jobs>1`` with a worker that will not
     finish inside the grace period -- the drain must kill it and still
     exit 0 rather than wait forever."""
-    proc, port = _start_server("--no-cache", "--jobs", "2",
-                               "--iterations", "2000",
-                               "--drain-timeout", "2")
-    out = {}
-    thread = _sweep_in_thread(port, SLOW_POINTS, "stuck", out)
-    with ServiceClient("127.0.0.1", port) as c:
-        assert _wait_for(lambda: c.stats()["stats"]["queue_depth"] > 0)
-    started = time.monotonic()
-    rc, stderr = _finish(proc, signal.SIGTERM, timeout=30)
+    with _start_server("--no-cache", "--jobs", "2",
+                       "--iterations", "2000",
+                       "--drain-timeout", "2") as (proc, port):
+        out = {}
+        thread = _sweep_in_thread(port, SLOW_POINTS, "stuck", out)
+        with ServiceClient("127.0.0.1", port) as c:
+            assert _wait_for(lambda: c.stats()["stats"]["queue_depth"] > 0)
+        started = time.monotonic()
+        rc, stderr = _finish(proc, signal.SIGTERM, timeout=30)
     assert rc == 0
     assert time.monotonic() - started < 25             # did not wait for it
     assert "drained" in stderr

@@ -152,7 +152,7 @@ def test_run_observers_have_no_twin(name, value):
                              "off") is None
 
 
-@pytest.mark.parametrize("strategy", ["async-update", "model-parallel"])
+@pytest.mark.parametrize("strategy", ["async-update"])
 def test_strategies_reading_the_dataset_have_no_twin(strategy):
     config = TrainingConfig("lenet", 16, 2, comm_method=CommMethodName.P2P,
                             scaling=ScalingMode.WEAK, strategy=strategy)

@@ -78,7 +78,6 @@ def test_unknown_optimizer_rejected_at_trainer():
 _SGD_MOMENTUM_ITERATION = {
     ("ps-cpu", CommMethodName.LOCAL): 0.15068445901516725,
     ("async-update", CommMethodName.P2P): 0.022928429023821195,
-    ("model-parallel", CommMethodName.P2P): 0.011732013017842541,
 }
 
 

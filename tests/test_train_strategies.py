@@ -28,7 +28,6 @@ COMM_OF = {
     "ps-cpu": CommMethodName.LOCAL,
     "ps-gpu": CommMethodName.P2P,
     "async-update": CommMethodName.P2P,
-    "model-parallel": CommMethodName.P2P,
 }
 
 
@@ -41,7 +40,7 @@ def _config(strategy, network="lenet", batch=16, gpus=4, **kw):
 # ----------------------------------------------------------------------
 # Registry
 # ----------------------------------------------------------------------
-def test_all_seven_strategies_registered():
+def test_all_six_strategies_registered():
     assert available_strategies() == tuple(sorted(COMM_OF))
 
 
@@ -50,6 +49,14 @@ def test_unknown_strategy_is_loud():
         get_strategy("hogwild")
     with pytest.raises(ConfigurationError, match="unknown strategy"):
         TrainingConfig("lenet", 16, 4, strategy="hogwild")
+
+
+def test_model_parallel_is_an_unknown_strategy():
+    # The paper profiles data parallelism only; the layer-partitioned
+    # placement is not a registered strategy.
+    with pytest.raises(ConfigurationError, match="unknown strategy"):
+        TrainingConfig("lenet", 16, 4, comm_method=CommMethodName.P2P,
+                       strategy="model-parallel")
 
 
 @pytest.mark.parametrize("comm,expected", sorted(
@@ -199,7 +206,7 @@ def test_sync_strategies_run_under_fault_injection(strategy):
     assert semantics.ring_rebuild == strategy.startswith("nccl")
 
 
-@pytest.mark.parametrize("strategy", ["async-update", "model-parallel"])
+@pytest.mark.parametrize("strategy", ["async-update"])
 def test_non_segment_strategies_reject_fault_plans(strategy):
     semantics = get_strategy(strategy).recovery_semantics()
     assert not semantics.supports_faults
@@ -207,7 +214,7 @@ def test_non_segment_strategies_reject_fault_plans(strategy):
         train(_config(strategy), sim=FAST, faults=PLAN)
 
 
-@pytest.mark.parametrize("strategy", ["async-update", "model-parallel"])
+@pytest.mark.parametrize("strategy", ["async-update"])
 def test_non_segment_strategies_reject_fault_plans_at_construction(strategy):
     """The fault contract is checked with the rest of the plan, in
     ``Trainer.__init__``: nothing is built or simulated first."""
@@ -215,16 +222,6 @@ def test_non_segment_strategies_reject_fault_plans_at_construction(strategy):
         Trainer(_config(strategy), sim=FAST, faults=PLAN)
     # An empty plan is the healthy path for every strategy.
     Trainer(_config(strategy), sim=FAST, faults=FaultPlan())
-
-
-def test_model_parallel_strategy_matches_the_estimator():
-    from repro.train import ModelParallelEstimator
-
-    config = _config("model-parallel")
-    via_registry = train(config, sim=FAST)
-    direct = ModelParallelEstimator(config).run()
-    assert via_registry.iteration_time == direct.iteration_time
-    assert via_registry.epoch_time == direct.epoch_time
 
 
 def test_unknown_attribute_still_raises():
@@ -239,9 +236,9 @@ def test_unknown_attribute_still_raises():
 # Work ceiling on the strategy dispatch path
 # ----------------------------------------------------------------------
 def test_strategy_matrix_stays_under_its_event_and_dma_ceilings():
-    # The repository benchmark never runs async-update, model-parallel or
-    # the PS strategies, so this pins their work as deterministic counts:
-    # the 7-strategy matrix on lenet and alexnet at batch 16, simulated
+    # The repository benchmark never runs async-update or the PS
+    # strategies, so this pins their work as deterministic counts: the
+    # 6-strategy matrix on lenet and alexnet at batch 16, simulated
     # from scratch.  The ceilings are the measured counts; any rise means
     # the dispatch path or the engine now does more work per point.
     # ``sim.events`` includes the async-update workers' events.
@@ -258,6 +255,6 @@ def test_strategy_matrix_stays_under_its_event_and_dma_ceilings():
     finally:
         PERF.disable()
         PERF.reset()
-    assert len(result.rows) == 14
+    assert len(result.rows) == 12
     assert counters["sim.events"] <= 11380
     assert counters["fabric.dmas"] <= 992
