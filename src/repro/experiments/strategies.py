@@ -21,20 +21,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from repro.core.config import CommMethodName, SimulationConfig, TrainingConfig
+from repro.core.config import SimulationConfig, TrainingConfig
 from repro.experiments.tables import render_table
 from repro.runner import SweepPoint, SweepRunner, SweepSpec
+from repro.train.strategies import STRATEGIES
 
-#: Every registered strategy and the ``comm_method`` it runs over (the
-#: validation matrix in docs/TRAINING.md).
-STRATEGY_COMM = {
-    "p2p-tree": CommMethodName.P2P,
-    "nccl-collective": CommMethodName.NCCL,
-    "nccl-allreduce-replicated": CommMethodName.NCCL_ALLREDUCE,
-    "ps-cpu": CommMethodName.LOCAL,
-    "ps-gpu": CommMethodName.P2P,
-    "async-update": CommMethodName.P2P,
-}
+#: Every registered strategy, in registration order, and the
+#: ``comm_method`` it runs over (the validation matrix in docs/TRAINING.md).
+STRATEGY_COMM = {name: s.comm_method for name, s in STRATEGIES.items()}
 
 #: The paper's five networks (Table I).
 PAPER_NETWORKS = ("lenet", "alexnet", "googlenet", "inception-v3", "resnet")

@@ -12,13 +12,15 @@ Measurement can be gated (``profiler.enabled``) so warm-up iterations do
 not pollute the statistics, mirroring how nvprof sessions are windowed.
 
 A profiler built with ``records=False`` runs in *summary mode*, like
-``nvprof --print-summary``: it keeps the spans (a few per iteration) and
+``nvprof --print-summary``: it keeps the spans (a few per iteration),
 the per-GPU kernel and per-API sums (:attr:`Profiler.kernel_busy`,
-:attr:`Profiler.api_totals`) the paper's tables are made of, and builds no
-kernel, transfer or API event at all.  In both modes the record hooks add
-to those sums directly, in record order, so :mod:`repro.profile.summary`
-returns bit-identical floats from either; the sums count only this
-profiler's own records, never events another publisher puts on its bus.
+:attr:`Profiler.api_totals`) the paper's tables are made of and the
+per-kind byte sums (:attr:`Profiler.transfer_bytes`) the traffic
+invariant reads, and builds no kernel, transfer or API event at all.
+In both modes the record hooks add to those sums directly, in record
+order, so :mod:`repro.profile.summary` returns bit-identical floats from
+either; the sums count only this profiler's own records, never events
+another publisher puts on its bus.
 """
 
 from __future__ import annotations
@@ -64,10 +66,12 @@ class Profiler:
         self.transfers: List[TransferEvent] = []
         self.apis: List[ApiEvent] = []
         self.spans: List[SpanEvent] = []
-        #: Kernel seconds per GPU and seconds per API over the window,
-        #: added by the record hooks themselves in either mode.
+        #: Kernel seconds per GPU, seconds per API and bytes per transfer
+        #: kind over the window, added by the record hooks themselves in
+        #: either mode.
         self.kernel_busy: DefaultDict[int, float] = defaultdict(float)
         self.api_totals: DefaultDict[str, float] = defaultdict(float)
+        self.transfer_bytes: DefaultDict[str, int] = defaultdict(int)
         # List accumulation is itself just one subscriber of the bus.
         self._subscriptions: List[Tuple[type, Callable[[ObsEvent], None]]] = [
             (SpanEvent, self.spans.append)]
@@ -135,11 +139,13 @@ class Profiler:
     def record_transfer(
         self, kind: str, src: int, dst: int, nbytes: int, start: float, end: float
     ) -> None:
-        if self.enabled and self.records:
-            self.bus.publish(
-                TransferEvent(kind=kind, src=src, dst=dst, nbytes=nbytes,
-                              start=start, end=end)
-            )
+        if self.enabled:
+            self.transfer_bytes[kind] += nbytes
+            if self.records:
+                self.bus.publish(
+                    TransferEvent(kind=kind, src=src, dst=dst, nbytes=nbytes,
+                                  start=start, end=end)
+                )
 
     def record_api(self, name: str, gpu: int, start: float, end: float) -> None:
         if self.enabled:
@@ -183,6 +189,7 @@ class Profiler:
         self.spans.clear()
         self.kernel_busy.clear()
         self.api_totals.clear()
+        self.transfer_bytes.clear()
 
     # ------------------------------------------------------------------
     # Simple aggregates

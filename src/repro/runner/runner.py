@@ -70,7 +70,7 @@ from repro.runner.spec import (
 )
 from repro.perf.spans import PERF
 from repro.runner.pool import PoolDriver, backoff_delay
-from repro.runner.store import CacheEntry, ResultStore, fault_breakdown
+from repro.runner.store import CacheEntry, ResultStore
 
 #: What one executed/cached point yields: a result object, an OOM record,
 #: or a (never-cached) failure record.
@@ -285,8 +285,8 @@ class RunnerStats:
     #: were answered from -- a derived point's is its twin's; entries
     #: without metadata contribute 0).
     saved_seconds: float = 0.0
-    #: Fault-injected points seen this run (executed or cache hits with
-    #: a recorded ``faults`` breakdown).
+    #: Fault-injected points seen this run (executed or cache hits whose
+    #: result carries a ``faults`` summary).
     faulted: int = 0
     #: Total modeled resilience overhead across those points (simulated
     #: seconds: re-ring transitions + crash recovery + checkpoints).
@@ -403,8 +403,7 @@ class SweepRunner:
         #: their checks ran when the entry was first simulated).
         self.check_stats: Dict[str, List[int]] = {}
         #: Each memoized point's entry; its ``elapsed`` lets memory hits
-        #: credit :attr:`RunnerStats.saved_seconds` and its ``faults``
-        #: lets them report recovery like disk hits do.
+        #: credit :attr:`RunnerStats.saved_seconds`.
         self._memo: Dict[str, CacheEntry] = {}
 
     def __len__(self) -> int:
@@ -451,7 +450,7 @@ class SweepRunner:
                 else:
                     self.stats.memory_hits += 1
                 self.stats.saved_seconds += entry.elapsed
-                self._note_faults(entry.faults)
+                self._note_faults(entry.value)
                 self._finish(spec, index, total, point, entry.value, source,
                              0.0, outcomes)
 
@@ -588,9 +587,8 @@ class SweepRunner:
             # Failures are transient: caching one would make a crashed
             # point permanently "fail" from cache on every future run.
             return
-        entry = self._memo[key] = CacheEntry(
-            value=value, elapsed=elapsed, faults=fault_breakdown(value))
-        self._note_faults(entry.faults)
+        self._memo[key] = CacheEntry(value=value, elapsed=elapsed)
+        self._note_faults(value)
         if self.store is not None:
             self.store.store(key, value, elapsed=elapsed, check_stats=check_stats)
 
@@ -641,10 +639,11 @@ class SweepRunner:
                 label=label, source=source, elapsed=elapsed,
             ))
 
-    def _note_faults(self, breakdown: Optional[Dict[str, Any]]) -> None:
-        if breakdown is not None:
+    def _note_faults(self, value: PointValue) -> None:
+        summary = getattr(value, "faults", None)
+        if summary is not None:
             self.stats.faulted += 1
-            self.stats.fault_overhead += breakdown.get("overhead", 0.0)
+            self.stats.fault_overhead += summary.overhead
 
     def _backoff(self, attempt: int) -> float:
         """Exponential backoff slept before re-attempt ``attempt + 1``."""

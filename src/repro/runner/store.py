@@ -60,13 +60,11 @@ point originally cost to simulate and its invariant-check statistics
 the original layout ignore unknown keys, so no schema bump is needed,
 and files written before the field exist load fine with ``perf=None``.
 
-Fault-injected training results additionally carry a ``"faults"`` object
--- a flat recovery breakdown (policy, resilience overheads, crashed
-GPU/node, degraded rails) lifted out of the
-:class:`~repro.faults.recovery.FaultSummary` so replays of cached
-faulted points can report what the resilience layer did without
-deserializing the full result.  Same additive contract as ``"perf"``:
-healthy entries and pre-existing files simply load with ``faults=None``.
+A fault-injected result's recovery breakdown is its own
+:class:`~repro.faults.recovery.FaultSummary`, serialized with the rest
+of the result.  Entries that still carry the flat top-level
+``"faults"`` copy earlier versions wrote beside it load fine; the copy
+is ignored.
 """
 
 from __future__ import annotations
@@ -119,74 +117,12 @@ class CacheEntry:
     ``elapsed`` is the wall-clock seconds the point took when it was
     first simulated (0.0 for entries written before the ``perf`` field
     existed); ``check_stats`` is the invariant-statistics snapshot from
-    that original execution.  ``faults`` is the recovery breakdown of a
-    fault-injected training point (``None`` for healthy points and for
-    entries written before the field existed).
+    that original execution.
     """
 
     value: StoredValue
     elapsed: float = 0.0
     check_stats: Optional[Dict[str, Tuple[int, int]]] = None
-    faults: Optional[Dict[str, Any]] = None
-
-
-def fault_breakdown(value: Any) -> Optional[Dict[str, Any]]:
-    """The flat ``"faults"`` entry field for ``value``, or ``None``.
-
-    Only fault-injected :class:`TrainingResult`\\ s (a non-``None``
-    ``faults`` summary) produce a breakdown; everything else -- healthy
-    results, OOM records -- maps to ``None`` so the field
-    stays absent from their entries.
-    """
-    summary = getattr(value, "faults", None)
-    if summary is None:
-        return None
-    return {
-        "policy": summary.policy,
-        "segments": len(summary.segments),
-        "transition_cost": summary.transition_cost,
-        "recovery_cost": summary.recovery_cost,
-        "checkpoint_cost": summary.checkpoint_cost,
-        "overhead": summary.overhead,
-        "crashed_gpu": summary.crashed_gpu,
-        "crashed_node": summary.crashed_node,
-        "replayed_iterations": summary.replayed_iterations,
-        "rails_degraded": max(
-            (s.rails_degraded for s in summary.segments), default=0
-        ),
-    }
-
-
-def _parse_faults(raw: Any) -> Optional[Dict[str, Any]]:
-    """Best-effort decode of an entry's ``"faults"`` object.
-
-    Like ``"perf"``, the breakdown is advisory (it only feeds the
-    runner's fault-summary line), so a malformed shape degrades to
-    ``None`` rather than poisoning an otherwise intact result.
-    """
-    if not isinstance(raw, dict):
-        return None
-    try:
-        return {
-            "policy": str(raw["policy"]),
-            "segments": int(raw["segments"]),
-            "transition_cost": float(raw["transition_cost"]),
-            "recovery_cost": float(raw["recovery_cost"]),
-            "checkpoint_cost": float(raw["checkpoint_cost"]),
-            "overhead": float(raw["overhead"]),
-            "crashed_gpu": (
-                None if raw.get("crashed_gpu") is None
-                else int(raw["crashed_gpu"])
-            ),
-            "crashed_node": (
-                None if raw.get("crashed_node") is None
-                else int(raw["crashed_node"])
-            ),
-            "replayed_iterations": int(raw["replayed_iterations"]),
-            "rails_degraded": int(raw["rails_degraded"]),
-        }
-    except (TypeError, ValueError, KeyError):
-        return None
 
 
 def _parse_perf(
@@ -448,10 +384,8 @@ class ResultStore:
             self._corrupt(path, f"unknown result kind {kind!r}")
             return None
         elapsed, check_stats = _parse_perf(data.get("perf"))
-        return CacheEntry(
-            value=value, elapsed=elapsed, check_stats=check_stats,
-            faults=_parse_faults(data.get("faults")),
-        )
+        return CacheEntry(value=value, elapsed=elapsed,
+                          check_stats=check_stats)
 
     def store(
         self,
@@ -464,9 +398,7 @@ class ResultStore:
 
         ``elapsed`` (wall-clock seconds the point took to simulate) and
         ``check_stats`` (its invariant statistics) are recorded in the
-        additive ``"perf"`` entry field when given.  Fault-injected
-        training results additionally get the ``"faults"`` breakdown
-        (see :func:`fault_breakdown`).  The one-entry case of
+        additive ``"perf"`` entry field when given.  The one-entry case of
         :meth:`store_many`.
         """
         return self.store_many([(key, value, elapsed, check_stats)])[0]
@@ -567,9 +499,6 @@ class ResultStore:
         data: Dict[str, Any] = {
             "schema": SCHEMA_VERSION, "kind": kind, "result": payload,
         }
-        breakdown = fault_breakdown(value)
-        if breakdown is not None:
-            data["faults"] = breakdown
         if elapsed is not None:
             perf: Dict[str, Any] = {"elapsed": float(elapsed)}
             if check_stats:

@@ -37,9 +37,9 @@ class AnalyticUnsupported(ValueError):
 
 def degradable(point: SweepPoint) -> bool:
     """Whether the synchronous DAG model covers ``point``'s strategy."""
-    from repro.train.strategies import SyncStrategy, strategy_for
+    from repro.train.strategies import strategy_for
 
-    return isinstance(strategy_for(point.config), SyncStrategy)
+    return not strategy_for(point.config).asynchronous
 
 
 @functools.lru_cache(maxsize=256)

@@ -52,7 +52,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.runner.fingerprint import point_fingerprint
 from repro.runner.runner import derive_value, steady_twin_point
 from repro.runner.spec import FailureInfo, SweepPoint
-from repro.runner.store import CacheEntry, ResultStore, fault_breakdown
+from repro.runner.store import CacheEntry, ResultStore
 from repro.service import protocol
 from repro.service.admission import AdmissionController, CircuitBreaker
 from repro.service.analytic import (
@@ -767,8 +767,7 @@ class SweepService:
             return None
         value = derive_value(value, point.config)
         # The entry load_entry would return once the commit is placed.
-        entry = CacheEntry(value=value, elapsed=float(elapsed),
-                           faults=fault_breakdown(value))
+        entry = CacheEntry(value=value, elapsed=float(elapsed))
         text = _encoded(point, value)
         tally.writes.append((point, key, entry, text))
         tally.derived += 1

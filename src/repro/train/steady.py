@@ -27,7 +27,7 @@ from typing import Any, Mapping, Optional
 from repro.core.config import PAPER_DATASET_IMAGES, ScalingMode, TrainingConfig
 from repro.faults.plan import FaultPlan
 from repro.train.results import TrainingResult
-from repro.train.strategies import SyncStrategy, strategy_for
+from repro.train.strategies import strategy_for
 
 #: Trainer keyword arguments that attach something to the run itself; a
 #: run carrying any of them is never answered from a twin.
@@ -61,7 +61,7 @@ def steady_twin(
     if faults is not None and not (isinstance(faults, FaultPlan)
                                    and faults.empty):
         return None
-    if not isinstance(strategy_for(config), SyncStrategy):
+    if strategy_for(config).asynchronous:
         return None
     return dataclasses.replace(config, scaling=ScalingMode.STRONG,
                                dataset_images=PAPER_DATASET_IMAGES)

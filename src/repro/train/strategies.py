@@ -1,22 +1,19 @@
-"""The pluggable training-strategy registry.
+"""The training-strategy registry: one :class:`Strategy` record per name.
 
-ROADMAP item 3 asks for a training-strategy matrix in the tensorpack
+ROADMAP item 3 asked for a training-strategy matrix in the tensorpack
 mold (``SyncMultiGPUTrainerParameterServer`` / ``Replicated`` /
-``AsyncMultiGPUTrainer``).  This module provides the abstraction
-boundary: a :class:`ReductionStrategy` owns everything that differs
-between those trainers -- which communicator to build, how gradient-ready
-events map onto weight-update work, which execution model drives the
-epoch, and what the fault/resilience layer may assume about recovery --
-while :class:`~repro.train.trainer.Trainer` keeps the parts they share
-(network compilation, kernel schedules, system assembly through
-``Trainer._build_system``, measurement, extrapolation, and the one
-result constructor ``Trainer._result``).
-
-The split follows the DAG model of synchronous SGD (Shi et al.): the
-iteration is a stage DAG whose compute stages are strategy-independent
-and whose reduction schedule is exactly the strategy.  That same model
-doubles as an analytic cross-check oracle -- see
-:mod:`repro.checks.dag`.
+``AsyncMultiGPUTrainer``).  Following the DAG model of synchronous SGD
+(Shi et al.), the compute stages of an iteration do not depend on the
+strategy and the reduction schedule *is* the strategy: every synchronous
+strategy runs the one weight-update schedule
+:class:`~repro.train.trainer.Trainer` owns, and differs only in the
+communicator behind it.  So a strategy is data -- the ``comm_method`` it
+runs over, the communicator-factory key, whether it spans nodes, whether
+it is asynchronous and what the fault layer may assume about recovery --
+and the registry is a table of those records.  The one execution model
+that is not the trainer's measured loop, asynchronous parameter-server
+SGD, is :func:`run_async`.  The same DAG model doubles as an analytic
+cross-check oracle -- see :mod:`repro.checks.dag`.
 
 Registered strategies (``TrainingConfig.strategy``):
 
@@ -103,13 +100,22 @@ def resolve_fast_path(config, faults=None) -> str:
 
 
 @dataclass(frozen=True)
-class RecoverySemantics:
-    """What the fault/resilience layer may assume about a strategy.
+class Strategy:
+    """One way to turn per-layer gradients into updated weights.
 
+    ``comm_method``
+        The ``TrainingConfig.comm_method`` the strategy runs over.
+    ``comm_key``
+        Communicator-factory key; ``None`` uses ``config.comm_method``.
+    ``multi_node``
+        Whether the strategy is modeled across InfiniBand-linked nodes.
+    ``asynchronous``
+        No iteration barrier and no reduction schedule: the run is
+        :func:`run_async` and builds no communicator.
     ``supports_faults``
         The segment-based faulted epoch assembly
         (:meth:`~repro.train.trainer.Trainer._run_faulted`) applies: the
-        strategy rebuilds its communicator per degraded segment.  When
+        trainer rebuilds the communicator per degraded segment.  When
         false, ``Trainer.__init__`` rejects a non-empty fault plan.
     ``ring_rebuild``
         Recovering from a link fault or crash additionally pays the NCCL
@@ -117,42 +123,17 @@ class RecoverySemantics:
         star schedules recompute routes for free beyond the route cost.
     """
 
-    supports_faults: bool
-    ring_rebuild: bool
-
-
-class ReductionStrategy:
-    """One way to turn per-layer gradients into updated weights.
-
-    Subclasses override the class attributes (the validation matrix) and
-    whichever hooks differ from the synchronous default:
-
-    * :meth:`validate` -- strategy x comm x topology compatibility,
-      called eagerly from ``TrainingConfig.__post_init__``;
-    * :meth:`build_communicator` -- strategy-owned communicator
-      construction for one assembled system;
-    * :meth:`schedule_weight_update` -- the reduction schedule: a
-      process mapping gradient-ready events onto communicator work;
-    * :meth:`run` -- the execution model driving a whole epoch;
-    * :meth:`recovery_semantics` -- contract with :mod:`repro.faults`.
-    """
-
-    #: Registry key and ``TrainingConfig.strategy`` value.
-    name: str = ""
-    #: The ``comm_method`` this strategy runs over (``None`` = any).
-    comm_method: Optional[CommMethodName] = None
-    #: Communicator-factory key; ``None`` uses ``config.comm_method``.
+    name: str
+    comm_method: CommMethodName
     comm_key: Optional[str] = None
-    #: Whether the strategy is modeled across InfiniBand-linked nodes.
     multi_node: bool = False
+    asynchronous: bool = False
+    supports_faults: bool = True
+    ring_rebuild: bool = False
 
-    # ------------------------------------------------------------------
-    # Validation matrix (strategy x comm x topology)
-    # ------------------------------------------------------------------
     def validate(self, config) -> None:
         """Raise :class:`ConfigurationError` for an incompatible config."""
-        if (self.comm_method is not None
-                and config.comm_method is not self.comm_method):
+        if config.comm_method is not self.comm_method:
             raise ConfigurationError(
                 f"strategy {self.name!r} runs over "
                 f"comm_method={self.comm_method.value!r}, got "
@@ -167,301 +148,135 @@ class ReductionStrategy:
                 "cannot; see the strategy matrix in docs/TRAINING.md)"
             )
 
-    # ------------------------------------------------------------------
-    # Fault contract
-    # ------------------------------------------------------------------
-    def recovery_semantics(self) -> RecoverySemantics:
-        """Default: segment-rebuild recovery without a ring re-init."""
-        return RecoverySemantics(supports_faults=True, ring_rebuild=False)
 
-    # ------------------------------------------------------------------
-    # System construction
-    # ------------------------------------------------------------------
-    def build_communicator(self, trainer, env, fabric, devices, profiler,
-                           cluster_nodes=None, rail_scales=None):
-        """Build this strategy's communicator for one assembled system.
-
-        A non-compat ``cluster_collective`` reroutes the NCCL strategies
-        onto the hierarchical rail-aware communicator (docs/SCALING.md);
-        everything else keeps the flat per-method factory key.  A faulted
-        cluster segment passes ``cluster_nodes`` (a crashed node shrinks
-        the rank space) and ``rail_scales`` (degraded rails); ``None``
-        keeps the configured cluster and healthy rails.
-        """
-        # Imported lazily: repro.comm itself imports the train package
-        # (optimizer specs), so a module-level import would be circular.
-        from repro.comm import make_communicator
-
-        config = trainer.config
-        key = self.comm_key or config.comm_method
-        kwargs = {}
-        if config.cluster_collective != "compat":
-            from repro.topology.cluster import IB_LANE_BANDWIDTH
-
-            key = "nccl-hierarchical"
-            kwargs = dict(
-                cluster_nodes=(
-                    cluster_nodes if cluster_nodes is not None
-                    else config.cluster_nodes
-                ),
-                rail_bandwidth=IB_LANE_BANDWIDTH,
-                inter_algorithm=config.cluster_collective.removeprefix(
-                    "hierarchical-"),
-                fast_path=resolve_fast_path(config, trainer.faults),
-                rail_scales=rail_scales,
-            )
-        return make_communicator(
-            key,
-            env,
-            fabric,
-            devices,
-            trainer.cost_model,
-            trainer.constants,
-            profiler,
-            gradient_bytes_scale=0.5 if config.fp16_gradients else 1.0,
-            optimizer=trainer.optimizer,
-            algorithm=config.nccl_algorithm,
-            protocol=config.nccl_protocol,
-            checks=trainer.checks,
-            **kwargs,
-        )
-
-    # ------------------------------------------------------------------
-    # Reduction schedule
-    # ------------------------------------------------------------------
-    def schedule_weight_update(
-        self, trainer, env: Environment, comm,
-        grad_ready: Dict[str, List[Event]],
-    ) -> Generator[Event, None, None]:
-        """Spawn per-array synchronization as gradients become ready."""
-        pending = []
-        if trainer.config.overlap_bp_wu:
-            # Layers appear in BP completion order, so waiting on each in
-            # turn streams arrays into the communicator as they are ready.
-            for layer, _ in trainer._bwd:
-                if not layer.is_weighted:
-                    continue
-                yield env.all_of(grad_ready[layer.name])
-                for array in trainer.stats.arrays_of_layer(layer.name):
-                    pending.append(env.process(comm.sync_array(array)))
-        else:
-            # No overlap: wait for every gradient, then synchronize.
-            all_events = [e for events in grad_ready.values() for e in events]
-            if all_events:
-                yield env.all_of(all_events)
-            for layer, _ in trainer._bwd:
-                if layer.is_weighted:
-                    for array in trainer.stats.arrays_of_layer(layer.name):
-                        pending.append(env.process(comm.sync_array(array)))
-        if pending:
-            yield env.all_of(pending)
-
-    # ------------------------------------------------------------------
-    # Execution model
-    # ------------------------------------------------------------------
-    def run(self, trainer) -> TrainingResult:
-        """Drive one epoch for ``trainer`` and return its result."""
-        raise NotImplementedError
-
-
-class SyncStrategy(ReductionStrategy):
-    """Shared execution model of the synchronous data-parallel strategies.
-
-    The epoch is the trainer's measured steady-state extrapolation (or
-    its segment-based faulted assembly); subclasses differ only in the
-    communicator they build and the recovery semantics they declare.
-    """
-
-    def run(self, trainer) -> TrainingResult:
-        from repro.faults.injector import FaultInjector
-
-        if trainer.faults is None or trainer.faults.empty:
-            return trainer._run_healthy()
-        return trainer._run_faulted(FaultInjector(trainer.faults))
-
-
-class P2pTreeStrategy(SyncStrategy):
-    """MXNet ``device`` KVStore: binomial P2P reduction tree onto GPU0."""
-
-    name = "p2p-tree"
-    comm_method = CommMethodName.P2P
-
-
-class NcclCollectiveStrategy(SyncStrategy):
-    """MXNet ``nccl`` KVStore: ring/tree Reduce + Broadcast collectives."""
-
-    name = "nccl-collective"
-    comm_method = CommMethodName.NCCL
-    multi_node = True
-
-    def recovery_semantics(self) -> RecoverySemantics:
-        return RecoverySemantics(supports_faults=True, ring_rebuild=True)
-
-
-class NcclAllReduceReplicatedStrategy(SyncStrategy):
-    """DDP/Horovod style: fused AllReduce with replicated local updates."""
-
-    name = "nccl-allreduce-replicated"
-    comm_method = CommMethodName.NCCL_ALLREDUCE
-    multi_node = True
-
-    def recovery_semantics(self) -> RecoverySemantics:
-        return RecoverySemantics(supports_faults=True, ring_rebuild=True)
-
-
-class PsCpuStrategy(SyncStrategy):
-    """MXNet ``local`` KVStore: CPU parameter server over PCIe."""
-
-    name = "ps-cpu"
-    comm_method = CommMethodName.LOCAL
-
-
-class PsGpuStrategy(SyncStrategy):
-    """GPU0 parameter server: flat-star P2P reduction (no tree stages)."""
-
-    name = "ps-gpu"
-    comm_method = CommMethodName.P2P
-    comm_key = "ps-gpu"
-
-
-class AsyncUpdateStrategy(ReductionStrategy):
-    """Asynchronous parameter-server SGD (paper Section II-B).
+# ----------------------------------------------------------------------
+# Asynchronous parameter-server SGD (paper Section II-B)
+# ----------------------------------------------------------------------
+def run_async(trainer) -> TrainingResult:
+    """Drive one asynchronous parameter-server epoch for ``trainer``.
 
     Weights live on GPU0.  Each worker repeatedly pulls the model,
     computes FP+BP on its mini-batch, and pushes gradients back; the
     server applies each push immediately.  Transfers ride the same P2P
     routes as the synchronous ``device`` KVStore and contend on the
     NVLink fabric.  There is no barrier, so there is no reduction
-    schedule: :meth:`schedule_weight_update` never applies and the
-    execution model replaces the whole measured loop.
+    schedule: this replaces the trainer's whole measured loop.
     """
+    config = trainer.config
+    env, profiler, fabric, router, devices, _ = trainer._build_system()
+    # The result keeps no nvprof view of an async run, so the profiler
+    # records only for an obs session, over every worker iteration.
+    profiler.enabled = trainer.obs is not None
+    state = _ServerState()
+    warmup = trainer.sim.warmup_iterations
+    iterations = warmup + ASYNC_MEASURE_ITERATIONS
+    update = _update_kernel(trainer)
+    workers = [
+        env.process(
+            _worker(trainer, env, fabric, router, devices, pos, state,
+                    iterations, update)
+        )
+        for pos in range(len(devices))
+    ]
+    env.run(until=env.all_of(workers))
+    if PERF.enabled:
+        PERF.count("sim.events", env.dispatched)
 
-    name = "async-update"
-    comm_method = CommMethodName.P2P
+    measured = tuple(
+        t for pos, it, t in state.iteration_records if it >= warmup
+    )
+    staleness = tuple(
+        s for pos, it, s in state.staleness_records if it >= warmup
+    )
+    mean_iteration = statistics.mean(measured)
+    # Workers proceed independently: aggregate throughput is the sum of
+    # per-worker rates.
+    images_per_second = sum(
+        config.batch_size / t for t in measured
+    ) / max(1, len(measured)) * config.num_gpus
+    epoch_time = (
+        config.total_images / images_per_second
+        + trainer.constants.run_startup_overhead
+    )
+    return trainer._result(
+        measured, mean_iteration, epoch_time,
+        trainer.constants.run_startup_overhead,
+        async_stats=AsyncStats(
+            staleness_mean=(statistics.mean(staleness)
+                            if staleness else 0.0),
+            staleness_max=max(staleness) if staleness else 0,
+            staleness_samples=staleness,
+            server_updates=state.version,
+        ),
+    )
 
-    def recovery_semantics(self) -> RecoverySemantics:
-        return RecoverySemantics(supports_faults=False, ring_rebuild=False)
 
-    def build_communicator(self, trainer, env, fabric, devices, profiler,
-                           cluster_nodes=None, rail_scales=None):
-        """No reduction schedule, so no communicator: the workers pull and
-        push the model over the fabric themselves (:meth:`_worker`)."""
-        return None
-
-    def run(self, trainer) -> TrainingResult:
-        config = trainer.config
-        env, profiler, fabric, router, devices, _ = trainer._build_system()
-        # The result keeps no nvprof view of an async run, so the profiler
-        # records only for an obs session, over every worker iteration.
-        profiler.enabled = trainer.obs is not None
-        state = _ServerState()
-        warmup = trainer.sim.warmup_iterations
-        iterations = warmup + ASYNC_MEASURE_ITERATIONS
-        workers = [
-            env.process(
-                self._worker(trainer, env, fabric, router, devices, pos,
-                             state, iterations)
+def _worker(
+    trainer,
+    env: Environment,
+    fabric: Fabric,
+    router: Router,
+    devices: List[GpuDevice],
+    pos: int,
+    state: "_ServerState",
+    iterations: int,
+    update: KernelSpec,
+) -> Generator[Event, None, None]:
+    c = trainer.constants
+    dev = devices[pos]
+    server = devices[0]
+    model_bytes = trainer.stats.model_bytes
+    for iteration in range(iterations):
+        start = env.now
+        # Pull the current weights from the server.
+        version_seen = state.version
+        if pos != 0:
+            route = router.gpu_to_gpu(
+                fabric.topology.gpu(server.index),
+                fabric.topology.gpu(dev.index),
             )
-            for pos in range(len(devices))
-        ]
-        env.run(until=env.all_of(workers))
-        if PERF.enabled:
-            PERF.count("sim.events", env.dispatched)
-
-        measured = tuple(
-            t for pos, it, t in state.iteration_records if it >= warmup
+            yield env.timeout(c.p2p_copy_setup)
+            yield from fabric.pipelined_transfer(
+                route, model_bytes, 4 * 2**20)
+        # Compute FP + BP.
+        yield env.timeout(
+            c.input_pipeline_residual
+            + c.input_cost_per_image * trainer.config.batch_size
         )
-        staleness = tuple(
-            s for pos, it, s in state.staleness_records if it >= warmup
-        )
-        mean_iteration = statistics.mean(measured)
-        # Workers proceed independently: aggregate throughput is the sum
-        # of per-worker rates.
-        images_per_second = sum(
-            config.batch_size / t for t in measured
-        ) / max(1, len(measured)) * config.num_gpus
-        epoch_time = (
-            config.total_images / images_per_second
-            + trainer.constants.run_startup_overhead
-        )
-        return trainer._result(
-            measured, mean_iteration, epoch_time,
-            trainer.constants.run_startup_overhead,
-            async_stats=AsyncStats(
-                staleness_mean=(statistics.mean(staleness)
-                                if staleness else 0.0),
-                staleness_max=max(staleness) if staleness else 0,
-                staleness_samples=staleness,
-                server_updates=state.version,
-            ),
-        )
-
-    def _worker(
-        self,
-        trainer,
-        env: Environment,
-        fabric: Fabric,
-        router: Router,
-        devices: List[GpuDevice],
-        pos: int,
-        state: "_ServerState",
-        iterations: int,
-    ) -> Generator[Event, None, None]:
-        c = trainer.constants
-        dev = devices[pos]
-        server = devices[0]
-        model_bytes = trainer.stats.model_bytes
-        update = self._update_kernel(trainer)
-        for iteration in range(iterations):
-            start = env.now
-            # Pull the current weights from the server.
-            version_seen = state.version
-            if pos != 0:
-                route = router.gpu_to_gpu(
-                    fabric.topology.gpu(server.index),
-                    fabric.topology.gpu(dev.index),
-                )
-                yield env.timeout(c.p2p_copy_setup)
-                yield from fabric.pipelined_transfer(
-                    route, model_bytes, 4 * 2**20)
-            # Compute FP + BP.
-            yield env.timeout(
-                c.input_pipeline_residual
-                + c.input_cost_per_image * trainer.config.batch_size
+        for kernel in trainer._fwd:
+            yield from dev.run_kernel(kernel)
+        for _, kernels in trainer._bwd:
+            yield from dev.run_kernels(kernels)
+        # Push gradients; the server updates immediately on arrival.
+        if pos != 0:
+            route = router.gpu_to_gpu(
+                fabric.topology.gpu(dev.index),
+                fabric.topology.gpu(server.index),
             )
-            for kernel in trainer._fwd:
-                yield from dev.run_kernel(kernel)
-            for _, kernels in trainer._bwd:
-                yield from dev.run_kernels(kernels)
-            # Push gradients; the server updates immediately on arrival.
-            if pos != 0:
-                route = router.gpu_to_gpu(
-                    fabric.topology.gpu(dev.index),
-                    fabric.topology.gpu(server.index),
-                )
-                yield env.timeout(c.p2p_copy_setup)
-                yield from fabric.pipelined_transfer(
-                    route, model_bytes, 4 * 2**20)
-            yield from server.run_kernel(update)
-            staleness = state.version - version_seen
-            state.version += 1
-            state.staleness_records.append((pos, iteration, staleness))
-            state.iteration_records.append((pos, iteration, env.now - start))
-            yield env.timeout(c.stream_sync_overhead)
+            yield env.timeout(c.p2p_copy_setup)
+            yield from fabric.pipelined_transfer(
+                route, model_bytes, 4 * 2**20)
+        yield from server.run_kernel(update)
+        staleness = state.version - version_seen
+        state.version += 1
+        state.staleness_records.append((pos, iteration, staleness))
+        state.iteration_records.append((pos, iteration, env.now - start))
+        yield env.timeout(c.stream_sync_overhead)
 
-    def _update_kernel(self, trainer) -> KernelSpec:
-        """The server's whole-model update, costed by the trainer's optimizer."""
-        optimizer = trainer.optimizer
-        flops = optimizer.flops_per_param * trainer.stats.total_params
-        nbytes = optimizer.memory_passes * trainer.stats.model_bytes
-        return KernelSpec(
-            name="asgd_update",
-            layer="@server",
-            stage="wu",
-            duration=trainer.cost_model.kernel_time(flops, nbytes, False),
-            flops=flops,
-            bytes_moved=nbytes,
-        )
+
+def _update_kernel(trainer) -> KernelSpec:
+    """The server's whole-model update, costed by the trainer's optimizer."""
+    optimizer = trainer.optimizer
+    flops = optimizer.flops_per_param * trainer.stats.total_params
+    nbytes = optimizer.memory_passes * trainer.stats.model_bytes
+    return KernelSpec(
+        name="asgd_update",
+        layer="@server",
+        stage="wu",
+        duration=trainer.cost_model.kernel_time(flops, nbytes, False),
+        flops=flops,
+        bytes_moved=nbytes,
+    )
 
 
 class _ServerState:
@@ -476,7 +291,24 @@ class _ServerState:
 # ----------------------------------------------------------------------
 # Registry
 # ----------------------------------------------------------------------
-_REGISTRY: Dict[str, ReductionStrategy] = {}
+#: Every registered strategy by name, in registration order.
+STRATEGIES: Dict[str, Strategy] = {s.name: s for s in (
+    # MXNet ``device`` KVStore: binomial P2P reduction tree onto GPU0.
+    Strategy("p2p-tree", CommMethodName.P2P),
+    # MXNet ``nccl`` KVStore: ring/tree Reduce + Broadcast collectives.
+    Strategy("nccl-collective", CommMethodName.NCCL,
+             multi_node=True, ring_rebuild=True),
+    # DDP/Horovod style: fused AllReduce with replicated local updates.
+    Strategy("nccl-allreduce-replicated", CommMethodName.NCCL_ALLREDUCE,
+             multi_node=True, ring_rebuild=True),
+    # MXNet ``local`` KVStore: CPU parameter server over PCIe.
+    Strategy("ps-cpu", CommMethodName.LOCAL),
+    # GPU0 parameter server: flat-star P2P reduction (no tree stages).
+    Strategy("ps-gpu", CommMethodName.P2P, comm_key="ps-gpu"),
+    # Asynchronous parameter-server SGD: no barrier, no fault recovery.
+    Strategy("async-update", CommMethodName.P2P,
+             asynchronous=True, supports_faults=False),
+)}
 
 #: ``strategy="auto"``: the synchronous strategy implied by the
 #: configured communication method (the pre-registry behaviour).
@@ -488,31 +320,23 @@ AUTO_STRATEGY = {
 }
 
 
-def register_strategy(strategy: ReductionStrategy) -> ReductionStrategy:
-    """Add ``strategy`` to the registry (keyed by its ``name``)."""
-    if not strategy.name:
-        raise ValueError("a strategy needs a non-empty name")
-    _REGISTRY[strategy.name] = strategy
-    return strategy
-
-
 def available_strategies() -> Tuple[str, ...]:
     """Registered strategy names, sorted."""
-    return tuple(sorted(_REGISTRY))
+    return tuple(sorted(STRATEGIES))
 
 
-def get_strategy(name: str) -> ReductionStrategy:
+def get_strategy(name: str) -> Strategy:
     """Look up a registered strategy by name."""
     try:
-        return _REGISTRY[name]
+        return STRATEGIES[name]
     except KeyError:
         raise ConfigurationError(
             f"unknown strategy {name!r}; available: "
-            f"{sorted(_REGISTRY)} (or 'auto')"
+            f"{sorted(STRATEGIES)} (or 'auto')"
         ) from None
 
 
-def strategy_for(config) -> ReductionStrategy:
+def strategy_for(config) -> Strategy:
     """The strategy a config selects (resolving ``"auto"``)."""
     name = config.strategy
     if name == "auto":
@@ -523,15 +347,3 @@ def strategy_for(config) -> ReductionStrategy:
 def validate_config(config) -> None:
     """Eager strategy x comm x topology validation for ``config``."""
     strategy_for(config).validate(config)
-
-
-for _strategy in (
-    P2pTreeStrategy(),
-    NcclCollectiveStrategy(),
-    NcclAllReduceReplicatedStrategy(),
-    PsCpuStrategy(),
-    PsGpuStrategy(),
-    AsyncUpdateStrategy(),
-):
-    register_strategy(_strategy)
-del _strategy

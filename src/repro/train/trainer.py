@@ -85,7 +85,7 @@ from repro.topology import (
 from repro.train.optimizers import OptimizerSpec, get_optimizer
 from repro.train.results import TrainingResult
 from repro.train.steady import extrapolate_epoch
-from repro.train.strategies import strategy_for
+from repro.train.strategies import resolve_fast_path, run_async, strategy_for
 
 
 def _fault_kind(label: str) -> str:
@@ -242,11 +242,8 @@ class Trainer:
         self.faults = faults
         self.checks = checks
         # Summary mode unless something reads the profiler's record lists:
-        # the caller, an obs subscriber or the trainer-level checkpoints.
-        self._profiler_records = (
-            keep_profiler or obs is not None
-            or (checks is not None and checks.enabled)
-        )
+        # the caller or an obs subscriber.
+        self._profiler_records = keep_profiler or obs is not None
         if checks is not None and obs is not None:
             checks.bind_bus(obs.bus)
         self.strategy = strategy_for(config)
@@ -270,7 +267,7 @@ class Trainer:
                     config.network, config.batch_size, spec, constants,
                     use_tensor_cores, config.optimizer)
         self._compiled = compiled
-        # The fields the strategies and checkers read off a trainer; the
+        # The fields run_async and the checkers read off a trainer; the
         # rest is read through ``_compiled``.
         self.stats = compiled.stats
         self.optimizer = compiled.optimizer
@@ -285,30 +282,21 @@ class Trainer:
         Every fault target is bounds-checked against the configuration
         eagerly (a bad plan must fail at construction, not minutes into
         a sweep), cluster-tier primitives require the hierarchical
-        collective, the strategy must declare fault-recovery semantics
-        (:meth:`~repro.train.strategies.ReductionStrategy.recovery_semantics`),
-        and an explicit analytic fast path must be able to represent the
+        collective, the strategy must support fault recovery
+        (:attr:`~repro.train.strategies.Strategy.supports_faults`), and
+        an explicit analytic fast path must be able to represent the
         plan (:func:`~repro.train.strategies.resolve_fast_path`).
         """
         cfg = self.config
-        for f in plan.crashes:
-            if f.gpu >= cfg.num_gpus:
-                raise FaultPlanError(
-                    f"crash targets gpu{f.gpu} but the run uses "
-                    f"{cfg.num_gpus} GPU(s)"
-                )
-        for f in plan.stragglers:
-            if f.gpu >= cfg.num_gpus:
-                raise FaultPlanError(
-                    f"straggler targets gpu{f.gpu} but the run uses "
-                    f"{cfg.num_gpus} GPU(s)"
-                )
-        for f in plan.ecc_faults:
-            if f.gpu >= cfg.num_gpus:
-                raise FaultPlanError(
-                    f"ecc fault targets gpu{f.gpu} but the run uses "
-                    f"{cfg.num_gpus} GPU(s)"
-                )
+        for what, faults in (("crash", plan.crashes),
+                             ("straggler", plan.stragglers),
+                             ("ecc fault", plan.ecc_faults)):
+            for f in faults:
+                if f.gpu >= cfg.num_gpus:
+                    raise FaultPlanError(
+                        f"{what} targets gpu{f.gpu} but the run uses "
+                        f"{cfg.num_gpus} GPU(s)"
+                    )
         if plan.cluster_faults and cfg.cluster_collective == "compat":
             raise FaultPlanError(
                 "rail/node faults live on the hierarchical cluster tier: "
@@ -343,9 +331,7 @@ class Trainer:
                 "use NodeCrashFault for node-granularity recovery"
             )
         if not plan.empty:
-            from repro.train.strategies import resolve_fast_path
-
-            if not self.strategy.recovery_semantics().supports_faults:
+            if not self.strategy.supports_faults:
                 raise FaultPlanError(
                     f"strategy {self.strategy.name!r} declares no "
                     "fault-recovery semantics: fault plans apply to the "
@@ -361,11 +347,12 @@ class Trainer:
     def run(self) -> TrainingResult:
         """Simulate the run and return the measured result.
 
-        Delegates to the configured
-        :class:`~repro.train.strategies.ReductionStrategy` (resolved from
-        ``config.strategy``; the default ``"auto"`` maps ``comm_method``
-        to the matching synchronous strategy, byte-identical to the
-        pre-registry trainer).  Raises
+        Runs the configured :class:`~repro.train.strategies.Strategy`
+        (resolved from ``config.strategy``; the default ``"auto"`` maps
+        ``comm_method`` to the matching synchronous strategy,
+        byte-identical to the pre-registry trainer): the measured
+        synchronous loop, its segment-based faulted assembly under a
+        fault plan, or :func:`~repro.train.strategies.run_async`.  Raises
         :class:`~repro.core.errors.OutOfMemoryError` when the
         configuration cannot fit in GPU memory (as the paper hit for
         Inception-v3/ResNet above batch 64), and
@@ -379,7 +366,11 @@ class Trainer:
                     self.stats, self.config.batch_size,
                     is_server=self.config.num_gpus > 1,
                 )
-            return self.strategy.run(self)
+            if self.strategy.asynchronous:
+                return run_async(self)
+            if self.faults is None or self.faults.empty:
+                return self._run_healthy()
+            return self._run_faulted(FaultInjector(self.faults))
 
     # ------------------------------------------------------------------
     # System assembly and steady-state measurement
@@ -421,7 +412,6 @@ class Trainer:
         cfg = self.config
         if cfg.cluster_collective != "compat":
             from repro.topology import GPUS_PER_NODE
-            from repro.train.strategies import resolve_fast_path
 
             if resolve_fast_path(cfg, self.faults) == "analytic":
                 return min(cfg.num_gpus, GPUS_PER_NODE)
@@ -444,10 +434,7 @@ class Trainer:
         GPU set, per-segment speed/ECC models and, on a cluster, the
         surviving node count and degraded rail scales.  Every strategy
         that simulates events builds here, so the check engine and the
-        obs session reach all of them.  The communicator itself is
-        strategy-owned
-        (:meth:`~repro.train.strategies.ReductionStrategy.build_communicator`;
-        ``None`` for a strategy without a reduction schedule).
+        obs session reach all of them (:meth:`_build_communicator`).
         """
         with PERF.span("trainer.build"):
             env = Environment()
@@ -478,10 +465,64 @@ class Trainer:
                           ecc=ecc_models.get(i))
                 for i in gpu_indices
             ]
-            comm = self.strategy.build_communicator(
-                self, env, fabric, devices, profiler,
+            comm = self._build_communicator(
+                env, fabric, devices, profiler,
                 cluster_nodes=cluster_nodes, rail_scales=rail_scales)
             return env, profiler, fabric, router, devices, comm
+
+    def _build_communicator(self, env, fabric, devices, profiler,
+                            cluster_nodes=None, rail_scales=None):
+        """The strategy's communicator for one assembled system.
+
+        ``None`` for an asynchronous strategy: it has no reduction
+        schedule, and its workers pull and push the model over the
+        fabric themselves.  A non-compat ``cluster_collective`` reroutes
+        the NCCL strategies onto the hierarchical rail-aware
+        communicator (docs/SCALING.md); everything else keeps the flat
+        per-method factory key.  A faulted cluster segment passes
+        ``cluster_nodes`` (a crashed node shrinks the rank space) and
+        ``rail_scales`` (degraded rails); ``None`` keeps the configured
+        cluster and healthy rails.
+        """
+        if self.strategy.asynchronous:
+            return None
+        # Imported lazily: repro.comm itself imports the train package
+        # (optimizer specs), so a module-level import would be circular.
+        from repro.comm import make_communicator
+
+        config = self.config
+        key = self.strategy.comm_key or config.comm_method
+        kwargs = {}
+        if config.cluster_collective != "compat":
+            from repro.topology.cluster import IB_LANE_BANDWIDTH
+
+            key = "nccl-hierarchical"
+            kwargs = dict(
+                cluster_nodes=(
+                    cluster_nodes if cluster_nodes is not None
+                    else config.cluster_nodes
+                ),
+                rail_bandwidth=IB_LANE_BANDWIDTH,
+                inter_algorithm=config.cluster_collective.removeprefix(
+                    "hierarchical-"),
+                fast_path=resolve_fast_path(config, self.faults),
+                rail_scales=rail_scales,
+            )
+        return make_communicator(
+            key,
+            env,
+            fabric,
+            devices,
+            self.cost_model,
+            self.constants,
+            profiler,
+            gradient_bytes_scale=0.5 if config.fp16_gradients else 1.0,
+            optimizer=self.optimizer,
+            algorithm=config.nccl_algorithm,
+            protocol=config.nccl_protocol,
+            checks=self.checks,
+            **kwargs,
+        )
 
     # ------------------------------------------------------------------
     # Invariant checkpoints over one measured system
@@ -531,10 +572,9 @@ class Trainer:
             elapsed=elapsed,
             now=env.now,
         )
-        measured: Dict[str, int] = {}
-        for t in profiler.transfers:
-            if t.kind in ("p2p", "nccl"):
-                measured[t.kind] = measured.get(t.kind, 0) + t.nbytes
+        measured = {kind: nbytes
+                    for kind, nbytes in profiler.transfer_bytes.items()
+                    if kind in ("p2p", "nccl")}
         expected = expected_sync_bytes(
             comm.name,
             self._sync_arrays(),
@@ -805,9 +845,6 @@ class Trainer:
         replayed = 0
         fixed: Optional[float] = None
         ring_reason: Optional[str] = None
-        # The strategy's contract with the fault layer: whether topology
-        # changes additionally pay an NCCL communicator re-init.
-        recovery = self.strategy.recovery_semantics()
         # The pristine topology is segment-invariant; each segment derives
         # its degraded view from this one base instead of re-deriving it.
         base = self._base_topology()
@@ -975,11 +1012,10 @@ class Trainer:
                 )
                 if new_sig != link_sig:
                     # The communication structure changed: pay a route
-                    # recomputation and (strategies declaring ring-based
-                    # recovery semantics only) an NCCL communicator
-                    # rebuild before the next segment.
+                    # recomputation and (ring-based strategies only) an
+                    # NCCL communicator rebuild before the next segment.
                     cost = costs.route_recompute
-                    if recovery.ring_rebuild and plan_obj is not None:
+                    if self.strategy.ring_rebuild and plan_obj is not None:
                         cost += costs.ring_rebuild
                         changed = set(new_sig) ^ set(link_sig)
                         ring_reason = (
@@ -1152,9 +1188,29 @@ class Trainer:
     def _weight_update(
         self, env: Environment, comm, grad_ready: Dict[str, List[Event]]
     ) -> Generator[Event, None, None]:
-        """The strategy's reduction schedule over the gradient-ready DAG."""
-        yield from self.strategy.schedule_weight_update(
-            self, env, comm, grad_ready)
+        """The reduction schedule: per-array synchronization spawned as
+        gradients become ready over the gradient-ready DAG."""
+        pending = []
+        if self.config.overlap_bp_wu:
+            # Layers appear in BP completion order, so waiting on each in
+            # turn streams arrays into the communicator as they are ready.
+            for layer, _ in self._bwd:
+                if not layer.is_weighted:
+                    continue
+                yield env.all_of(grad_ready[layer.name])
+                for array in self.stats.arrays_of_layer(layer.name):
+                    pending.append(env.process(comm.sync_array(array)))
+        else:
+            # No overlap: wait for every gradient, then synchronize.
+            all_events = [e for events in grad_ready.values() for e in events]
+            if all_events:
+                yield env.all_of(all_events)
+            for layer, _ in self._bwd:
+                if layer.is_weighted:
+                    for array in self.stats.arrays_of_layer(layer.name):
+                        pending.append(env.process(comm.sync_array(array)))
+        if pending:
+            yield env.all_of(pending)
 
 
 def train(

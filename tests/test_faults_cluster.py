@@ -284,7 +284,7 @@ def test_store_entry_carries_recovery_breakdown(tmp_path):
     assert runner.stats.fault_overhead > 0.0
 
     # A fresh runner replays the point from disk: the breakdown must
-    # come back from the entry's additive "faults" field.
+    # come back from the stored result's own fault summary.
     replay = SweepRunner(sim=FAST, store=store)
     replay.run(SweepSpec.explicit("bd", [point]))
     assert replay.stats.executed == 0 and replay.stats.disk_hits == 1
@@ -293,6 +293,47 @@ def test_store_entry_carries_recovery_breakdown(tmp_path):
         runner.stats.fault_overhead)
     line = replay.stats.describe_faults()
     assert line is not None and "1 fault-injected point(s)" in line
+
+
+def test_entry_with_a_flat_faults_copy_replays_the_same_overhead(tmp_path):
+    """A stored entry keeps one copy of the recovery breakdown, inside the
+    serialized result.  A file that also carries the flat top-level
+    ``"faults"`` copy older writers added still loads, and the replay
+    reads the same overhead from the result itself."""
+    import json
+
+    from repro.runner import ResultStore
+
+    plan = FaultPlan(node_crashes=(NodeCrashFault(1, 3),),
+                     policy=ResiliencePolicy.CHECKPOINT_RESTART)
+    point = SweepPoint.make(cluster_config(2), overrides={"faults": plan})
+    store = ResultStore(tmp_path)
+    runner = SweepRunner(sim=FAST, store=store)
+    runner.run(SweepSpec.explicit("flat", [point]))
+    store.close()
+    (path,) = tmp_path.glob("shard-*/*.json")
+    data = json.loads(path.read_text())
+    assert "faults" not in data
+    summary = data["result"]["faults"]
+    data["faults"] = {
+        "policy": summary["policy"],
+        "segments": len(summary["segments"]),
+        "transition_cost": summary["transition_cost"],
+        "recovery_cost": summary["recovery_cost"],
+        "checkpoint_cost": summary["checkpoint_cost"],
+        "overhead": runner.stats.fault_overhead,
+        "crashed_gpu": summary["crashed_gpu"],
+        "crashed_node": summary["crashed_node"],
+        "replayed_iterations": summary["replayed_iterations"],
+        "rails_degraded": 0,
+    }
+    path.write_text(json.dumps(data))
+
+    replay = SweepRunner(sim=FAST, store=ResultStore(tmp_path))
+    replay.run(SweepSpec.explicit("flat", [point]))
+    assert replay.stats.executed == 0 and replay.stats.disk_hits == 1
+    assert replay.stats.faulted == 1
+    assert replay.stats.fault_overhead == runner.stats.fault_overhead
 
 
 def test_healthy_points_report_no_fault_line():

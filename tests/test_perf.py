@@ -153,9 +153,11 @@ CALL_CEILINGS = {
     # 84,284 / 17,242 before hot-path events were built directly, then
     # 49,618 / 11,315 before joins, free grants and pokes were dropped,
     # then 44,146 / 11,235 before the hooks outside the profiler window
-    # were skipped and per-layer/per-plan constants cached.
-    "p2p": 43_892,
-    "nccl": 10_814,
+    # were skipped and per-layer/per-plan constants cached, then
+    # 43,892 / 10,814 before the trainer ran its own weight-update
+    # schedule instead of re-yielding a strategy object's.
+    "p2p": 43_881,
+    "nccl": 10_803,
 }
 
 
@@ -298,6 +300,36 @@ def test_runs_with_time_varying_speed_keep_tables(monkeypatch):
     rebuilt, fewest_runs = _rebuilt(kernels)
     assert rebuilt == {} and fewest_runs >= 3
     assert [c._kept is not None for c in comms] == [True]
+
+
+@pytest.mark.parametrize("comm", ["nccl", "p2p"])
+def test_checked_runs_check_traffic_in_summary_mode(monkeypatch, comm):
+    """Invariants alone build no transfer records: ``trainer.traffic``
+    reads the profiler's per-kind byte sums, so a strict run with no obs
+    session and no kept profiler stays in summary mode and still catches
+    a traffic mismatch."""
+    from repro.checks import CheckEngine
+    from repro.checks import expect
+    from repro.core.errors import InvariantViolationError
+
+    profilers = []
+    checks = Trainer._post_measure_checks_inner
+
+    def spy_checks(self, env, profiler, *args):
+        profilers.append(profiler)
+        return checks(self, env, profiler, *args)
+
+    expected = expect.expected_sync_bytes
+    monkeypatch.setattr(Trainer, "_post_measure_checks_inner", spy_checks)
+    monkeypatch.setattr(expect, "expected_sync_bytes",
+                        lambda *a, **kw: expected(*a, **kw) + 1)
+    with pytest.raises(InvariantViolationError, match="gradient-traffic"):
+        Trainer(_config(network="alexnet", num_gpus=4,
+                        comm_method=CommMethodName(comm)),
+                checks=CheckEngine("strict")).run()
+    (profiler,) = profilers
+    assert not profiler.records and profiler.transfers == []
+    assert profiler.transfer_bytes[comm] > 0
 
 
 # ----------------------------------------------------------------------

@@ -110,6 +110,47 @@ def _sweep_in_thread(port, points, client, out, **kwargs):
     return thread
 
 
+#: ``serve`` whose pool workers announce each point they take on stdout,
+#: ``simulating <pid>``, then hold it until the gate file (argv[1])
+#: exists.  The handshake proves a point is in flight in that worker;
+#: a gate that never opens makes the worker hang.
+GATED_POINTS = textwrap.dedent("""
+    import os, sys, time
+    from repro.service import server
+    from repro.train.trainer import Trainer
+
+    gate, run = sys.argv[1], Trainer.run
+
+    def gated_run(self):
+        # One write per line: workers share the pipe.
+        os.write(1, f"simulating {os.getpid()}\\n".encode())
+        while not os.path.exists(gate):
+            time.sleep(0.01)
+        return run(self)
+
+    Trainer.run = gated_run
+    sys.exit(server.main(sys.argv[2:]))
+""")
+
+
+def _gated_server(gate, *extra_args):
+    """:func:`_start_server` running :data:`GATED_POINTS` behind ``gate``."""
+    return _start_server(*extra_args,
+                         command=("-c", GATED_POINTS, str(gate)))
+
+
+def _await_simulating(proc, timeout=30.0):
+    """The pid of the first pool worker that announces a held point."""
+    line = []
+    reader = threading.Thread(
+        target=lambda: line.append(proc.stdout.readline()), daemon=True)
+    reader.start()
+    reader.join(timeout)
+    assert line and line[0].startswith("simulating "), (
+        f"no point reached a worker: {line}")
+    return int(line[0].split()[1])
+
+
 def _wait_for(predicate, timeout=30.0, interval=0.05):
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
@@ -147,18 +188,22 @@ def test_concurrent_identical_sweeps_simulate_each_point_once():
 # ----------------------------------------------------------------------
 # SIGKILL of a busy worker
 # ----------------------------------------------------------------------
-def test_sigkilled_busy_worker_recovers_and_sweep_completes():
-    with _start_server("--no-cache", "--jobs", "2",
+def test_sigkilled_busy_worker_recovers_and_sweep_completes(tmp_path):
+    gate = tmp_path / "gate"
+    with _gated_server(gate, "--no-cache", "--jobs", "2",
                        "--iterations", "60") as (proc, port):
         out = {}
         thread = _sweep_in_thread(port, SLOW_POINTS, "victim", out)
 
+        # The victim holds a point until the gate opens, so the kill
+        # lands mid-simulation however loaded the machine is.
+        victim = _await_simulating(proc)
         with ServiceClient("127.0.0.1", port) as c:
-            assert _wait_for(
-                lambda: c.stats()["stats"]["queue_depth"] > 0)
             workers = c.stats()["stats"]["workers"]
         assert len(workers) == 2
-        os.kill(workers[0], signal.SIGKILL)            # mid-simulation
+        assert victim in workers
+        os.kill(victim, signal.SIGKILL)                # mid-simulation
+        gate.touch()
 
         thread.join(timeout=180)
         assert not thread.is_alive()
@@ -174,7 +219,7 @@ def test_sigkilled_busy_worker_recovers_and_sweep_completes():
             assert stats["rebuilds"] >= 1
             assert stats["breaker"] == "closed"
             new_workers = stats["workers"]
-        assert workers[0] not in new_workers
+        assert victim not in new_workers
         rc, _ = _finish(proc, signal.SIGTERM)
         assert rc == 0
 
@@ -412,17 +457,17 @@ def test_sigterm_drain_exits_zero_with_empty_journal(tmp_path):
     assert not list(cache.glob("journal/wal-*.jsonl"))  # flushed + removed
 
 
-def test_sigterm_drain_with_hung_worker_still_exits_zero():
+def test_sigterm_drain_with_hung_worker_still_exits_zero(tmp_path):
     """Satellite: SIGTERM under ``jobs>1`` with a worker that will not
     finish inside the grace period -- the drain must kill it and still
     exit 0 rather than wait forever."""
-    with _start_server("--no-cache", "--jobs", "2",
+    # The gate never opens: the worker holding a point is hung.
+    with _gated_server(tmp_path / "gate", "--no-cache", "--jobs", "2",
                        "--iterations", "2000",
                        "--drain-timeout", "2") as (proc, port):
         out = {}
         thread = _sweep_in_thread(port, SLOW_POINTS, "stuck", out)
-        with ServiceClient("127.0.0.1", port) as c:
-            assert _wait_for(lambda: c.stats()["stats"]["queue_depth"] > 0)
+        _await_simulating(proc)
         started = time.monotonic()
         rc, stderr = _finish(proc, signal.SIGTERM, timeout=30)
     assert rc == 0

@@ -201,14 +201,14 @@ def test_sync_strategies_run_under_fault_injection(strategy):
     result = train(_config(strategy), sim=FAST, faults=PLAN)
     assert result.faults is not None
     assert result.faults.segments
-    semantics = get_strategy(strategy).recovery_semantics()
+    semantics = get_strategy(strategy)
     assert semantics.supports_faults
     assert semantics.ring_rebuild == strategy.startswith("nccl")
 
 
 @pytest.mark.parametrize("strategy", ["async-update"])
 def test_non_segment_strategies_reject_fault_plans(strategy):
-    semantics = get_strategy(strategy).recovery_semantics()
+    semantics = get_strategy(strategy)
     assert not semantics.supports_faults
     with pytest.raises(FaultPlanError, match="no fault-recovery semantics"):
         train(_config(strategy), sim=FAST, faults=PLAN)
